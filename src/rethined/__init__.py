@@ -15,9 +15,10 @@ from .tensor_ops import (
 from .spectral import ComplexGrid, fft1d, fft2d, focal_frequency_loss, ifft2d
 from .coarse import CoarseModel, RepBlock, coarse_forward, fuse_block, fuse_model
 from .patches import (
-    PatchSequence,
+    PatchGrid,
     TokenMatrix,
     embed_and_condition,
+    hr_patches,
     img2col,
     pixel_shuffle,
     tokenize_mask,
@@ -35,18 +36,15 @@ from .attention import (
 )
 from .upscale import (
     FrequencySplit,
-    HrPatchGrid,
     compose_hr,
     frequency_split,
-    hf_token_mix,
-    hr_patches,
-    hr_pixel_shuffle,
     sigma_for_factor,
 )
 from .masks import MaskCoverageError, MaskSpec, generate_mask, mask_coverage
 from .metrics import l1, psnr, ssim
 from .pipeline import (
     InpaintingModel,
+    NonFiniteInputError,
     PipelineConfig,
     fuse_pipeline_model,
     load_model,

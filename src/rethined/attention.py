@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patches import PatchSequence, TokenMatrix, img2col, pixel_shuffle, tokenize_mask, embed_and_condition
+from .patches import PatchGrid, TokenMatrix, img2col, pixel_shuffle, tokenize_mask, embed_and_condition
 from .tensor_ops import DTYPE, _blur_axis, softmax_rows
 
 
@@ -133,14 +133,18 @@ def mix_rows(a: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def token_mix(amap: AttentionMap, values: PatchSequence) -> PatchSequence:
-    """Mix value patches with a masked attention map (weighted patch sums)."""
+def token_mix(amap: AttentionMap, values: PatchGrid) -> PatchGrid:
+    """Mix value patches with a masked attention map (weighted patch sums).
+
+    The patches may be of any extent on the map's grid: LR values in the
+    refinement, HR high frequencies in the upscale.
+    """
     if not amap.masked:
         raise ValueError("token mixing requires a masked attention map")
     if amap.count != values.count or (amap.rows, amap.cols) != (values.rows, values.cols):
         raise ValueError("attention grid does not match the value patch grid")
     mixed = mix_rows(amap.a, values.patches)
-    return PatchSequence(mixed, values.rows, values.cols, values.patch_size)
+    return PatchGrid(mixed, values.rows, values.cols, values.patch_h, values.patch_w)
 
 
 # 3-tap Gaussian, sigma = 0.8, used by the coherence layer
@@ -234,7 +238,7 @@ def npm_refine(coarse: np.ndarray, x_lr: np.ndarray, features: np.ndarray,
 
     lr_seq = img2col(x_lr, patch_size)
     values = np.where((m == 1)[:, None], seq.patches, lr_seq.patches)
-    value_seq = PatchSequence(values, seq.rows, seq.cols, patch_size)
+    value_seq = PatchGrid(values, seq.rows, seq.cols, patch_size, patch_size)
     mixed = token_mix(masked, value_seq)
     refined = pixel_shuffle(mixed)
     return coherence(refined, m, patch_size), masked

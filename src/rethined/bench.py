@@ -17,7 +17,7 @@ import numpy as np
 from .attention import attention_scores, mask_attention, npm_refine, token_mix, coherence
 from .coarse import FEATURE_CHANNELS, coarse_forward
 from .masks import MaskSpec, generate_mask
-from .patches import PatchSequence, embed_and_condition, img2col, pixel_shuffle, tokenize_mask
+from .patches import PatchGrid, embed_and_condition, img2col, pixel_shuffle, tokenize_mask
 from .pipeline import (
     InpaintingModel,
     PipelineConfig,
@@ -52,11 +52,12 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
     d_k = config.d_k
     c = FEATURE_CHANNELS
     lr = config.lr_size
-    r = h_hr // lr
+    r_h, r_w = h_hr // lr, w_hr // lr
     hr_px = 3 * h_hr * w_hr
     lr_px = 3 * lr * lr
 
-    blur_hr = 2 * 2 * _gauss_taps(r) * hr_px if r > 1 else 0
+    # one separable HR blur per request, run by downsample_to_lr under coarse
+    blur_hr = 2 * (_gauss_taps(r_h) + _gauss_taps(r_w)) * hr_px
     conv = 0
     for c_in, c_out, size in ((4, 16, lr), (16, 32, lr // 2), (32, 64, lr // 4),
                               (64, 32, lr // 8), (32, 16, lr // 4)):
@@ -67,8 +68,8 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
 
     masking = 3 * n * n
     mixing = 2 * n * n * 3 * p * p + 4 * 3 * lr_px
-    d_hr = 3 * (p * r) * (p * (w_hr // lr))
-    upscale = blur_hr + 2 * n * n * d_hr + 8 * hr_px + 2 * hr_px
+    d_hr = 3 * (p * r_h) * (p * r_w)
+    upscale = 2 * n * n * d_hr + 8 * hr_px + 2 * hr_px
     att = attention_flops(n, d_k, c)
     return {
         "coarse": coarse,
@@ -129,7 +130,7 @@ def measure_stages(config: PipelineConfig, model: InpaintingModel,
     hr_warmup = warmup if hr_warmup is None else hr_warmup
     p = config.patch_size
 
-    x_lr, m_lr = downsample_to_lr(config, image, mask)
+    x_lr, m_lr, low = downsample_to_lr(config, image, mask)
     coarse_img, feats = coarse_forward(model.coarse, x_lr, m_lr)
     feats = _features_for_grid(config, feats)
     seq = img2col(coarse_img, p)
@@ -138,13 +139,13 @@ def measure_stages(config: PipelineConfig, model: InpaintingModel,
     amap = attention_scores(tokens, model.npm.proj)
     masked_map = mask_attention(amap, m_vec)
     lr_seq = img2col(x_lr, p)
-    values = PatchSequence(
-        np.where((m_vec == 1)[:, None], seq.patches, lr_seq.patches), seq.rows, seq.cols, p
+    values = PatchGrid(
+        np.where((m_vec == 1)[:, None], seq.patches, lr_seq.patches), seq.rows, seq.cols, p, p
     )
     x_lr_hat, _ = npm_refine(coarse_img, x_lr, feats, model.npm, m_lr, p, config.d_k)
 
     def stage_coarse():
-        xl, ml = downsample_to_lr(config, image, mask)
+        xl, ml, _ = downsample_to_lr(config, image, mask)
         _features_for_grid(config, coarse_forward(model.coarse, xl, ml)[1])
 
     def stage_attention():
@@ -159,7 +160,7 @@ def measure_stages(config: PipelineConfig, model: InpaintingModel,
         coherence(pixel_shuffle(token_mix(masked_map, values)), m_vec, p)
 
     def stage_upscale():
-        compose_hr(image, x_lr_hat, masked_map, mask, p, composite=config.composite)
+        compose_hr(image, low, x_lr_hat, masked_map, mask, p, composite=config.composite)
 
     def stage_total():
         run_pipeline(config, model, image, mask)

@@ -1,5 +1,9 @@
 """Patch extraction, mask tokenization, patch embedding and reassembly.
 
+One patch-grid type, PatchGrid, serves both resolutions: img2col cuts square
+LR patches, hr_patches cuts the matching rectangular HR patches, and
+pixel_shuffle inverts either.
+
 img2col follows the strided-convolution construction: P*P identity indicator
 kernels (w(i,j) = 1 iff i == j), duplicated per input channel and applied as a
 grouped convolution with stride P and no padding.  Rows of the result are
@@ -17,20 +21,22 @@ from .tensor_ops import DTYPE, ConvSpec, conv2d
 
 
 @dataclass(frozen=True)
-class PatchSequence:
-    """Non-overlapping square patches of an RGB image plus grid geometry."""
+class PatchGrid:
+    """Non-overlapping patch_h x patch_w patches of an RGB image: one
+    channel-major flattened row per patch, grid cells in row-major order."""
 
     patches: np.ndarray
     rows: int
     cols: int
-    patch_size: int
+    patch_h: int
+    patch_w: int
 
     def __post_init__(self):
         n, d = self.patches.shape
         if n != self.rows * self.cols:
             raise ValueError(f"{n} patches do not fill a {self.rows}x{self.cols} grid")
-        if d != 3 * self.patch_size * self.patch_size:
-            raise ValueError(f"patch width {d} != 3*P^2 for P={self.patch_size}")
+        if d != 3 * self.patch_h * self.patch_w:
+            raise ValueError(f"patch width {d} != 3*{self.patch_h}*{self.patch_w}")
 
     @property
     def count(self) -> int:
@@ -59,7 +65,7 @@ def img2col_weights(patch_size: int, channels: int = 3) -> np.ndarray:
     return np.tile(eye, (channels, 1, 1, 1))
 
 
-def img2col(image: np.ndarray, patch_size: int) -> PatchSequence:
+def img2col(image: np.ndarray, patch_size: int) -> PatchGrid:
     """Split a [3, H, W] image into non-overlapping P x P patches via a
     grouped convolution with stride P."""
     if image.ndim != 3 or image.shape[0] != 3:
@@ -71,14 +77,31 @@ def img2col(image: np.ndarray, patch_size: int) -> PatchSequence:
     out = conv2d(image, spec)
     rows, cols = out.shape[1], out.shape[2]
     patches = np.ascontiguousarray(out.reshape(out.shape[0], rows * cols).T)
-    return PatchSequence(patches, rows, cols, patch_size)
+    return PatchGrid(patches, rows, cols, patch_size, patch_size)
 
 
-def pixel_shuffle(seq: PatchSequence) -> np.ndarray:
-    """Exact inverse of img2col: rearrange a patch sequence back to [3, H, W]."""
-    p = seq.patch_size
-    arr = seq.patches.reshape(seq.rows, seq.cols, 3, p, p)
-    img = arr.transpose(2, 0, 3, 1, 4).reshape(3, seq.rows * p, seq.cols * p)
+def hr_patches(image: np.ndarray, patch_h: int, patch_w: int) -> PatchGrid:
+    """Split a [3, H, W] image into patch_h x patch_w patches by reshaping.
+
+    Same layout as img2col; used at HR, where the patches are rectangular
+    whenever the two axes are downsampled by different factors.
+    """
+    if image.ndim != 3 or image.shape[0] != 3:
+        raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
+    _, h, w = image.shape
+    if h % patch_h or w % patch_w:
+        raise ValueError(f"image {h}x{w} not divisible by patch {patch_h}x{patch_w}")
+    rows, cols = h // patch_h, w // patch_w
+    arr = image.reshape(3, rows, patch_h, cols, patch_w)
+    arr = arr.transpose(1, 3, 0, 2, 4).reshape(rows * cols, 3 * patch_h * patch_w)
+    return PatchGrid(np.ascontiguousarray(arr, dtype=DTYPE), rows, cols, patch_h, patch_w)
+
+
+def pixel_shuffle(grid: PatchGrid) -> np.ndarray:
+    """Exact inverse of img2col and hr_patches: reassemble [3, H, W]."""
+    ph, pw = grid.patch_h, grid.patch_w
+    arr = grid.patches.reshape(grid.rows, grid.cols, 3, ph, pw)
+    img = arr.transpose(2, 0, 3, 1, 4).reshape(3, grid.rows * ph, grid.cols * pw)
     return np.ascontiguousarray(img)
 
 
@@ -100,7 +123,7 @@ def tokenize_mask(mask: np.ndarray, patch_size: int) -> np.ndarray:
     return blocks.max(axis=(1, 3)).reshape(-1).astype(DTYPE)
 
 
-def embed_and_condition(seq: PatchSequence, features: np.ndarray, embed: np.ndarray) -> TokenMatrix:
+def embed_and_condition(seq: PatchGrid, features: np.ndarray, embed: np.ndarray) -> TokenMatrix:
     """Project patches through the embedding matrix and concatenate the
     conditioning features of each patch's grid cell.
 

@@ -1,9 +1,10 @@
 """End-to-end orchestration: configuration, the full model bundle, weight
 (de)serialization, and the HR -> LR -> HR inpainting chain.
 
-The chain: anti-alias blur + bilinear downsample to the LR working size,
-coarse completion, masked patch-attention refinement, then HR composition
-that reuses the LR attention map for high-frequency mixing.
+The chain: one anti-alias Gaussian blur of the HR image, bilinearly
+decimated to the LR working size; coarse completion; masked patch-attention
+refinement; then HR composition, which takes its high-frequency residual
+against that same blur and mixes it with the LR attention map.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .coarse import (
     random_coarse_model,
     _he_uniform,
 )
-from .tensor_ops import DTYPE, _reflect_indices, bilinear_resize, gaussian_kernel_1d
+from .tensor_ops import DTYPE, bilinear_resize, gaussian_blur
 from .upscale import compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
@@ -185,6 +186,10 @@ def config_for_model(model: InpaintingModel, lr_size: int = 256,
 
 # --- the chain ------------------------------------------------------------------
 
+class NonFiniteInputError(ValueError):
+    """Raised when an input image holds a NaN or infinite pixel."""
+
+
 def _validate_inputs(config: PipelineConfig, image: np.ndarray, mask: np.ndarray):
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
@@ -197,71 +202,25 @@ def _validate_inputs(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
         )
     if not np.isin(mask, (0, 1)).all():
         raise ValueError("mask values must be binary {0, 1}")
-
-
-def _sample_coords(n: int, out_n: int):
-    # align-corners-false bilinear sample geometry, as in bilinear_resize
-    s = (np.arange(out_n, dtype=np.float64) + 0.5) * (n / out_n) - 0.5
-    s0 = np.floor(s)
-    frac = (s - s0).astype(DTYPE)
-    i0 = np.clip(s0.astype(np.int64), 0, n - 1)
-    i1 = np.clip(s0.astype(np.int64) + 1, 0, n - 1)
-    return i0, i1, frac
-
-
-def _blur_gather(x: np.ndarray, taps: np.ndarray, axis: int, targets: np.ndarray) -> np.ndarray:
-    """Residual-form blur pass evaluated only at `targets` along `axis`."""
-    n = x.shape[axis]
-    radius = len(taps) // 2
-    refl = _reflect_indices(n, radius)
-    center = np.take(x, targets, axis=axis)
-    acc = np.zeros_like(center)
-    c2 = center + center
-    for d in range(1, radius + 1):
-        kv = taps[radius + d]
-        plus = np.take(x, refl[targets + radius + d], axis=axis)
-        plus += np.take(x, refl[targets + radius - d], axis=axis)
-        plus -= c2
-        plus *= kv
-        acc += plus
-    return center + acc
-
-
-def _blur_decimate(image: np.ndarray, lr: int) -> np.ndarray:
-    """Anti-alias blur followed by bilinear decimation, evaluated sparsely.
-
-    Only blurred values at the bilinear sample neighborhood are computed;
-    identical (up to float association) to gaussian_blur + bilinear_resize.
-    """
-    _, h, w = image.shape
-    r_h, r_w = h // lr, w // lr
-    taps_y = gaussian_kernel_1d(sigma_for_factor(r_h)).astype(DTYPE)
-    taps_x = gaussian_kernel_1d(sigma_for_factor(r_w)).astype(DTYPE)
-    y0, y1, fy = _sample_coords(h, lr)
-    x0, x1, fx = _sample_coords(w, lr)
-    cols = np.concatenate([x0, x1])
-    rows = np.concatenate([y0, y1])
-    part = _blur_gather(image, taps_x, axis=2, targets=cols)
-    grid = _blur_gather(part, taps_y, axis=1, targets=rows)
-    v00 = grid[:, :lr, :lr]
-    v01 = grid[:, :lr, lr:]
-    v10 = grid[:, lr:, :lr]
-    v11 = grid[:, lr:, lr:]
-    top = v00 + fx * (v01 - v00)
-    bot = v10 + fx * (v11 - v10)
-    return (top + fy[None, :, None] * (bot - top)).astype(DTYPE, copy=False)
+    if not np.isfinite(image).all():
+        raise NonFiniteInputError("image pixels must be finite (no NaN or Inf)")
 
 
 def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray):
-    """Anti-alias blur + bilinear decimation of the image, block-ANY of the mask."""
+    """Anti-alias blur + bilinear decimation of the image, block-ANY of the mask.
+
+    Returns (x_lr, m_lr, low): `low` is the float32 Gaussian low-pass of the
+    HR image at sigma_for_factor(r) per axis, which compose_hr reuses for the
+    high-frequency residual, and x_lr is `low` bilinearly resized to lr_size.
+    At r == 1 the taps are exactly [0, 1, 0], so low and x_lr equal the image.
+    """
     _, h, w = image.shape
     lr = config.lr_size
     r_h, r_w = h // lr, w // lr
-    if r_h == 1 and r_w == 1:
-        return image.copy(), mask.copy()
-    x_lr = _blur_decimate(image, lr)
+    low = gaussian_blur(image, sigma_for_factor(r_h), sigma_for_factor(r_w))
+    x_lr = bilinear_resize(low, lr, lr)
     m_lr = mask[0].reshape(lr, r_h, lr, r_w).max(axis=(1, 3))[None].astype(DTYPE)
-    return x_lr, m_lr
+    return x_lr, m_lr, low
 
 
 def _features_for_grid(config: PipelineConfig, features: np.ndarray) -> np.ndarray:
@@ -273,13 +232,19 @@ def _features_for_grid(config: PipelineConfig, features: np.ndarray) -> np.ndarr
 
 def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
                        image: np.ndarray, mask: np.ndarray):
-    """Full inpainting chain returning (result, per-stage wall times in ms)."""
+    """Full inpainting chain returning (result, per-stage wall times in ms).
+
+    `coarse` covers downsample_to_lr and the coarse CNN, `refine` the LR
+    attention pass, and `upscale` the HR residual, mixing and composite.
+    The HR blur is now timed under `coarse`: it runs once, in
+    downsample_to_lr, and `upscale` reuses its low-pass.
+    """
     _validate_inputs(config, image, mask)
     times: dict[str, float] = {}
     t_all = time.perf_counter()
 
     t0 = time.perf_counter()
-    x_lr, m_lr = downsample_to_lr(config, image, mask)
+    x_lr, m_lr, low = downsample_to_lr(config, image, mask)
     coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
     features = _features_for_grid(config, features)
     times["coarse"] = (time.perf_counter() - t0) * 1e3
@@ -290,7 +255,7 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
     times["refine"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    out = compose_hr(image, x_lr_hat, masked_map, mask, config.patch_size,
+    out = compose_hr(image, low, x_lr_hat, masked_map, mask, config.patch_size,
                      composite=config.composite)
     times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3

@@ -5,7 +5,9 @@ final HR composition.
 Only the high-frequency residual is mixed at high resolution; the
 low-frequency carrier comes from bilinearly upsampling the refined LR result.
 The attention map itself is never recomputed, so the quadratic attention cost
-stays at LR regardless of output resolution.
+stays at LR regardless of output resolution.  The HR low-pass is not
+recomputed either: the pipeline blurs the HR image once, decimates that
+low-pass to get the LR input, and hands it to compose_hr for the residual.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionMap, mix_rows
-from .tensor_ops import DTYPE, bilinear_resize, gaussian_blur
+from .attention import AttentionMap, token_mix
+from .patches import hr_patches, pixel_shuffle
+from .tensor_ops import bilinear_resize, gaussian_blur
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -42,84 +45,33 @@ class FrequencySplit:
     sigma: float
 
 
-def _split(x: np.ndarray, sigma_y: float, sigma_x: float):
-    low = gaussian_blur(x, sigma_y, sigma_x).astype(np.float64)
-    high = x.astype(np.float64) - low
-    return low, high
-
-
 def frequency_split(x_hr: np.ndarray, r: float) -> FrequencySplit:
     """Split an HR image into Gaussian low-pass and residual high frequencies."""
     if x_hr.ndim != 3:
         raise ValueError(f"expected [C, H, W] input, got shape {x_hr.shape}")
     sigma = sigma_for_factor(r)
-    low, high = _split(x_hr, sigma, sigma)
+    low = gaussian_blur(x_hr, sigma).astype(np.float64)
+    high = x_hr.astype(np.float64) - low
     return FrequencySplit(low, high, sigma)
 
 
-@dataclass(frozen=True)
-class HrPatchGrid:
-    """HR patches on the LR patch grid: N patches of size patch_h x patch_w."""
-
-    patches: np.ndarray
-    rows: int
-    cols: int
-    patch_h: int
-    patch_w: int
-
-    def __post_init__(self):
-        n, d = self.patches.shape
-        if n != self.rows * self.cols:
-            raise ValueError(f"{n} patches do not fill a {self.rows}x{self.cols} grid")
-        if d != 3 * self.patch_h * self.patch_w:
-            raise ValueError(f"patch width {d} != 3*{self.patch_h}*{self.patch_w}")
-
-    @property
-    def count(self) -> int:
-        return self.patches.shape[0]
-
-
-def hr_patches(image: np.ndarray, patch_h: int, patch_w: int) -> HrPatchGrid:
-    """Split a [3, H, W] image into channel-major flattened patch rows."""
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
-    _, h, w = image.shape
-    if h % patch_h or w % patch_w:
-        raise ValueError(f"image {h}x{w} not divisible by patch {patch_h}x{patch_w}")
-    rows, cols = h // patch_h, w // patch_w
-    arr = image.reshape(3, rows, patch_h, cols, patch_w)
-    arr = arr.transpose(1, 3, 0, 2, 4).reshape(rows * cols, 3 * patch_h * patch_w)
-    return HrPatchGrid(np.ascontiguousarray(arr, dtype=DTYPE), rows, cols, patch_h, patch_w)
-
-
-def hr_pixel_shuffle(grid: HrPatchGrid) -> np.ndarray:
-    """Exact inverse of hr_patches."""
-    arr = grid.patches.reshape(grid.rows, grid.cols, 3, grid.patch_h, grid.patch_w)
-    img = arr.transpose(2, 0, 3, 1, 4).reshape(3, grid.rows * grid.patch_h, grid.cols * grid.patch_w)
-    return np.ascontiguousarray(img)
-
-
-def hf_token_mix(amap: AttentionMap, grid: HrPatchGrid) -> HrPatchGrid:
-    """Mix HR high-frequency patches with the LR-learned masked attention map."""
-    if not amap.masked:
-        raise ValueError("high-frequency mixing requires a masked attention map")
-    if amap.count != grid.count or (amap.rows, amap.cols) != (grid.rows, grid.cols):
-        raise ValueError("attention grid does not match the HR patch grid")
-    mixed = mix_rows(amap.a, grid.patches)
-    return HrPatchGrid(mixed, grid.rows, grid.cols, grid.patch_h, grid.patch_w)
-
-
-def compose_hr(x_hr_masked: np.ndarray, x_lr_refined: np.ndarray, amap: AttentionMap,
-               m_hr: np.ndarray, patch_size: int, composite: bool = True) -> np.ndarray:
+def compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarray,
+               amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
+               composite: bool = True) -> np.ndarray:
     """Assemble the final HR result.
 
-    Upsamples the refined LR image bilinearly, adds the attention-mixed
-    high-frequency residual, optionally overwrites known pixels with the
-    originals and clamps to [0, 1].  HR extents must be integer multiples of
-    the LR extents.
+    `low` is the Gaussian low-pass of `x_hr_masked` at sigma_for_factor of
+    each axis's HR/LR ratio, the one downsample_to_lr computes.  The
+    high-frequency residual x_hr_masked - low is taken in float32, mixed
+    with the attention map and added to the bilinearly upsampled refined LR
+    image; known pixels are then optionally overwritten with the originals
+    and the result clamped to [0, 1].  HR extents must be integer multiples
+    of the LR extents.
     """
     if x_hr_masked.ndim != 3 or x_hr_masked.shape[0] != 3:
         raise ValueError(f"expected [3, H_HR, W_HR] image, got shape {x_hr_masked.shape}")
+    if low.shape != x_hr_masked.shape:
+        raise ValueError(f"low-pass shape {low.shape} does not match image {x_hr_masked.shape}")
     if x_lr_refined.ndim != 3 or x_lr_refined.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] LR image, got shape {x_lr_refined.shape}")
     _, h_hr, w_hr = x_hr_masked.shape
@@ -136,9 +88,8 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr_refined: np.ndarray, amap: Attentio
         raise ValueError("attention grid does not match the LR patch grid")
 
     r_h, r_w = h_hr // h, w_hr // w
-    _, high = _split(x_hr_masked, sigma_for_factor(r_h), sigma_for_factor(r_w))
-    grid = hr_patches(high.astype(DTYPE), patch_size * r_h, patch_size * r_w)
-    hf_img = hr_pixel_shuffle(hf_token_mix(amap, grid))
+    grid = hr_patches(x_hr_masked - low, patch_size * r_h, patch_size * r_w)
+    hf_img = pixel_shuffle(token_mix(amap, grid))
     out = bilinear_resize(x_lr_refined, h_hr, w_hr)
     out += hf_img
     if composite:

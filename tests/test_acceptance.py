@@ -33,7 +33,7 @@ from rethined.coarse import (
 from rethined.image_io import ImageFormatError, read_image, read_mask, write_image, write_mask
 from rethined.masks import MaskSpec, generate_mask, mask_coverage
 from rethined.metrics import l1, psnr, ssim
-from rethined.patches import PatchSequence, embed_and_condition, img2col, pixel_shuffle, tokenize_mask
+from rethined.patches import PatchGrid, embed_and_condition, img2col, pixel_shuffle, tokenize_mask
 from rethined.pipeline import (
     PipelineConfig,
     _features_for_grid,
@@ -143,8 +143,8 @@ def test_03_attention_contracts():
 
             # identity mixing is bit-exact
             p = 2
-            values = PatchSequence(rng.standard_normal((n, 3 * p * p)).astype(F32),
-                                   rows, cols, p)
+            values = PatchGrid(rng.standard_normal((n, 3 * p * p)).astype(F32),
+                               rows, cols, p, p)
             ident = mask_attention(
                 AttentionMap(softmax_rows(rng.standard_normal((n, n)).astype(F32)),
                              False, rows, cols),
@@ -212,7 +212,7 @@ def test_05_known_pixel_contract():
 
 
 def _attention_stage_median(config, model, image, mask, runs=30):
-    x_lr, m_lr = downsample_to_lr(config, image, mask)
+    x_lr, m_lr, _ = downsample_to_lr(config, image, mask)
     coarse, feats = coarse_forward(model.coarse, x_lr, m_lr)
     feats = _features_for_grid(config, feats)
     seq = img2col(coarse, config.patch_size)
@@ -277,7 +277,7 @@ def test_07_patch_count_and_flops():
             image, mask = synthetic_inputs(config, 512, seed=701)
             time_by_p[p] = _attention_stage_median(config, model, image, mask)
             # patch count observed on a real masked attention map
-            x_lr, m_lr = downsample_to_lr(config, image, mask)
+            x_lr, m_lr, _ = downsample_to_lr(config, image, mask)
             coarse, feats = coarse_forward(model.coarse, x_lr, m_lr)
             feats = _features_for_grid(config, feats)
             tokens = embed_and_condition(img2col(coarse, p), feats, model.npm.embed)

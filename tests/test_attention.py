@@ -15,7 +15,7 @@ from rethined.attention import (
     npm_refine,
     token_mix,
 )
-from rethined.patches import PatchSequence, TokenMatrix, img2col
+from rethined.patches import PatchGrid, TokenMatrix, img2col
 from rethined.tensor_ops import softmax_rows
 
 F32 = np.float32
@@ -184,7 +184,7 @@ class TestTokenMix:
         a = softmax_rows(rng.standard_normal((4, 4)).astype(F32))
         masked = mask_attention(AttentionMap(a, False, 2, 2), np.array([1, 0, 0, 1], F32))
         out1 = token_mix(masked, seq)
-        scaled = PatchSequence(2.0 * seq.patches, 2, 2, 4)
+        scaled = PatchGrid(2.0 * seq.patches, 2, 2, 4, 4)
         out2 = token_mix(masked, scaled)
         assert np.array_equal(out2.patches, 2.0 * out1.patches)
 

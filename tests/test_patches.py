@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rethined.patches import (
-    PatchSequence,
+    PatchGrid,
     embed_and_condition,
     img2col,
     pixel_shuffle,
@@ -84,14 +84,14 @@ class TestPixelShuffle:
         seq = img2col(x, 4)
         swapped = seq.patches.copy()
         swapped[[0, 3]] = swapped[[3, 0]]
-        out = pixel_shuffle(PatchSequence(swapped, seq.rows, seq.cols, 4))
+        out = pixel_shuffle(PatchGrid(swapped, seq.rows, seq.cols, 4, 4))
         want = x.copy()
         want[:, 0:4, 0:4] = x[:, 4:8, 4:8]
         want[:, 4:8, 4:8] = x[:, 0:4, 0:4]
         assert np.array_equal(out, want)
 
     def test_zero_sequence(self):
-        seq = PatchSequence(np.zeros((4, 12), F32), 2, 2, 2)
+        seq = PatchGrid(np.zeros((4, 12), F32), 2, 2, 2, 2)
         assert np.array_equal(pixel_shuffle(seq), np.zeros((3, 4, 4), F32))
 
 

@@ -1,10 +1,12 @@
 """End-to-end pipeline, CLI and benchmark harness tests (small sizes)."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from rethined import bench, pipeline, tensor_ops
 from rethined.bench import (
     attention_flops,
     flop_estimates,
@@ -16,7 +18,9 @@ from rethined.bench import (
 from rethined.cli import main as cli_main
 from rethined.image_io import read_image, read_mask, write_image, write_mask
 from rethined.masks import MaskSpec, generate_mask
+from rethined.upscale import sigma_for_factor
 from rethined.pipeline import (
+    NonFiniteInputError,
     PipelineConfig,
     downsample_to_lr,
     fuse_pipeline_model,
@@ -82,10 +86,37 @@ class TestRunPipeline:
 
     def test_mask_downsample_is_block_any(self):
         config, model, image, mask = small_setup(6)
-        _, m_lr = downsample_to_lr(config, image, mask)
+        _, m_lr, _ = downsample_to_lr(config, image, mask)
         r = 2
         want = mask[0].reshape(64, r, 64, r).max(axis=(1, 3))[None]
         assert np.array_equal(m_lr, want.astype(F32))
+
+    def test_single_hr_blur(self, monkeypatch):
+        config, model, image, mask = small_setup(7)
+        original = tensor_ops.gaussian_blur
+        calls = []
+
+        def counting(x, *args, **kwargs):
+            calls.append(x.shape)
+            return original(x, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rethined") and getattr(module, "gaussian_blur", None) is original:
+                monkeypatch.setattr(module, "gaussian_blur", counting)
+        run_pipeline(config, model, image, mask)
+        assert calls == [image.shape]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_rejected(self, bad, monkeypatch):
+        config, model, image, mask = small_setup(8)
+        image[1, 40, 70] = bad
+
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran on non-finite input")
+
+        monkeypatch.setattr(pipeline, "downsample_to_lr", no_stage)
+        with pytest.raises(NonFiniteInputError):
+            run_pipeline(config, model, image, mask)
 
     @pytest.mark.parametrize("patch", [8, 16])
     def test_patch_size_sweep(self, patch):
@@ -214,6 +245,16 @@ class TestBenchHarness:
         assert "attention" in csv_text
         md = report_to_markdown(report)
         assert md.startswith("# Latency report")
+
+    def test_flops_count_hr_blur_once(self, monkeypatch):
+        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
+        est = flop_estimates(config, 256, 128)
+        monkeypatch.setattr(bench, "_gauss_taps", lambda r: 0)
+        no_blur = flop_estimates(config, 256, 128)
+        taps = sum(tensor_ops.gaussian_kernel_1d(sigma_for_factor(r)).size for r in (4, 2))
+        blur = 2 * taps * 3 * 256 * 128  # a multiply-add per tap, both passes
+        assert est["total"] - no_blur["total"] == blur
+        assert est["coarse"] - no_blur["coarse"] == blur
 
     def test_synthetic_inputs_validate_resolution(self):
         config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
