@@ -61,7 +61,9 @@ def read_image(path) -> np.ndarray:
     if len(raw) != need:
         raise ImageFormatError(f"{path}: expected {need} pixel bytes, found {len(raw)}")
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
-    return (arr.transpose(2, 0, 1).astype(DTYPE) / DTYPE(255.0)).astype(DTYPE)
+    out = arr.transpose(2, 0, 1).astype(DTYPE, order="C")
+    out /= DTYPE(255.0)
+    return out
 
 
 def write_image(tensor: np.ndarray, path) -> None:
@@ -69,10 +71,15 @@ def write_image(tensor: np.ndarray, path) -> None:
     if tensor.ndim != 3 or tensor.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] tensor, got shape {tensor.shape}")
     _, h, w = tensor.shape
-    q = np.floor(np.clip(tensor, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    # one HWC buffer in the dtype floor(clip(t, 0, 1) * 255 + 0.5) computes in
+    q = np.empty((h, w, 3), dtype=np.result_type(tensor, 0.0))
+    np.clip(tensor.transpose(1, 2, 0), 0.0, 1.0, out=q)
+    q *= 255.0
+    q += 0.5
+    np.floor(q, out=q)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(q.transpose(1, 2, 0).tobytes())
+        fh.write(q.astype(np.uint8).tobytes())
 
 
 def read_mask(path) -> np.ndarray:

@@ -18,6 +18,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float32
 
+# Bytes per array of one strip of a full-resolution pass.  The few arrays of
+# a strip (input, halo, accumulator, temporaries) then share a core's L2.
+_STRIP_BYTES = 256 * 1024
+
+
+def _strip_rows(row_bytes: int) -> int:
+    return max(1, _STRIP_BYTES // row_bytes)
+
 
 @dataclass(frozen=True)
 class ConvSpec:
@@ -163,16 +171,27 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
     x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
-    rows0 = x[:, y0, :]
-    rows1 = x[:, y1, :]
-    v00 = rows0[:, :, x0]
-    v01 = rows0[:, :, x1]
-    v10 = rows1[:, :, x0]
-    v11 = rows1[:, :, x1]
+    # Separable: the W lerp of a source row is the same for every output row
+    # that reads it, so it runs once per source row that is read, and the H
+    # lerp combines those rows.  The ops and their order per output pixel
+    # are those of the 2-D form (W first, then H), so results are bit-equal.
+    rows, inv = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    src = np.take(x, rows, axis=1)
+    a = np.take(src, x0, axis=2)
+    b = np.take(src, x1, axis=2)
     # lerp form keeps constant regions exact: a + t*(b - a) == a when a == b
-    top = v00 + fx * (v01 - v00)
-    bot = v10 + fx * (v11 - v10)
-    out = top + fy[None, :, None] * (bot - top)
+    lerp_w = a + fx * (b - a)
+    i0, i1 = inv[:out_h], inv[out_h:]
+    out = np.empty((c, out_h, out_w), dtype=lerp_w.dtype)
+    step = _strip_rows(out_w * out.itemsize)
+    for ch in range(c):
+        for r0 in range(0, out_h, step):
+            r1 = min(r0 + step, out_h)
+            top = lerp_w[ch, i0[r0:r1]]
+            seg = out[ch, r0:r1]
+            np.subtract(lerp_w[ch, i1[r0:r1]], top, out=seg)
+            seg *= fy[r0:r1, None]
+            seg += top
     return out.astype(DTYPE, copy=False)
 
 
@@ -205,32 +224,66 @@ def _reflect_indices(n: int, radius: int) -> np.ndarray:
     return np.where(idx >= n, period - idx, idx)
 
 
+def _residual_sum(flat: np.ndarray, taps: np.ndarray, unit: int, acc: np.ndarray) -> None:
+    """acc = sum_d k_d * (x_{+d} + x_{-d} - 2x) for the len(acc) samples x of
+    1-D `flat` that start radius*unit in, whose d-th neighbours sit d*unit
+    away.  Every operand is a contiguous 1-D slice, numpy's fastest loop."""
+    n = len(acc)
+    radius = len(taps) // 2
+    c0 = radius * unit
+    x = flat[c0:c0 + n]
+    acc[...] = 0
+    tmp = np.empty_like(x)
+    x2 = x + x
+    for d in range(1, radius + 1):
+        kv = taps[radius + d]
+        off = d * unit
+        np.add(flat[c0 + off:c0 + off + n], flat[c0 - off:c0 - off + n], out=tmp)
+        tmp -= x2
+        tmp *= kv
+        acc += tmp
+
+
 def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """One separable pass in residual form: x + sum_t k_t * (x_t - x).
+    """One separable pass of a [C, H, W] array in residual form,
+    x + sum_t k_t * (x_t - x), along W (axis 2) or H (axis 1).
 
     The residual form makes locally constant data pass through bit-exactly,
     which the frequency decomposition depends on.  Taps must be symmetric
     (Gaussian kernels are); symmetric offsets are paired so each pair costs
-    one fused (x_plus + x_minus - 2x) update.
+    one fused (x_plus + x_minus - 2x) update.  The pass runs over row strips
+    of a C-contiguous copy so that its working set stays in cache; every
+    element gets the same ops in the same order as an untiled pass.
     """
-    n = x.shape[axis]
+    if x.ndim != 3 or axis not in (1, 2):
+        raise ValueError(f"expected a [C, H, W] input and axis 1 or 2, got {x.shape}, {axis}")
+    x = np.ascontiguousarray(x)
+    out = np.empty_like(x)
+    c, h, w = x.shape
     radius = len(taps) // 2
-    padded = np.take(x, _reflect_indices(n, radius), axis=axis)
-    acc = np.zeros_like(x)
-    tmp = np.empty_like(x)
-    x2 = x + x
-    sel = [slice(None)] * x.ndim
-    for d in range(1, radius + 1):
-        kv = taps[radius + d]
-        sel[axis] = slice(radius + d, radius + d + n)
-        plus = padded[tuple(sel)]
-        sel[axis] = slice(radius - d, radius - d + n)
-        minus = padded[tuple(sel)]
-        np.add(plus, minus, out=tmp)
-        tmp -= x2
-        tmp *= kv
-        acc += tmp
-    return x + acc
+    step = _strip_rows(w * x.itemsize)
+    if axis == 2:
+        # Rows of the padded strip run on in one flat array: each sample's
+        # neighbours along W are +-d away and never leave its own row, so
+        # the pass also computes the 2*radius pad columns and drops them.
+        reflect = _reflect_indices(w, radius)
+        rows, dst = x.reshape(c * h, w), out.reshape(c * h, w)
+        for r0 in range(0, c * h, step):
+            strip = rows[r0:r0 + step]
+            padded = np.take(strip, reflect, axis=1)
+            acc = np.empty(padded.shape, dtype=x.dtype)
+            _residual_sum(padded.reshape(-1), taps, 1, acc.reshape(-1)[:acc.size - 2 * radius])
+            np.add(strip, acc[:, :w], out=dst[r0:r0 + step])
+        return out
+    reflect = _reflect_indices(h, radius)
+    for ch in range(c):
+        for r0 in range(0, h, step):
+            r1 = min(r0 + step, h)
+            halo = x[ch, reflect[r0:r1 + 2 * radius]]
+            acc = np.empty((r1 - r0, w), dtype=x.dtype)
+            _residual_sum(halo.reshape(-1), taps, w, acc.reshape(-1))
+            np.add(x[ch, r0:r1], acc, out=out[ch, r0:r1])
+    return out
 
 
 def gaussian_blur(x: np.ndarray, sigma: float, sigma_x: Optional[float] = None) -> np.ndarray:

@@ -93,7 +93,6 @@ def compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarra
     out = bilinear_resize(x_lr_refined, h_hr, w_hr)
     out += hf_img
     if composite:
-        known = m_hr[0] == 0
-        out[:, known] = x_hr_masked[:, known]
+        np.copyto(out, x_hr_masked, where=m_hr == 0)
     np.clip(out, 0.0, 1.0, out=out)
     return out

@@ -129,6 +129,38 @@ class TestPpmPgm:
         write_image(read_image(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_read_image_is_contiguous_raw_over_255(self, tmp_path):
+        raw = np.random.default_rng(3).integers(0, 256, 5 * 4 * 3, dtype=np.uint8)
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n4 5\n255\n" + raw.tobytes())
+        img = read_image(path)
+        assert img.dtype == F32 and img.flags["C_CONTIGUOUS"]
+        want = raw.reshape(5, 4, 3).transpose(2, 0, 1).astype(F32) / F32(255.0)
+        assert np.array_equal(img, want)
+
+    def test_read_write_8bit_byte_exact(self, tmp_path):
+        payload = np.arange(256 * 3, dtype=np.uint16).astype(np.uint8)[::-1].tobytes()
+        src, dst = tmp_path / "src.ppm", tmp_path / "dst.ppm"
+        src.write_bytes(b"P6\n16 16\n255\n" + payload)
+        write_image(read_image(src), dst)
+        assert dst.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_write_image_matches_clip_scale_round(self, tmp_path, dtype):
+        k = np.arange(256, dtype=np.float64)
+        ties = np.concatenate([k / 255, (k + 0.5) / 255]).astype(dtype)
+        vals = np.concatenate([
+            ties, np.nextafter(ties, dtype(2)), np.nextafter(ties, dtype(-1)),
+            np.array([-1e30, -3.0, -1e-9, -0.0, 1.0 + 1e-6, 2.5, 1e30], dtype),
+            np.random.default_rng(4).uniform(-0.5, 1.5, 2048).astype(dtype),
+        ])
+        x = vals[: vals.size // 3 * 3].reshape(3, -1, 1).repeat(2, axis=2)
+        path = tmp_path / "img.ppm"
+        write_image(x, path)
+        q = np.floor(np.clip(x, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        h, w = x.shape[1:]
+        assert path.read_bytes() == f"P6\n{w} {h}\n255\n".encode() + q.transpose(1, 2, 0).tobytes()
+
     def test_2x2_analytic_values(self, tmp_path):
         path = tmp_path / "img.ppm"
         payload = bytes([0, 0, 0, 255, 255, 255, 255, 0, 0, 0, 255, 0])

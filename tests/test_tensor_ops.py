@@ -1,11 +1,15 @@
 """Tensor kernel tests: convolution, batchnorm, softmax, resize, Gaussian."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rethined.tensor_ops import (
+    _STRIP_BYTES,
     BatchNormParams,
     ConvSpec,
+    _blur_axis,
     batchnorm,
     bilinear_resize,
     conv2d,
@@ -329,3 +333,163 @@ class TestGaussian:
         g = gaussian_kernel_1d(1.1)
         k2 = gaussian_kernel(1.1)[0, 0]
         assert np.abs(np.outer(g, g) - k2).max() < 1e-7
+
+
+# --- strip-tiled kernels against their untiled forms --------------------------
+
+def _reflect_oracle(n, radius):
+    idx = np.arange(-radius, n + radius)
+    if n == 1:
+        return np.zeros_like(idx)
+    period = 2 * (n - 1)
+    idx = np.mod(idx, period)
+    return np.where(idx >= n, period - idx, idx)
+
+
+def untiled_blur_axis(x, taps, axis):
+    """Whole-array residual-form pass: the reference the strip-tiled
+    _blur_axis must equal bit for bit."""
+    n = x.shape[axis]
+    radius = len(taps) // 2
+    padded = np.take(x, _reflect_oracle(n, radius), axis=axis)
+    acc = np.zeros_like(x)
+    tmp = np.empty_like(x)
+    x2 = x + x
+    sel = [slice(None)] * x.ndim
+    for d in range(1, radius + 1):
+        kv = taps[radius + d]
+        sel[axis] = slice(radius + d, radius + d + n)
+        plus = padded[tuple(sel)]
+        sel[axis] = slice(radius - d, radius - d + n)
+        minus = padded[tuple(sel)]
+        np.add(plus, minus, out=tmp)
+        tmp -= x2
+        tmp *= kv
+        acc += tmp
+    return x + acc
+
+
+def untiled_gaussian_blur(x, sigma, sigma_x=None):
+    taps_y = gaussian_kernel_1d(sigma).astype(F32)
+    taps_x = gaussian_kernel_1d(sigma if sigma_x is None else sigma_x).astype(F32)
+    out = untiled_blur_axis(x.astype(F32, copy=False), taps_x, axis=2)
+    return untiled_blur_axis(out, taps_y, axis=1)
+
+
+def four_gather_bilinear(x, out_h, out_w):
+    """2-D bilinear with four full-size gathers, W lerp then H lerp: the
+    reference the separable bilinear_resize must equal bit for bit."""
+    c, h, w = x.shape
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    y0f = np.floor(ys)
+    x0f = np.floor(xs)
+    fy = (ys - y0f).astype(F32)
+    fx = (xs - x0f).astype(F32)
+    y0 = np.clip(y0f.astype(np.int64), 0, h - 1)
+    y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
+    x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
+    x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
+    rows0 = x[:, y0, :]
+    rows1 = x[:, y1, :]
+    v00 = rows0[:, :, x0]
+    v01 = rows0[:, :, x1]
+    v10 = rows1[:, :, x0]
+    v11 = rows1[:, :, x1]
+    top = v00 + fx * (v01 - v00)
+    bot = v10 + fx * (v11 - v10)
+    out = top + fy[None, :, None] * (bot - top)
+    return out.astype(F32, copy=False)
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _input(shape, layout, seed=0):
+    x = np.random.default_rng(seed).random(shape).astype(F32)
+    if layout == "f64":
+        return x.astype(np.float64)
+    if layout == "hwc":  # channels-last strides, as a transposed HWC decode has
+        return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return x
+
+
+# strip height of an f32 row of width w is _STRIP_BYTES // (4 * w)
+BLUR_CASES = [
+    ((1, 37, 4100), 40.0, None),   # radius 120 > strip height 15 and > H
+    ((1, 1, 1), 2.0, None),        # radius > extent on both axes
+    ((1, 1, 7), 2.0, None),
+    ((3, 3, 5), 2.0, None),
+    ((3, 70, 2048), 6.35, None),   # H not a multiple of the 32-row strip
+    ((3, 50, 1500), 2.0, 5.0),     # anisotropic
+]
+
+
+class TestStripTiledKernels:
+    def test_cases_cross_strips(self):
+        assert _STRIP_BYTES // (4 * 4100) < 120
+        assert 70 % (_STRIP_BYTES // (4 * 2048))
+
+    @pytest.mark.parametrize("layout", ["f32", "f64", "hwc"])
+    @pytest.mark.parametrize("shape,sigma,sigma_x", BLUR_CASES)
+    def test_blur_equals_untiled(self, shape, sigma, sigma_x, layout):
+        x = _input(shape, layout)
+        assert_bit_equal(gaussian_blur(x, sigma, sigma_x),
+                         untiled_gaussian_blur(x, sigma, sigma_x))
+
+    @pytest.mark.parametrize("layout", ["f32", "f64", "hwc"])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_blur_axis_equals_untiled(self, axis, layout):
+        x = _input((3, 45, 2100), layout, seed=1)
+        taps = gaussian_kernel_1d(3.0).astype(F32)
+        assert_bit_equal(_blur_axis(x, taps, axis), untiled_blur_axis(x, taps, axis))
+
+    def test_blur_keeps_signed_zeros(self):
+        x = np.zeros((2, 40, 3000), F32)
+        x[:, ::2] = -0.0
+        assert_bit_equal(gaussian_blur(x, 1.5), untiled_gaussian_blur(x, 1.5))
+
+    def test_blur_axis_rejects_other_layouts(self):
+        taps = gaussian_kernel_1d(1.0).astype(F32)
+        with pytest.raises(ValueError):
+            _blur_axis(np.zeros((4, 4), F32), taps, 1)
+        with pytest.raises(ValueError):
+            _blur_axis(np.zeros((1, 4, 4), F32), taps, 0)
+
+    @pytest.mark.parametrize("layout", ["f32", "f64", "hwc"])
+    @pytest.mark.parametrize("shape,out_h,out_w", [
+        ((3, 1, 1), 1, 1),
+        ((3, 1, 1), 5, 3),
+        ((2, 7, 9), 13, 4),          # non-integer ratios
+        ((3, 30, 20), 7, 51),
+        ((3, 64, 64), 8, 8),         # downscale
+        ((3, 200, 96), 17, 700),
+        ((3, 64, 48), 512, 384),     # upscale, strips cross channels
+    ])
+    def test_bilinear_equals_four_gather(self, shape, out_h, out_w, layout):
+        x = _input(shape, layout, seed=2)
+        assert_bit_equal(bilinear_resize(x, out_h, out_w), four_gather_bilinear(x, out_h, out_w))
+
+
+def _peak_alloc(fn, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    def test_blur_peak_below_3x_input(self):
+        x = np.random.default_rng(0).random((3, 1024, 1024)).astype(F32)
+        assert _peak_alloc(gaussian_blur, x, 3.1) < 3 * x.nbytes
+
+    def test_bilinear_upsample_peak_below_6x_output(self):
+        x = np.random.default_rng(0).random((3, 256, 256)).astype(F32)
+        out_bytes = 3 * 1024 * 1024 * 4
+        assert _peak_alloc(bilinear_resize, x, 1024, 1024) < 6 * out_bytes
