@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import DTYPE
+from .tensor_ops import DTYPE, _run_strips, _strip_rows
 
 
 class ImageFormatError(ValueError):
@@ -71,15 +71,26 @@ def write_image(tensor: np.ndarray, path) -> None:
     if tensor.ndim != 3 or tensor.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] tensor, got shape {tensor.shape}")
     _, h, w = tensor.shape
-    # one HWC buffer in the dtype floor(clip(t, 0, 1) * 255 + 0.5) computes in
-    q = np.empty((h, w, 3), dtype=np.result_type(tensor, 0.0))
-    np.clip(tensor.transpose(1, 2, 0), 0.0, 1.0, out=q)
-    q *= 255.0
-    q += 0.5
-    np.floor(q, out=q)
+    hwc = tensor.transpose(1, 2, 0)
+    # floor(clip(t, 0, 1) * 255 + 0.5) in the dtype that expression computes
+    # in, a strip of rows at a time, into the uint8 buffer that is written
+    dtype = np.result_type(tensor, 0.0)
+    q = np.empty((h, w, 3), dtype=np.uint8)
+    step = _strip_rows(w * 3 * dtype.itemsize)
+
+    def quantise(s, buf):
+        rows = slice(s * step, (s + 1) * step)
+        buf = buf[:len(q[rows])]
+        np.clip(hwc[rows], 0.0, 1.0, out=buf)
+        buf *= 255.0
+        buf += 0.5
+        np.floor(buf, out=buf)
+        q[rows] = buf
+
+    _run_strips(-(-h // step), quantise, lambda: (np.empty((min(step, h), w, 3), dtype=dtype),))
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(q.astype(np.uint8).tobytes())
+        fh.write(q)
 
 
 def read_mask(path) -> np.ndarray:

@@ -29,7 +29,7 @@ from .coarse import (
     _he_uniform,
 )
 from .tensor_ops import DTYPE, bilinear_resize, gaussian_blur
-from .upscale import compose_hr, sigma_for_factor
+from .upscale import _compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
 
@@ -255,8 +255,8 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
     times["refine"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    out = compose_hr(image, low, x_lr_hat, masked_map, mask, config.patch_size,
-                     composite=config.composite)
+    out = _compose_hr(image, low, x_lr_hat, masked_map, mask, config.patch_size,
+                      config.composite)
     times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times

@@ -5,13 +5,22 @@ Tensors are numpy float32 arrays laid out [C, H, W] (convolution weights are
 [C_out, C_in/groups, S, S]).  Every function here is pure: inputs are never
 mutated and results are deterministic for fixed inputs.  Reductions may use
 wider accumulators internally.
+
+The full-resolution strip loops (both blur passes, the H lerp of the
+bilinear resize, PPM quantisation) run on every CPU of the process affinity
+through one strip executor, `_run_strips`.  Each output element gets the
+same ops in the same order whatever the thread count, so results are
+bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,6 +34,66 @@ _STRIP_BYTES = 256 * 1024
 
 def _strip_rows(row_bytes: int) -> int:
     return max(1, _STRIP_BYTES // row_bytes)
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _strip_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="rethined-strips")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads, so
+    # work submitted to it would never run; the child makes its own pool.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_strips(n_strips: int, strip: Callable[..., None],
+                scratch: Callable[[], tuple]) -> None:
+    """Call strip(s, *buffers) for s in range(n_strips), split into one
+    contiguous chunk of strips per CPU; the first chunk runs on the calling
+    thread, the others on the shared pool.
+
+    `scratch()` runs here, once per chunk, so a strip's arrays come from
+    the calling thread, not from pool threads (glibc gives each thread its
+    own malloc arena, which would raise peak RSS).  Strips must write
+    disjoint outputs and never call _run_strips themselves, so concurrent
+    callers cannot deadlock the pool.
+    """
+    k = max(1, min(n_strips, _cpu_count()))
+    bounds = [n_strips * i // k for i in range(k + 1)]
+    chunks = [(range(bounds[i], bounds[i + 1]), scratch()) for i in range(k)]
+
+    def run(chunk, buffers):
+        for s in chunk:
+            strip(s, *buffers)
+
+    futures = [_strip_pool().submit(run, *c) for c in chunks[1:]]
+    try:
+        run(*chunks[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 @dataclass(frozen=True)
@@ -184,14 +253,22 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     i0, i1 = inv[:out_h], inv[out_h:]
     out = np.empty((c, out_h, out_w), dtype=lerp_w.dtype)
     step = _strip_rows(out_w * out.itemsize)
-    for ch in range(c):
-        for r0 in range(0, out_h, step):
-            r1 = min(r0 + step, out_h)
-            top = lerp_w[ch, i0[r0:r1]]
-            seg = out[ch, r0:r1]
-            np.subtract(lerp_w[ch, i1[r0:r1]], top, out=seg)
-            seg *= fy[r0:r1, None]
-            seg += top
+    per_ch = -(-out_h // step)
+
+    def lerp_h(s, top):
+        ch, r0 = s // per_ch, s % per_ch * step
+        r1 = min(r0 + step, out_h)
+        top = top[:r1 - r0]
+        seg = out[ch, r0:r1]
+        # mode="clip" (indices are in range) lets take fill `out` unbuffered
+        np.take(lerp_w[ch], i0[r0:r1], axis=0, out=top, mode="clip")
+        np.take(lerp_w[ch], i1[r0:r1], axis=0, out=seg, mode="clip")
+        seg -= top
+        seg *= fy[r0:r1, None]
+        seg += top
+
+    _run_strips(c * per_ch, lerp_h,
+                lambda: (np.empty((min(step, out_h), out_w), dtype=out.dtype),))
     return out.astype(DTYPE, copy=False)
 
 
@@ -224,17 +301,18 @@ def _reflect_indices(n: int, radius: int) -> np.ndarray:
     return np.where(idx >= n, period - idx, idx)
 
 
-def _residual_sum(flat: np.ndarray, taps: np.ndarray, unit: int, acc: np.ndarray) -> None:
+def _residual_sum(flat: np.ndarray, taps: np.ndarray, unit: int, acc: np.ndarray,
+                  tmp: np.ndarray, x2: np.ndarray) -> None:
     """acc = sum_d k_d * (x_{+d} + x_{-d} - 2x) for the len(acc) samples x of
     1-D `flat` that start radius*unit in, whose d-th neighbours sit d*unit
-    away.  Every operand is a contiguous 1-D slice, numpy's fastest loop."""
+    away; `tmp` and `x2` are scratch of acc's length.  Every operand is a
+    contiguous 1-D slice, numpy's fastest loop."""
     n = len(acc)
     radius = len(taps) // 2
     c0 = radius * unit
     x = flat[c0:c0 + n]
     acc[...] = 0
-    tmp = np.empty_like(x)
-    x2 = x + x
+    np.add(x, x, out=x2)
     for d in range(1, radius + 1):
         kv = taps[radius + d]
         off = d * unit
@@ -268,21 +346,38 @@ def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
         # the pass also computes the 2*radius pad columns and drops them.
         reflect = _reflect_indices(w, radius)
         rows, dst = x.reshape(c * h, w), out.reshape(c * h, w)
-        for r0 in range(0, c * h, step):
+        wp = w + 2 * radius
+        cap = min(step, c * h)
+
+        def w_strip(s, padded, acc, tmp, x2):
+            r0 = s * step
             strip = rows[r0:r0 + step]
-            padded = np.take(strip, reflect, axis=1)
-            acc = np.empty(padded.shape, dtype=x.dtype)
-            _residual_sum(padded.reshape(-1), taps, 1, acc.reshape(-1)[:acc.size - 2 * radius])
-            np.add(strip, acc[:, :w], out=dst[r0:r0 + step])
+            padded = padded[:len(strip)]
+            np.take(strip, reflect, axis=1, out=padded, mode="clip")
+            n = padded.size - 2 * radius
+            _residual_sum(padded.reshape(-1), taps, 1, acc[:n], tmp[:n], x2[:n])
+            np.add(strip, acc[:padded.size].reshape(-1, wp)[:, :w], out=dst[r0:r0 + step])
+
+        _run_strips(-(-c * h // step), w_strip, lambda: (
+            np.empty((cap, wp), dtype=x.dtype),
+            *(np.empty(cap * wp, dtype=x.dtype) for _ in range(3))))
         return out
     reflect = _reflect_indices(h, radius)
-    for ch in range(c):
-        for r0 in range(0, h, step):
-            r1 = min(r0 + step, h)
-            halo = x[ch, reflect[r0:r1 + 2 * radius]]
-            acc = np.empty((r1 - r0, w), dtype=x.dtype)
-            _residual_sum(halo.reshape(-1), taps, w, acc.reshape(-1))
-            np.add(x[ch, r0:r1], acc, out=out[ch, r0:r1])
+    per_ch = -(-h // step)
+    cap = min(step, h)
+
+    def h_strip(s, halo, acc, tmp, x2):
+        ch, r0 = s // per_ch, s % per_ch * step
+        r1 = min(r0 + step, h)
+        halo = halo[:r1 - r0 + 2 * radius]
+        np.take(x[ch], reflect[r0:r1 + 2 * radius], axis=0, out=halo, mode="clip")
+        n = (r1 - r0) * w
+        _residual_sum(halo.reshape(-1), taps, w, acc[:n], tmp[:n], x2[:n])
+        np.add(x[ch, r0:r1], acc[:n].reshape(r1 - r0, w), out=out[ch, r0:r1])
+
+    _run_strips(c * per_ch, h_strip, lambda: (
+        np.empty((cap + 2 * radius, w), dtype=x.dtype),
+        *(np.empty(cap * w, dtype=x.dtype) for _ in range(3))))
     return out
 
 

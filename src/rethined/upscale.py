@@ -86,7 +86,16 @@ def compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarra
         raise ValueError("mask values must be binary {0, 1}")
     if (amap.rows, amap.cols) != (h // patch_size, w // patch_size):
         raise ValueError("attention grid does not match the LR patch grid")
+    return _compose_hr(x_hr_masked, low, x_lr_refined, amap, m_hr, patch_size, composite)
 
+
+def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarray,
+                amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
+                composite: bool) -> np.ndarray:
+    """compose_hr on inputs already validated, as run_pipeline's are: the
+    full-resolution mask check runs once per request, at the boundary."""
+    _, h_hr, w_hr = x_hr_masked.shape
+    _, h, w = x_lr_refined.shape
     r_h, r_w = h_hr // h, w_hr // w
     grid = hr_patches(x_hr_masked - low, patch_size * r_h, patch_size * r_w)
     hf_img = pixel_shuffle(token_mix(amap, grid))

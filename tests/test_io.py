@@ -161,6 +161,16 @@ class TestPpmPgm:
         h, w = x.shape[1:]
         assert path.read_bytes() == f"P6\n{w} {h}\n255\n".encode() + q.transpose(1, 2, 0).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_write_image_strips_byte_exact(self, tmp_path, dtype):
+        # 777 rows of 1031 pixels span many strips, the last one partial
+        x = np.random.default_rng(5).uniform(-0.3, 1.3, (3, 777, 1031)).astype(dtype)
+        x[:, ::97, ::89] = np.array([-1e30, 1e30, 0.5 / 255], dtype)[:, None, None]
+        path = tmp_path / "img.ppm"
+        write_image(x, path)
+        q = np.floor(np.clip(x, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        assert path.read_bytes() == b"P6\n1031 777\n255\n" + q.transpose(1, 2, 0).tobytes()
+
     def test_2x2_analytic_values(self, tmp_path):
         path = tmp_path / "img.ppm"
         payload = bytes([0, 0, 0, 255, 255, 255, 255, 0, 0, 0, 255, 0])

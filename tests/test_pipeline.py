@@ -2,6 +2,7 @@
 
 import json
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -105,6 +106,48 @@ class TestRunPipeline:
                 monkeypatch.setattr(module, "gaussian_blur", counting)
         run_pipeline(config, model, image, mask)
         assert calls == [image.shape]
+
+    def test_mask_checked_once_at_full_resolution(self, monkeypatch):
+        config, model, image, mask = small_setup(9)
+        sizes = []
+        original = np.isin
+
+        def counting(element, *args, **kwargs):
+            sizes.append(np.size(element))
+            return original(element, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isin", counting)
+        run_pipeline(config, model, image, mask)
+        assert sizes.count(mask.size) == 1
+
+    def test_concurrent_requests_match_serial(self):
+        # r = 8 at 512: both blur passes and the bilinear run over many
+        # strips, so the callers share the strip pool
+        config, model, image, mask = small_setup(10, lr=64, size=512)
+        want = run_pipeline(config, model, image, mask)
+        n_threads, n_runs = 3, 2
+        results = [[] for _ in range(n_threads)]
+        start = threading.Barrier(n_threads)
+
+        def request(out):
+            start.wait(timeout=60)
+            for _ in range(n_runs):
+                out.append(run_pipeline(config, model, image, mask))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=request, args=(r,)) for r in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(r) for r in results] == [n_runs] * n_threads
+        for out in (o for r in results for o in r):
+            assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixel_rejected(self, bad, monkeypatch):

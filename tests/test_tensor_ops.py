@@ -1,10 +1,13 @@
 """Tensor kernel tests: convolution, batchnorm, softmax, resize, Gaussian."""
 
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rethined import tensor_ops
 from rethined.tensor_ops import (
     _STRIP_BYTES,
     BatchNormParams,
@@ -471,6 +474,65 @@ class TestStripTiledKernels:
     def test_bilinear_equals_four_gather(self, shape, out_h, out_w, layout):
         x = _input(shape, layout, seed=2)
         assert_bit_equal(bilinear_resize(x, out_h, out_w), four_gather_bilinear(x, out_h, out_w))
+
+
+def _blur_in_child(x, want):
+    assert_bit_equal(gaussian_blur(x, 2.0), want)
+
+
+class TestStripExecutor:
+    @pytest.fixture
+    def threads_seen(self, monkeypatch):
+        """Idents of the threads that run _residual_sum."""
+        seen = set()
+        inner = tensor_ops._residual_sum
+
+        def recording(*args):
+            seen.add(threading.get_ident())
+            inner(*args)
+
+        monkeypatch.setattr(tensor_ops, "_residual_sum", recording)
+        return seen
+
+    @pytest.mark.skipif(tensor_ops._cpu_count() < 2, reason="one CPU in the process affinity")
+    def test_multi_strip_blur_uses_several_threads(self, threads_seen):
+        x = _input((3, 70, 2048), "f32")
+        assert_bit_equal(gaussian_blur(x, 2.0), untiled_gaussian_blur(x, 2.0))
+        assert len(threads_seen) > 1
+
+    def test_single_strip_runs_on_calling_thread(self, threads_seen):
+        x = _input((1, 4, 16), "f32")
+        assert_bit_equal(gaussian_blur(x, 2.0), untiled_gaussian_blur(x, 2.0))
+        assert threads_seen == {threading.get_ident()}
+
+    # w = 2048 gives 32-row strips: 1, 2, 7 and 9 strips per pass, the last
+    # one partial, against 1 to 5 workers
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shape", [(2, 5, 2048), (1, 33, 2048), (3, 70, 2048)])
+    def test_every_split_equals_untiled(self, monkeypatch, cpus, shape):
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: cpus)
+        x = _input(shape, "f32", seed=3)
+        assert_bit_equal(gaussian_blur(x, 2.0, 3.0), untiled_gaussian_blur(x, 2.0, 3.0))
+        small = np.ascontiguousarray(x[:, ::2, ::8])
+        _, h, w = shape
+        assert_bit_equal(bilinear_resize(small, h, w), four_gather_bilinear(small, h, w))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_blurs(self, monkeypatch):
+        # the parent's pool threads do not exist in a forked child; a child
+        # that submitted to the inherited pool would wait forever
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
+        x = _input((3, 70, 2048), "f32")
+        want = gaussian_blur(x, 2.0)
+        assert tensor_ops._pool is not None
+        child = multiprocessing.get_context("fork").Process(target=_blur_in_child, args=(x, want))
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 def _peak_alloc(fn, *args):

@@ -259,6 +259,13 @@ class TestComposeHr:
         with pytest.raises(ValueError):
             compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, np.zeros((1, 24, 24), F32), 8)
 
+    def test_non_binary_mask_rejected(self):
+        _, x_hr, x_lr, amap = self._inputs(7)
+        mask = np.zeros((1, 32, 32), F32)
+        mask[0, 5, 9] = 0.5
+        with pytest.raises(ValueError, match="binary"):
+            compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8)
+
     def test_low_pass_shape_mismatch_rejected(self):
         _, x_hr, x_lr, amap = self._inputs(6)
         with pytest.raises(ValueError, match="low-pass shape"):
