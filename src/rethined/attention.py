@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,12 @@ class AttentionMap:
     def count(self) -> int:
         return self.a.shape[0]
 
+    @cached_property
+    def plan(self) -> MixPlan:
+        """mix_plan(a, float32), made on first use: the LR refinement and the
+        HR composition of a request mix with the same map."""
+        return mix_plan(self.a, DTYPE)
+
 
 def attention_scores(tokens: TokenMatrix, weights: ProjectionWeights) -> AttentionMap:
     """Scaled dot-product affinities A = softmax(Q K^T / sqrt(d_k))."""
@@ -109,28 +116,51 @@ def mask_attention(amap: AttentionMap, mask_vec: np.ndarray) -> AttentionMap:
     return AttentionMap(mt.astype(DTYPE, copy=False), True, amap.rows, amap.cols)
 
 
-def mix_rows(a: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Weighted row mixing out[i] = sum_j a[i, j] * values[j].
+@dataclass(frozen=True)
+class MixPlan:
+    """How out[i] = sum_j a[i, j] * values[j] is evaluated for a map `a`.
 
-    One-hot rows are copied outright so untouched patches stay bit-identical
-    to their sources; the remaining rows go through a matmul restricted to
-    columns that actually carry weight (masked maps zero whole columns).
+    One-hot rows (`onehot`) copy value row `src[i]` outright, so untouched
+    patches stay bit-identical to their sources.  The other rows, `dense`
+    (ascending), are one matmul `weights @ values[cols]`.  `cols` keeps only
+    the value rows that carry weight (masked maps zero whole columns), unless
+    at least 95% do or no row is one-hot; then it is every row.
     """
-    onehot = (a.max(axis=1) == 1.0) & (a.sum(axis=1) == 1.0)
-    if onehot.all():
-        return values[a.argmax(axis=1)].copy()
-    out = np.empty((a.shape[0], values.shape[1]), dtype=values.dtype)
-    if onehot.any():
-        out[onehot] = values[a[onehot].argmax(axis=1)]
-        dense = a[~onehot].astype(values.dtype)
-        cols = np.abs(dense).max(axis=0) > 0
-        if cols.sum() < 0.95 * a.shape[1]:
-            out[~onehot] = dense[:, cols] @ values[cols]
-        else:
-            out[~onehot] = dense @ values
-    else:
-        out[:] = a.astype(values.dtype) @ values
-    return out
+
+    onehot: np.ndarray
+    src: np.ndarray
+    dense: np.ndarray
+    cols: np.ndarray | slice
+    weights: np.ndarray
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        out = np.empty((len(self.onehot), values.shape[1]), dtype=values.dtype)
+        out[self.onehot] = values[self.src[self.onehot]]
+        if self.dense.size:
+            out[self.dense] = self.weights @ values[self.cols]
+        return out
+
+
+def mix_plan(a: np.ndarray, dtype) -> MixPlan:
+    """Plan the mix of `dtype` value rows with the row-stochastic map `a`."""
+    src = a.argmax(axis=1)
+    # a[i, argmax] is the row maximum, NaN included, without a second pass
+    onehot = (a[np.arange(len(a)), src] == 1.0) & (a.sum(axis=1) == 1.0)
+    dense = np.flatnonzero(~onehot)
+    weights = a[dense].astype(dtype, copy=False)
+    cols = slice(None)
+    if 0 < dense.size < len(a):
+        used = np.flatnonzero(np.abs(weights).max(axis=0) > 0)
+        if used.size < 0.95 * a.shape[1]:
+            cols = used
+            weights = np.take(weights, used, axis=1)
+    return MixPlan(onehot, src, dense, cols, weights)
+
+
+def mix_rows(a: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Weighted row mixing out[i] = sum_j a[i, j] * values[j], as mix_plan
+    lays it out."""
+    return mix_plan(a, values.dtype).apply(values)
 
 
 def token_mix(amap: AttentionMap, values: PatchGrid) -> PatchGrid:
@@ -143,7 +173,8 @@ def token_mix(amap: AttentionMap, values: PatchGrid) -> PatchGrid:
         raise ValueError("token mixing requires a masked attention map")
     if amap.count != values.count or (amap.rows, amap.cols) != (values.rows, values.cols):
         raise ValueError("attention grid does not match the value patch grid")
-    mixed = mix_rows(amap.a, values.patches)
+    v = values.patches
+    mixed = (amap.plan if v.dtype == DTYPE else mix_plan(amap.a, v.dtype)).apply(v)
     return PatchGrid(mixed, values.rows, values.cols, values.patch_h, values.patch_w)
 
 

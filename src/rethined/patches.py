@@ -2,7 +2,10 @@
 
 One patch-grid type, PatchGrid, serves both resolutions: img2col cuts square
 LR patches, hr_patches cuts the matching rectangular HR patches, and
-pixel_shuffle inverts either.
+pixel_shuffle inverts either.  The HR composition does not build an HR
+PatchGrid: upscale._compose_hr cuts only the patches it reads, straight from
+the image, in the same channel-major layout.  block_any reduces a mask over
+blocks, for the patch mask here and the mask decimations of the pipeline.
 
 img2col follows the strided-convolution construction: P*P identity indicator
 kernels (w(i,j) = 1 iff i == j), duplicated per input channel and applied as a
@@ -83,8 +86,8 @@ def img2col(image: np.ndarray, patch_size: int) -> PatchGrid:
 def hr_patches(image: np.ndarray, patch_h: int, patch_w: int) -> PatchGrid:
     """Split a [3, H, W] image into patch_h x patch_w patches by reshaping.
 
-    Same layout as img2col; used at HR, where the patches are rectangular
-    whenever the two axes are downsampled by different factors.
+    Same layout as img2col; HR patches are rectangular whenever the two axes
+    are downsampled by different factors.
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
@@ -105,6 +108,22 @@ def pixel_shuffle(grid: PatchGrid) -> np.ndarray:
     return np.ascontiguousarray(img)
 
 
+def block_any(mask: np.ndarray, block_h: int, block_w: int) -> np.ndarray:
+    """Per-block maximum of a [H, W] mask over block_h x block_w blocks; on a
+    0/1 mask, 1 iff any pixel of the block is 1.
+
+    Reduces each block's rows first, over contiguous memory, then the column
+    blocks as block_w strided maxima: several times faster than reducing
+    both block axes of a 4-d view at once.
+    """
+    h, w = mask.shape
+    rows = mask.reshape(h // block_h, block_h, w).max(axis=1)
+    out = rows[:, ::block_w].copy()
+    for j in range(1, block_w):
+        np.maximum(out, rows[:, j::block_w], out=out)
+    return out
+
+
 def tokenize_mask(mask: np.ndarray, patch_size: int) -> np.ndarray:
     """Per-patch OR-reduction of a binary pixel mask (1 = corrupted).
 
@@ -118,9 +137,7 @@ def tokenize_mask(mask: np.ndarray, patch_size: int) -> np.ndarray:
         raise ValueError(f"mask {h}x{w} not divisible by patch size {patch_size}")
     if not np.isin(mask, (0, 1)).all():
         raise ValueError("mask values must be binary {0, 1}")
-    rows, cols = h // patch_size, w // patch_size
-    blocks = mask[0].reshape(rows, patch_size, cols, patch_size)
-    return blocks.max(axis=(1, 3)).reshape(-1).astype(DTYPE)
+    return block_any(mask[0], patch_size, patch_size).reshape(-1).astype(DTYPE)
 
 
 def embed_and_condition(seq: PatchGrid, features: np.ndarray, embed: np.ndarray) -> TokenMatrix:

@@ -28,6 +28,7 @@ from .coarse import (
     random_coarse_model,
     _he_uniform,
 )
+from .patches import block_any
 from .tensor_ops import DTYPE, bilinear_resize, gaussian_blur
 from .upscale import _compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
@@ -219,7 +220,7 @@ def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
     r_h, r_w = h // lr, w // lr
     low = gaussian_blur(image, sigma_for_factor(r_h), sigma_for_factor(r_w))
     x_lr = bilinear_resize(low, lr, lr)
-    m_lr = mask[0].reshape(lr, r_h, lr, r_w).max(axis=(1, 3))[None].astype(DTYPE)
+    m_lr = block_any(mask[0], r_h, r_w)[None].astype(DTYPE)
     return x_lr, m_lr, low
 
 
@@ -255,8 +256,9 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
     times["refine"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
+    # the result overwrites the low-pass, which is dead once the residual is cut
     out = _compose_hr(image, low, x_lr_hat, masked_map, mask, config.patch_size,
-                      config.composite)
+                      config.composite, out=low)
     times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times

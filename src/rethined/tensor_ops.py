@@ -6,11 +6,12 @@ Tensors are numpy float32 arrays laid out [C, H, W] (convolution weights are
 mutated and results are deterministic for fixed inputs.  Reductions may use
 wider accumulators internally.
 
-The full-resolution strip loops (both blur passes, the H lerp of the
-bilinear resize, PPM quantisation) run on every CPU of the process affinity
-through one strip executor, `_run_strips`.  Each output element gets the
-same ops in the same order whatever the thread count, so results are
-bit-identical to a serial run.
+The full-resolution strip loops (both blur passes, both lerps of the
+bilinear resize, PPM quantisation, the passes of the HR composition) run on
+every CPU of the process affinity through one strip executor, `_run_strips`.
+Each output element gets the same ops in the same order whatever the thread
+count, so results are bit-identical to a serial run.  The bilinear resize
+and the HR composition share one resize plan, `_bilinear_plan`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -218,18 +219,42 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e.astype(DTYPE)
 
 
-def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resampling, align-corners-false, edge-replicated.
+class _BilinearPlan(NamedTuple):
+    """Index/weight plan of one bilinear resize.
 
-    Resizing to the source size returns the input unchanged.
+    `lerp_w` holds the W lerp of every source row that is read; output row y
+    is the H lerp of its rows i0[y] and i1[y] by fy[y].  At the source size
+    the plan is the identity: fy is None and rows are copied.
     """
-    if x.ndim != 3:
-        raise ValueError(f"expected [C, H, W] input, got shape {x.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output extents must be >= 1")
+
+    lerp_w: np.ndarray
+    i0: np.ndarray
+    i1: np.ndarray
+    fy: Optional[np.ndarray]
+
+    def lerp_rows(self, r0: int, r1: int, seg: np.ndarray, top: np.ndarray) -> None:
+        """Write output rows r0:r1 of every channel into `seg` ([C, r1 - r0, W]);
+        `top` is scratch of seg's shape.  Allocates nothing."""
+        for c in range(len(seg)):
+            # mode="clip" (indices are in range) lets take fill `out` unbuffered
+            np.take(self.lerp_w[c], self.i1[r0:r1], axis=0, out=seg[c], mode="clip")
+            if self.fy is not None:
+                np.take(self.lerp_w[c], self.i0[r0:r1], axis=0, out=top[c], mode="clip")
+        if self.fy is not None:
+            seg -= top
+            seg *= self.fy[r0:r1, None]
+            seg += top
+
+
+def _bilinear_plan(x: np.ndarray, out_h: int, out_w: int) -> _BilinearPlan:
+    """Plan a resize of [C, H, W] `x` to out_h x out_w (align-corners-false,
+    edge-replicated).  lerp_w is float32 at the source size and of dtype
+    np.result_type(x, float32) otherwise."""
     c, h, w = x.shape
     if out_h == h and out_w == w:
-        return x.astype(DTYPE, copy=True)
+        rows = np.arange(h)
+        return _BilinearPlan(x.astype(DTYPE, copy=False), rows, rows, None)
+    x = x.astype(np.result_type(x.dtype, DTYPE), copy=False)
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     y0f = np.floor(ys)
@@ -245,30 +270,49 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     # lerp combines those rows.  The ops and their order per output pixel
     # are those of the 2-D form (W first, then H), so results are bit-equal.
     rows, inv = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    src = np.take(x, rows, axis=1)
-    a = np.take(src, x0, axis=2)
-    b = np.take(src, x1, axis=2)
-    # lerp form keeps constant regions exact: a + t*(b - a) == a when a == b
-    lerp_w = a + fx * (b - a)
-    i0, i1 = inv[:out_h], inv[out_h:]
-    out = np.empty((c, out_h, out_w), dtype=lerp_w.dtype)
-    step = _strip_rows(out_w * out.itemsize)
-    per_ch = -(-out_h // step)
+    lerp_w = np.empty((c, len(rows), out_w), dtype=x.dtype)
+    step = _strip_rows(max(w, out_w) * x.itemsize)
+    per_ch = -(-len(rows) // step)
 
-    def lerp_h(s, top):
+    def lerp(s, src, a):
         ch, r0 = s // per_ch, s % per_ch * step
-        r1 = min(r0 + step, out_h)
-        top = top[:r1 - r0]
-        seg = out[ch, r0:r1]
-        # mode="clip" (indices are in range) lets take fill `out` unbuffered
-        np.take(lerp_w[ch], i0[r0:r1], axis=0, out=top, mode="clip")
-        np.take(lerp_w[ch], i1[r0:r1], axis=0, out=seg, mode="clip")
-        seg -= top
-        seg *= fy[r0:r1, None]
-        seg += top
+        r1 = min(r0 + step, len(rows))
+        src, a, seg = src[:r1 - r0], a[:r1 - r0], lerp_w[ch, r0:r1]
+        np.take(x[ch], rows[r0:r1], axis=0, out=src, mode="clip")
+        np.take(src, x0, axis=1, out=a, mode="clip")
+        np.take(src, x1, axis=1, out=seg, mode="clip")
+        # lerp form keeps constant regions exact: a + t*(b - a) == a when a == b
+        seg -= a
+        seg *= fx
+        seg += a
 
-    _run_strips(c * per_ch, lerp_h,
-                lambda: (np.empty((min(step, out_h), out_w), dtype=out.dtype),))
+    cap = min(step, len(rows))
+    _run_strips(c * per_ch, lerp, lambda: (np.empty((cap, w), dtype=x.dtype),
+                                           np.empty((cap, out_w), dtype=x.dtype)))
+    return _BilinearPlan(lerp_w, inv[:out_h], inv[out_h:], fy)
+
+
+def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resampling, align-corners-false, edge-replicated.
+
+    Resizing to the source size returns the input unchanged.
+    """
+    if x.ndim != 3:
+        raise ValueError(f"expected [C, H, W] input, got shape {x.shape}")
+    if out_h < 1 or out_w < 1:
+        raise ValueError("output extents must be >= 1")
+    plan = _bilinear_plan(x, out_h, out_w)
+    c = x.shape[0]
+    out = np.empty((c, out_h, out_w), dtype=plan.lerp_w.dtype)
+    step = _strip_rows(c * out_w * out.itemsize)
+
+    def lerp(s, top):
+        r0 = s * step
+        r1 = min(r0 + step, out_h)
+        plan.lerp_rows(r0, r1, out[:, r0:r1], top[:, :r1 - r0])
+
+    _run_strips(-(-out_h // step), lerp,
+                lambda: (np.empty((c, min(step, out_h), out_w), dtype=out.dtype),))
     return out.astype(DTYPE, copy=False)
 
 

@@ -8,6 +8,13 @@ The attention map itself is never recomputed, so the quadratic attention cost
 stays at LR regardless of output resolution.  The HR low-pass is not
 recomputed either: the pipeline blurs the HR image once, decimates that
 low-pass to get the LR input, and hands it to compose_hr for the residual.
+
+The composition works patch-major and only where output can change: it cuts
+the residual of the patches the mix reads straight into one patch-major
+buffer, runs one matmul for the mixed rows into the same buffer, and then
+makes one strip pass over the output (bilinear, high frequencies of the
+patches that can change, composite, clip).  No full-resolution residual,
+patch grid or high-frequency image is built.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionMap, token_mix
-from .patches import hr_patches, pixel_shuffle
-from .tensor_ops import bilinear_resize, gaussian_blur
+from .attention import AttentionMap
+from .patches import block_any
+from .tensor_ops import DTYPE, _STRIP_BYTES, _bilinear_plan, _run_strips, gaussian_blur
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -66,7 +73,7 @@ def compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarra
     with the attention map and added to the bilinearly upsampled refined LR
     image; known pixels are then optionally overwritten with the originals
     and the result clamped to [0, 1].  HR extents must be integer multiples
-    of the LR extents.
+    of the LR extents.  The LR image is upsampled in float32.
     """
     if x_hr_masked.ndim != 3 or x_hr_masked.shape[0] != 3:
         raise ValueError(f"expected [3, H_HR, W_HR] image, got shape {x_hr_masked.shape}")
@@ -86,22 +93,129 @@ def compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarra
         raise ValueError("mask values must be binary {0, 1}")
     if (amap.rows, amap.cols) != (h // patch_size, w // patch_size):
         raise ValueError("attention grid does not match the LR patch grid")
-    return _compose_hr(x_hr_masked, low, x_lr_refined, amap, m_hr, patch_size, composite)
+    return _compose_hr(x_hr_masked, low, x_lr_refined.astype(DTYPE, copy=False), amap, m_hr,
+                       patch_size, composite)
+
+
+def _runs(patches: np.ndarray, rows: np.ndarray, grid_rows: int, grid_cols: int) -> list:
+    """Cut patch indices with their buffer rows into runs of patches that sit
+    side by side in one grid row and in the buffer.
+
+    Returns, for each grid row, a list of (first grid column, first buffer
+    row, length) tuples.
+    """
+    brk = np.ones(len(patches), dtype=bool)
+    brk[1:] = (np.diff(patches) != 1) | (patches[1:] % grid_cols == 0) | (np.diff(rows) != 1)
+    starts = np.flatnonzero(brk)
+    first = patches[starts]
+    by_row = [[] for _ in range(grid_rows)]
+    for pr, pc, r0, k in zip((first // grid_cols).tolist(), (first % grid_cols).tolist(),
+                             rows[starts].tolist(), np.diff(starts, append=len(patches)).tolist()):
+        by_row[pr].append((pc, r0, k))
+    return by_row
 
 
 def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarray,
                 amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
-                composite: bool) -> np.ndarray:
+                composite: bool, out: np.ndarray | None = None) -> np.ndarray:
     """compose_hr on inputs already validated, as run_pipeline's are: the
-    full-resolution mask check runs once per request, at the boundary."""
+    full-resolution mask check runs once per request, at the boundary.
+    `x_lr_refined` must be float32.  The result goes to `out` if given, a
+    C-contiguous float32 array of the image's shape; it may be `low`, which
+    is read only before `out` is written.
+
+    Each output element gets the ops of the unfused form, bilinear + mixed
+    high frequencies, composite, clip, so results are bit-identical to it.
+    """
     _, h_hr, w_hr = x_hr_masked.shape
     _, h, w = x_lr_refined.shape
-    r_h, r_w = h_hr // h, w_hr // w
-    grid = hr_patches(x_hr_masked - low, patch_size * r_h, patch_size * r_w)
-    hf_img = pixel_shuffle(token_mix(amap, grid))
-    out = bilinear_resize(x_lr_refined, h_hr, w_hr)
-    out += hf_img
+    ph, pw = patch_size * (h_hr // h), patch_size * (w_hr // w)
+    n, grid_rows, grid_cols = amap.count, amap.rows, amap.cols
+    plan = amap.plan
+    # Patches whose output can change: every one, or with composite only
+    # those holding a corrupted pixel; all other pixels become x_hr_masked.
     if composite:
-        np.copyto(out, x_hr_masked, where=m_hr == 0)
-    np.clip(out, 0.0, 1.0, out=out)
+        written = block_any(m_hr[0], ph, pw).reshape(-1) > 0
+    else:
+        written = np.ones(n, dtype=bool)
+    copies = np.flatnonzero(written & plan.onehot)
+    mixed_from = np.arange(n)[plan.cols] if plan.dense.size else np.arange(0)
+    # The matmul's value rows come first, so they are one contiguous operand;
+    # then the rows that written one-hot rows copy.  Mixed rows follow.
+    copied = np.zeros(n, dtype=bool)
+    copied[plan.src[copies]] = True
+    copied[mixed_from] = False
+    sources = np.concatenate([mixed_from, np.flatnonzero(copied)])
+    hf = np.empty((len(sources) + len(plan.dense), 3, ph, pw), dtype=DTYPE)
+    source_row = np.empty(n, dtype=np.intp)
+    source_row[sources] = np.arange(len(sources))
+    hf_row = np.empty(n, dtype=np.intp)
+    hf_row[copies] = source_row[plan.src[copies]]
+    hf_row[plan.dense] = len(sources) + np.arange(len(plan.dense))
+    patches = np.flatnonzero(written)
+    cuts = _runs(sources, np.arange(len(sources)), grid_rows, grid_cols)
+    adds = _runs(patches, hf_row[patches], grid_rows, grid_cols)
+
+    # Both full-resolution passes run over the same strips: a run of whole
+    # patch rows of about _STRIP_BYTES per channel, or part of one patch row
+    # when patches are large.  [3, patch y, buffer row, patch x] and
+    # [3, grid row, patch y, grid col, patch x] views make a run of patches
+    # one basic slice of hf or of an image.
+    row_bytes = w_hr * np.dtype(DTYPE).itemsize
+    per = _STRIP_BYTES // (ph * row_bytes)
+    if per:
+        strips = [(p, min(p + per, grid_rows), 0, ph) for p in range(0, grid_rows, per)]
+    else:
+        parts = -(-ph * row_bytes // _STRIP_BYTES)
+        strips = [(p, p + 1, ph * j // parts, ph * (j + 1) // parts)
+                  for p in range(grid_rows) for j in range(parts)]
+    hf_t = hf.transpose(1, 2, 0, 3)
+
+    def grid(img):
+        return img.reshape(3, grid_rows, ph, grid_cols, pw)
+
+    # 1. residual x - low of the source patches, cut straight into hf, in
+    # image order (3x faster than in patch order at 2048)
+    x_grid, low_grid = grid(x_hr_masked), grid(low)
+
+    def cut(s):
+        p0, p1, a, b = strips[s]
+        for pr in range(p0, p1):
+            for pc, r0, k in cuts[pr]:
+                np.subtract(x_grid[:, pr, a:b, pc:pc + k], low_grid[:, pr, a:b, pc:pc + k],
+                            out=hf_t[:, a:b, r0:r0 + k])
+
+    _run_strips(len(strips), cut, lambda: ())
+
+    # 2. one matmul for the mixed rows, into hf
+    if plan.dense.size:
+        k = len(mixed_from)
+        np.matmul(plan.weights, hf[:k].reshape(k, -1),
+                  out=hf[len(sources):].reshape(len(plan.dense), -1))
+
+    # 3. bilinear carrier, high frequencies of the written patches,
+    # composite and clip, one strip at a time
+    carrier = _bilinear_plan(x_lr_refined, h_hr, w_hr)
+    if out is None:
+        out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
+    out_grid = grid(out)
+    cap = max((p1 - p0 - 1) * ph + b - a for p0, p1, a, b in strips)
+
+    def compose(s, top, keep):
+        p0, p1, a, b = strips[s]
+        y0, y1 = p0 * ph + a, (p1 - 1) * ph + b
+        seg = out[:, y0:y1]
+        carrier.lerp_rows(y0, y1, seg, top[:, :y1 - y0])
+        for pr in range(p0, p1):
+            for pc, r0, k in adds[pr]:
+                dst = out_grid[:, pr, a:b, pc:pc + k]
+                dst += hf_t[:, a:b, r0:r0 + k]
+        if composite:
+            known = keep[:y1 - y0]
+            np.equal(m_hr[0, y0:y1], 0, out=known)
+            np.copyto(seg, x_hr_masked[:, y0:y1], where=known)
+        np.clip(seg, 0.0, 1.0, out=seg)
+
+    _run_strips(len(strips), compose, lambda: (
+        np.empty((3, cap, w_hr), dtype=DTYPE), np.empty((cap, w_hr), dtype=bool)))
     return out

@@ -220,6 +220,13 @@ class TestPpmPgm:
         with pytest.raises(ImageFormatError):
             read_mask(path)
 
+    @pytest.mark.parametrize("byte", [1, 254])
+    def test_mask_near_binary_bytes_rejected(self, tmp_path, byte):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 255, 255, 0, byte, 0]))
+        with pytest.raises(ImageFormatError, match="0 or 255"):
+            read_mask(path)
+
     def test_mask_magic_checked(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))

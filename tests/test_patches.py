@@ -5,6 +5,7 @@ import pytest
 
 from rethined.patches import (
     PatchGrid,
+    block_any,
     embed_and_condition,
     img2col,
     pixel_shuffle,
@@ -131,6 +132,23 @@ class TestTokenizeMask:
         m = np.full((1, 8, 8), 0.5, F32)
         with pytest.raises(ValueError):
             tokenize_mask(m, 4)
+
+
+class TestBlockAny:
+    @pytest.mark.parametrize("shape,block", [
+        ((8, 8), (1, 1)),
+        ((64, 96), (8, 8)),
+        ((30, 40), (3, 5)),
+        ((12, 20), (4, 2)),
+        ((16, 16), (16, 16)),
+    ])
+    def test_matches_4d_reduction(self, shape, block):
+        rng = np.random.default_rng(sum(shape))
+        m = (rng.random(shape) < 0.05).astype(F32)
+        (h, w), (bh, bw) = shape, block
+        want = m.reshape(h // bh, bh, w // bw, bw).max(axis=(1, 3))
+        got = block_any(m, bh, bw)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestEmbedAndCondition:

@@ -414,6 +414,8 @@ def _input(shape, layout, seed=0):
     x = np.random.default_rng(seed).random(shape).astype(F32)
     if layout == "f64":
         return x.astype(np.float64)
+    if layout == "i64":
+        return (x * 1000).astype(np.int64)
     if layout == "hwc":  # channels-last strides, as a transposed HWC decode has
         return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
     return x
@@ -461,7 +463,7 @@ class TestStripTiledKernels:
         with pytest.raises(ValueError):
             _blur_axis(np.zeros((1, 4, 4), F32), taps, 0)
 
-    @pytest.mark.parametrize("layout", ["f32", "f64", "hwc"])
+    @pytest.mark.parametrize("layout", ["f32", "f64", "hwc", "i64"])
     @pytest.mark.parametrize("shape,out_h,out_w", [
         ((3, 1, 1), 1, 1),
         ((3, 1, 1), 5, 3),

@@ -2,12 +2,14 @@
 composition tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rethined.attention import AttentionMap, mask_attention, token_mix
-from rethined.patches import hr_patches, pixel_shuffle
+from rethined import tensor_ops, upscale
+from rethined.attention import AttentionMap, mask_attention, mix_plan, mix_rows, token_mix
+from rethined.patches import PatchGrid, block_any, hr_patches, pixel_shuffle, tokenize_mask
 from rethined.pipeline import PipelineConfig, downsample_to_lr
 from rethined.tensor_ops import bilinear_resize, gaussian_blur, gaussian_kernel_1d, softmax_rows
 from rethined.upscale import compose_hr, frequency_split, sigma_for_factor
@@ -292,3 +294,204 @@ class TestComposeHr:
         mask = np.zeros((1, 32, 64), F32)
         out = compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
         assert np.array_equal(out, x_hr)
+
+
+def seed_mix_rows(a, values):
+    """mix_rows as it was before mix_plan: the oracle of the composer's mix."""
+    onehot = (a.max(axis=1) == 1.0) & (a.sum(axis=1) == 1.0)
+    if onehot.all():
+        return values[a.argmax(axis=1)].copy()
+    out = np.empty((a.shape[0], values.shape[1]), dtype=values.dtype)
+    if onehot.any():
+        out[onehot] = values[a[onehot].argmax(axis=1)]
+        dense = a[~onehot].astype(values.dtype)
+        cols = np.abs(dense).max(axis=0) > 0
+        if cols.sum() < 0.95 * a.shape[1]:
+            out[~onehot] = dense[:, cols] @ values[cols]
+        else:
+            out[~onehot] = dense @ values
+    else:
+        out[:] = a.astype(values.dtype) @ values
+    return out
+
+
+def unfused_compose(x, low, x_lr, amap, m_hr, p, composite):
+    """The composition as full-resolution passes: residual image, HR patch
+    grid, mix, pixel shuffle, bilinear carrier, add, composite, clip."""
+    (_, h_hr, w_hr), (_, h, w) = x.shape, x_lr.shape
+    grid = hr_patches(x - low, p * (h_hr // h), p * (w_hr // w))
+    mixed = PatchGrid(seed_mix_rows(amap.a, grid.patches), grid.rows, grid.cols,
+                      grid.patch_h, grid.patch_w)
+    out = bilinear_resize(x_lr, h_hr, w_hr)
+    out += pixel_shuffle(mixed)
+    if composite:
+        np.copyto(out, x, where=m_hr == 0)
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def compose_case(seed, lr=(16, 16), r=(4, 4), p=4, share=0.4, logit_scale=1.0,
+                 clean=None):
+    """Pipeline-shaped composer inputs: a masked HR image with its low-pass, a
+    refined LR image and the masked map of the mask's corrupted patches.
+
+    `share` of the patches are corrupted (a random subset of each one's
+    pixels), or every patch but those listed in `clean`."""
+    rng = np.random.default_rng(seed)
+    (h, w), (r_h, r_w) = lr, r
+    rows, cols = h // p, w // p
+    ph, pw = p * r_h, p * r_w
+    if clean is None:
+        corrupt = rng.random((rows, cols)) < share
+    else:
+        corrupt = np.ones((rows, cols), dtype=bool)
+        corrupt.flat[list(clean)] = False
+    m = np.kron(corrupt, np.ones((ph, pw))) * (rng.random((h * r_h, w * r_w)) < 0.5)
+    m[::ph, ::pw] = corrupt
+    m_hr = m[None].astype(F32)
+    x = (rng.integers(0, 256, (3, h * r_h, w * r_w)) / 255.0).astype(F32) * (1 - m_hr)
+    low = gaussian_blur(x, sigma_for_factor(r_h), sigma_for_factor(r_w))
+    x_lr = rng.random((3, h, w)).astype(F32) * 1.1 - 0.05
+    vec = tokenize_mask(block_any(m_hr[0], r_h, r_w)[None], p)
+    logits = rng.standard_normal((rows * cols, rows * cols)).astype(F32) * logit_scale
+    amap = mask_attention(AttentionMap(softmax_rows(logits), False, rows, cols), vec)
+    return x, low, x_lr, amap, m_hr, p
+
+
+def assert_bytes_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMixPlan:
+    """mix_rows through mix_plan equals the seed's mix_rows byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["identity", "permutation", "dense", "sparse-cols",
+                                      "all-cols", "float64-values"])
+    def test_matches_seed_mix_rows(self, kind):
+        rng = np.random.default_rng(len(kind))
+        n = 32
+        a = softmax_rows(rng.standard_normal((n, n)).astype(F32))
+        values = rng.standard_normal((n, 48)).astype(F32)
+        if kind == "identity":
+            a = np.eye(n, dtype=F32)
+        elif kind == "permutation":
+            a = np.eye(n, dtype=F32)[rng.permutation(n)]
+        elif kind in ("sparse-cols", "float64-values"):
+            a = mask_attention(AttentionMap(a, False, 4, 8), (rng.random(n) < 0.4).astype(F32)).a
+        elif kind == "all-cols":
+            a = mask_attention(AttentionMap(a, False, 4, 8), np.eye(n, dtype=F32)[3]).a
+        if kind == "float64-values":
+            values = values.astype(np.float64)
+        assert_bytes_equal(mix_rows(a, values), seed_mix_rows(a, values))
+
+
+class TestPatchMajorComposer:
+    """_compose_hr equals the unfused composition byte for byte."""
+
+    def _check(self, case, composite=True):
+        x, low, x_lr, amap, m_hr, p = case
+        before = [a.copy() for a in (x, low, x_lr, amap.a, m_hr)]
+        want = unfused_compose(x, low, x_lr, amap, m_hr, p, composite)
+        assert_bytes_equal(compose_hr(x, low, x_lr, amap, m_hr, p, composite), want)
+        for arr, copy in zip((x, low, x_lr, amap.a, m_hr), before):
+            assert_bytes_equal(arr, copy)
+        # run_pipeline's call writes the result over its low-pass
+        out = low.copy()
+        got = upscale._compose_hr(x, out, x_lr, amap, m_hr, p, composite, out=out)
+        assert got is out
+        assert_bytes_equal(got, want)
+
+    @pytest.mark.parametrize("composite", [True, False])
+    def test_composite_on_and_off(self, composite):
+        self._check(compose_case(0), composite)
+
+    @pytest.mark.parametrize("composite", [True, False])
+    def test_no_downsampling(self, composite):
+        self._check(compose_case(1, r=(1, 1)), composite)
+
+    @pytest.mark.parametrize("composite", [True, False])
+    def test_rectangular_patches(self, composite):
+        self._check(compose_case(2, lr=(16, 8), r=(2, 4)), composite)
+
+    def test_nothing_written(self):
+        case = compose_case(3, share=0.0)
+        x, _, _, amap, m_hr, p = case
+        assert not m_hr.any() and mix_plan(amap.a, F32).onehot.all()
+        self._check(case, True)
+        assert_bytes_equal(compose_hr(*case, True), np.clip(x, 0.0, 1.0))
+
+    @pytest.mark.parametrize("composite", [True, False])
+    def test_all_columns_branch(self, composite):
+        # 2 of 64 patches corrupted: the mixed rows read >= 95% of the columns
+        case = compose_case(4, lr=(32, 32), r=(2, 2), clean=range(2, 64))
+        plan = mix_plan(case[3].a, F32)
+        assert plan.cols == slice(None) and plan.dense.size == 2
+        self._check(case, composite)
+
+    @pytest.mark.parametrize("composite", [True, False])
+    def test_dead_rows_renormalised(self, composite):
+        # logits this large underflow every clean column of a corrupted row
+        case = compose_case(5, logit_scale=3000.0)
+        plan = mix_plan(case[3].a, F32)
+        assert plan.dense.size and plan.cols.size < case[3].count
+        self._check(case, composite)
+
+    @pytest.mark.parametrize("composite", [True, False])
+    def test_single_clean_patch(self, composite):
+        # every corrupted row is a one-hot copy of the one clean patch, so
+        # one-hot rows must still be written where their patch is corrupted
+        case = compose_case(6, clean=[5])
+        plan = mix_plan(case[3].a, F32)
+        assert plan.onehot.all() and (plan.src != np.arange(case[3].count)).sum() == 15
+        self._check(case, composite)
+
+    def test_float64_channels_last_image(self):
+        x, low, x_lr, amap, m_hr, p = compose_case(11)
+        x64 = np.ascontiguousarray(x.astype(np.float64).transpose(1, 2, 0)).transpose(2, 0, 1)
+        self._check((x64, low, x_lr, amap, m_hr, p), True)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_cpu_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: cpus)
+        self._check(compose_case(7, lr=(32, 32)), True)
+        self._check(compose_case(8, lr=(16, 32), r=(4, 2)), False)
+
+    @pytest.mark.parametrize("strip_bytes,strips", [
+        (1024, 16),         # a 4 KiB patch row (16 rows of 64 f32) in 4 parts
+        (1500, 12),         # ... in 3 parts of 5, 5 and 6 rows
+        (16 * 1024, 1),     # all 4 patch rows in one strip
+        (8 * 1024, 2),      # 2 patch rows per strip
+    ])
+    def test_strip_shapes(self, monkeypatch, strip_bytes, strips):
+        monkeypatch.setattr(upscale, "_STRIP_BYTES", strip_bytes)
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
+        counts = []
+        inner = upscale._run_strips
+
+        def counting(n, *args):
+            counts.append(n)
+            inner(n, *args)
+
+        monkeypatch.setattr(upscale, "_run_strips", counting)
+        for composite in (True, False):
+            self._check(compose_case(9), composite)
+        assert set(counts) == {strips}
+
+    def test_peak_memory_below_2_5x_output(self, monkeypatch):
+        # 3 x 1024^2, r = 4, ~15% of patches corrupted; the unfused
+        # composition peaked at ~3.9x of the output here.  Strip scratch
+        # grows with the CPU count, so the count is fixed at 2.
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
+        x, low, x_lr, amap, m_hr, p = compose_case(10, lr=(256, 256), r=(4, 4), p=8,
+                                                   share=0.15)
+        assert 0.12 < (mix_plan(amap.a, F32).dense.size / amap.count) < 0.18
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = upscale._compose_hr(x, low, x_lr, amap, m_hr, p, True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes
