@@ -93,6 +93,8 @@ def compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarra
         raise ValueError("mask values must be binary {0, 1}")
     if (amap.rows, amap.cols) != (h // patch_size, w // patch_size):
         raise ValueError("attention grid does not match the LR patch grid")
+    if not amap.masked:
+        raise ValueError("token mixing requires a masked attention map")
     return _compose_hr(x_hr_masked, low, x_lr_refined.astype(DTYPE, copy=False), amap, m_hr,
                        patch_size, composite)
 
@@ -149,6 +151,8 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
     hf = np.empty((len(sources) + len(plan.dense), 3, ph, pw), dtype=DTYPE)
     source_row = np.empty(n, dtype=np.intp)
     source_row[sources] = np.arange(len(sources))
+    # the hf row that holds a written patch's high frequencies: its mixed
+    # row, or the residual row a one-hot row copies
     hf_row = np.empty(n, dtype=np.intp)
     hf_row[copies] = source_row[plan.src[copies]]
     hf_row[plan.dense] = len(sources) + np.arange(len(plan.dense))
@@ -189,9 +193,9 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
 
     # 2. one matmul for the mixed rows, into hf
     if plan.dense.size:
-        k = len(mixed_from)
-        np.matmul(plan.weights, hf[:k].reshape(k, -1),
-                  out=hf[len(sources):].reshape(len(plan.dense), -1))
+        k, d = len(mixed_from), 3 * ph * pw
+        np.matmul(plan.weights, hf[:k].reshape(k, d),
+                  out=hf[len(sources):].reshape(len(plan.dense), d))
 
     # 3. bilinear carrier, high frequencies of the written patches,
     # composite and clip, one strip at a time

@@ -268,6 +268,12 @@ class TestComposeHr:
         with pytest.raises(ValueError, match="binary"):
             compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8)
 
+    def test_unmasked_map_rejected(self):
+        _, x_hr, x_lr, amap = self._inputs(8)
+        unmasked = AttentionMap(amap.a, False, amap.rows, amap.cols)
+        with pytest.raises(ValueError, match="masked attention map"):
+            compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, unmasked, np.zeros((1, 32, 32), F32), 8)
+
     def test_low_pass_shape_mismatch_rejected(self):
         _, x_hr, x_lr, amap = self._inputs(6)
         with pytest.raises(ValueError, match="low-pass shape"):
@@ -445,6 +451,18 @@ class TestPatchMajorComposer:
         plan = mix_plan(case[3].a, F32)
         assert plan.onehot.all() and (plan.src != np.arange(case[3].count)).sum() == 15
         self._check(case, composite)
+
+    @pytest.mark.parametrize("composite", [True, False])
+    def test_row_without_weight(self, composite):
+        # a hand-made map whose only mixed row is all zeros: the matmul
+        # reads no value rows and the row mixes to zero
+        x, low, x_lr, amap, m_hr, p = compose_case(12, share=0.0)
+        a = np.eye(amap.count, dtype=F32)
+        a[6] = 0
+        m_hr[0, 16 + 1, 32 + 3] = 1     # a corrupted pixel in patch 6 (row 1, column 2)
+        plan = mix_plan(a, F32)
+        assert plan.dense.tolist() == [6] and plan.weights.shape == (1, 0)
+        self._check((x, low, x_lr, AttentionMap(a, True, 4, 4), m_hr, p), composite)
 
     def test_float64_channels_last_image(self):
         x, low, x_lr, amap, m_hr, p = compose_case(11)
