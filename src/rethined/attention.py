@@ -1,9 +1,15 @@
-"""Masked patch self-attention: Q/K projection, score computation, attention
-masking, token mixing and the patch-boundary coherence filter.
+"""Masked patch self-attention: Q/K projection, the masked attention map,
+token mixing and the patch-boundary coherence filter.
 
-Masking keeps uncorrupted rows as exact one-hots and forces corrupted rows to
-attend only uncorrupted columns; corrupted rows are renormalized to sum 1 so
-output brightness does not depend on mask density.
+Masking has a fixed form: clean patches keep themselves, and each corrupted
+patch draws from the clean patches only, with weights that sum to 1 so
+output brightness does not depend on mask density.  The masked map is built
+in that form.  attention_scores computes only the projections Q and K;
+mask_attention computes softmax(Q[corrupt] K[clean]^T / sqrt(d_k)) over the
+clean columns, and token_mix copies the clean patches and runs one matmul
+for the corrupted ones.  No N x N matrix is formed on the request path, and
+no corrupted row can lose all its weight: a max-subtracted softmax always
+holds an exp(0) term.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .patches import PatchGrid, TokenMatrix, img2col, pixel_shuffle, tokenize_mask, embed_and_condition
-from .tensor_ops import DTYPE, _blur_axis, softmax_rows
+from .tensor_ops import DTYPE, _blur_axis, require_binary, softmax_rows
 
 
 class AllPatchesCorruptedError(ValueError):
@@ -51,120 +57,109 @@ class NpmWeights:
 
 @dataclass(frozen=True)
 class AttentionMap:
-    """Row-stochastic N x N patch affinity matrix and its grid geometry."""
+    """Patch affinities of a rows x cols grid of N patches.
 
-    a: np.ndarray
+    Unmasked, the map is a row-stochastic N x N matrix: `dense`, as a caller
+    builds it, or softmax(q k^T / sqrt(d_k)) of the projections `q` and `k`
+    that attention_scores computes.  Masked, it holds what masking defines:
+    the `clean` patches keep themselves, and the `corrupt` ones draw from the
+    clean ones with the float32 `weights` [len(corrupt), len(clean)], whose
+    rows sum to 1.
+    """
+
+    dense: np.ndarray | None
     masked: bool
     rows: int
     cols: int
+    q: np.ndarray | None = None
+    k: np.ndarray | None = None
+    corrupt: np.ndarray | None = None
+    clean: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.rows * self.cols
-        if self.a.shape != (n, n):
-            raise ValueError(f"attention map shape {self.a.shape} does not match grid N={n}")
+        n = self.count
+        if self.masked and (self.dense is not None or self.weights is None):
+            raise ValueError("a masked map holds corrupt, clean and weights; "
+                             "mask_attention builds one")
+        if self.masked and (
+                self.weights.shape != (len(self.corrupt), len(self.clean))
+                or not np.array_equal(np.sort(np.r_[self.corrupt, self.clean]), np.arange(n))):
+            raise ValueError(f"corrupt and clean patches must partition the N={n} grid, "
+                             "with weights of shape [corrupt, clean]")
+        if self.dense is not None and self.dense.shape != (n, n):
+            raise ValueError(f"attention map shape {self.dense.shape} does not match grid N={n}")
 
     @property
     def count(self) -> int:
-        return self.a.shape[0]
+        return self.rows * self.cols
 
     @cached_property
-    def plan(self) -> MixPlan:
-        """mix_plan(a, float32), made on first use: the LR refinement and the
-        HR composition of a request mix with the same map."""
-        return mix_plan(self.a, DTYPE)
+    def a(self) -> np.ndarray:
+        """The dense N x N matrix, built on first read, for tests and oracles;
+        the request path never reads it."""
+        if self.dense is not None:
+            return self.dense
+        if not self.masked:
+            return softmax_rows((self.q @ self.k.T) / np.float32(math.sqrt(self.q.shape[1])))
+        a = np.zeros((self.count, self.count), dtype=DTYPE)
+        a[self.clean, self.clean] = 1.0
+        a[np.ix_(self.corrupt, self.clean)] = self.weights
+        return a
 
 
 def attention_scores(tokens: TokenMatrix, weights: ProjectionWeights) -> AttentionMap:
-    """Scaled dot-product affinities A = softmax(Q K^T / sqrt(d_k))."""
+    """Scaled dot-product affinities A = softmax(Q K^T / sqrt(d_k)), held as
+    the projections Q and K: mask_attention computes the entries it keeps."""
     if weights.m_q.shape[0] != tokens.x.shape[1]:
         raise ValueError(
             f"projection takes {weights.m_q.shape[0]}-wide tokens, got {tokens.x.shape[1]}"
         )
     q = tokens.x @ weights.m_q
     k = tokens.x @ weights.m_k
-    logits = (q @ k.T) / np.float32(math.sqrt(weights.d_k))
-    return AttentionMap(softmax_rows(logits), False, tokens.rows, tokens.cols)
+    return AttentionMap(None, False, tokens.rows, tokens.cols, q=q, k=k)
 
 
 def mask_attention(amap: AttentionMap, mask_vec: np.ndarray) -> AttentionMap:
-    """Apply the self-attention mask M_D and renormalize corrupted rows.
+    """Apply the self-attention mask M_D: clean patches keep themselves, and
+    each corrupted patch draws from the clean patches only.
 
-    Uncorrupted rows become exact one-hots; corrupted rows carry zero mass on
-    corrupted columns and sum to 1.
+    A map from attention_scores gets the max-subtracted float32 softmax of
+    Q[corrupt] K[clean]^T / sqrt(d_k), over the clean columns only.  A
+    caller's dense map gets the clean columns of its corrupted rows,
+    renormalised to sum 1; such a row with no weight on any clean column
+    raises ValueError.
     """
     if amap.masked:
         raise ValueError("attention map is already masked")
     m = np.asarray(mask_vec).reshape(-1)
     if m.shape[0] != amap.count:
         raise ValueError(f"mask length {m.shape[0]} != N={amap.count}")
-    if not np.isin(m, (0, 1)).all():
-        raise ValueError("patch mask must be binary {0, 1}")
-    keep = m == 0
-    if not keep.any():
+    require_binary(m, "patch mask")
+    corrupt, clean = np.flatnonzero(m), np.flatnonzero(m == 0)
+    if not clean.size:
         raise AllPatchesCorruptedError("every patch is corrupted; nothing to attend to")
 
-    mt = amap.a * keep[None, :].astype(DTYPE)
-    sums = mt.sum(axis=1, keepdims=True)
-    dead = sums[:, 0] == 0.0  # total underflow under extreme logits
-    if dead.any():
-        mt[dead] = keep.astype(DTYPE) / np.float32(keep.sum())
-        sums = mt.sum(axis=1, keepdims=True)
-    mt = mt / sums
-    idx = np.nonzero(keep)[0]
-    mt[keep, :] = 0.0
-    mt[idx, idx] = 1.0
-    return AttentionMap(mt.astype(DTYPE, copy=False), True, amap.rows, amap.cols)
-
-
-@dataclass(frozen=True)
-class MixPlan:
-    """How out[i] = sum_j a[i, j] * values[j] is evaluated for a map `a`.
-
-    One-hot rows (`onehot`) copy value row `src[i]` outright, so untouched
-    patches stay bit-identical to their sources.  The other rows, `dense`
-    (ascending), are one matmul `weights @ values[cols]`.  `cols` keeps only
-    the value rows that carry weight (masked maps zero whole columns), unless
-    at least 95% do or no row is one-hot; then it is every row.
-    """
-
-    onehot: np.ndarray
-    src: np.ndarray
-    dense: np.ndarray
-    cols: np.ndarray | slice
-    weights: np.ndarray
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty((len(self.onehot), values.shape[1]), dtype=values.dtype)
-        out[self.onehot] = values[self.src[self.onehot]]
-        if self.dense.size:
-            out[self.dense] = self.weights @ values[self.cols]
-        return out
-
-
-def mix_plan(a: np.ndarray, dtype) -> MixPlan:
-    """Plan the mix of `dtype` value rows with the row-stochastic map `a`."""
-    src = a.argmax(axis=1)
-    # a[i, argmax] is the row maximum, NaN included, without a second pass
-    onehot = (a[np.arange(len(a)), src] == 1.0) & (a.sum(axis=1) == 1.0)
-    dense = np.flatnonzero(~onehot)
-    weights = a[dense].astype(dtype, copy=False)
-    cols = slice(None)
-    if 0 < dense.size < len(a):
-        used = np.flatnonzero(np.abs(weights).max(axis=0) > 0)
-        if used.size < 0.95 * a.shape[1]:
-            cols = used
-            weights = np.take(weights, used, axis=1)
-    return MixPlan(onehot, src, dense, cols, weights)
-
-
-def mix_rows(a: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Weighted row mixing out[i] = sum_j a[i, j] * values[j], as mix_plan
-    lays it out."""
-    return mix_plan(a, values.dtype).apply(values)
+    if amap.dense is None:
+        w = amap.q[corrupt] @ amap.k[clean].T
+        w /= np.float32(math.sqrt(amap.q.shape[1]))
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+    else:
+        w = amap.dense[np.ix_(corrupt, clean)].astype(DTYPE)
+        if not (w.sum(axis=1) > 0).all():
+            raise ValueError("a corrupted row of the attention map has no weight "
+                             "on any clean patch")
+    w /= w.sum(axis=1, keepdims=True)
+    return AttentionMap(None, True, amap.rows, amap.cols,
+                        corrupt=corrupt, clean=clean, weights=w)
 
 
 def token_mix(amap: AttentionMap, values: PatchGrid) -> PatchGrid:
-    """Mix value patches with a masked attention map (weighted patch sums).
+    """Mix value patches with a masked attention map: clean patches are
+    copied, and each corrupted one becomes the weighted sum of the clean
+    ones, in one matmul `weights @ values[clean]`.  Corrupted value patches
+    are never read.
 
     The patches may be of any extent on the map's grid: LR values in the
     refinement, HR high frequencies in the upscale.
@@ -174,7 +169,10 @@ def token_mix(amap: AttentionMap, values: PatchGrid) -> PatchGrid:
     if amap.count != values.count or (amap.rows, amap.cols) != (values.rows, values.cols):
         raise ValueError("attention grid does not match the value patch grid")
     v = values.patches
-    mixed = (amap.plan if v.dtype == DTYPE else mix_plan(amap.a, v.dtype)).apply(v)
+    src = v[amap.clean]
+    mixed = np.empty_like(v)
+    mixed[amap.clean] = src
+    mixed[amap.corrupt] = amap.weights.astype(v.dtype, copy=False) @ src
     return PatchGrid(mixed, values.rows, values.cols, values.patch_h, values.patch_w)
 
 
@@ -250,8 +248,9 @@ def npm_refine(coarse: np.ndarray, x_lr: np.ndarray, features: np.ndarray,
     """Full matching pass over a coarse completion.
 
     Tokenizes the coarse image, computes masked attention conditioned on the
-    coarse features, mixes value patches (originals for uncorrupted patches,
-    coarse content for corrupted ones), reassembles and smooths patch seams.
+    coarse features, mixes the patches of the LR input (clean ones are kept,
+    corrupted ones become convex combinations of clean ones), reassembles
+    and smooths patch seams.
     Returns the refined LR image and the masked attention map for reuse at
     high resolution.
     """
@@ -267,9 +266,6 @@ def npm_refine(coarse: np.ndarray, x_lr: np.ndarray, features: np.ndarray,
     amap = attention_scores(tokens, weights.proj)
     masked = mask_attention(amap, m)
 
-    lr_seq = img2col(x_lr, patch_size)
-    values = np.where((m == 1)[:, None], seq.patches, lr_seq.patches)
-    value_seq = PatchGrid(values, seq.rows, seq.cols, patch_size, patch_size)
-    mixed = token_mix(masked, value_seq)
+    mixed = token_mix(masked, img2col(x_lr, patch_size))
     refined = pixel_shuffle(mixed)
     return coherence(refined, m, patch_size), masked

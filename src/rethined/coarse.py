@@ -23,6 +23,7 @@ from .tensor_ops import (
     batchnorm,
     conv2d,
     relu,
+    require_binary,
     upsample_nearest,
 )
 
@@ -87,8 +88,7 @@ def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
     _, h, w = x_lr.shape
     if h % ENCODER_FACTOR or w % ENCODER_FACTOR:
         raise ValueError(f"input {h}x{w} not divisible by encoder factor {ENCODER_FACTOR}")
-    if not np.isin(mask_lr, (0, 1)).all():
-        raise ValueError("mask values must be binary {0, 1}")
+    require_binary(mask_lr)
 
     x = np.concatenate([x_lr, mask_lr], axis=0).astype(DTYPE, copy=False)
     features = None

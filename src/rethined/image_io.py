@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import DTYPE, _run_strips, _strip_rows
+from .tensor_ops import DTYPE, _run_strips, _strip_rows, require_binary
 
 
 class ImageFormatError(ValueError):
@@ -114,8 +114,7 @@ def write_mask(mask: np.ndarray, path) -> None:
     """Write a binary [1, H, W] mask as a P5 PGM with 255 marking corruption."""
     if mask.ndim != 3 or mask.shape[0] != 1:
         raise ValueError(f"expected [1, H, W] mask, got shape {mask.shape}")
-    if not np.isin(mask, (0, 1)).all():
-        raise ValueError("mask values must be binary {0, 1}")
+    require_binary(mask)
     _, h, w = mask.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import DTYPE, ConvSpec, conv2d
+from .tensor_ops import DTYPE, ConvSpec, conv2d, require_binary
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,7 @@ def tokenize_mask(mask: np.ndarray, patch_size: int) -> np.ndarray:
     _, h, w = mask.shape
     if h % patch_size or w % patch_size:
         raise ValueError(f"mask {h}x{w} not divisible by patch size {patch_size}")
-    if not np.isin(mask, (0, 1)).all():
-        raise ValueError("mask values must be binary {0, 1}")
+    require_binary(mask)
     return block_any(mask[0], patch_size, patch_size).reshape(-1).astype(DTYPE)
 
 

@@ -9,6 +9,7 @@ against that same blur and mixes it with the LR attention map.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -29,7 +30,7 @@ from .coarse import (
     _he_uniform,
 )
 from .patches import block_any
-from .tensor_ops import DTYPE, bilinear_resize, gaussian_blur
+from .tensor_ops import DTYPE, bilinear_resize, gaussian_blur, require_binary
 from .upscale import _compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
@@ -129,39 +130,40 @@ def _bn_from(tensors: dict, prefix: str):
     return BatchNormParams(*(tensors[k] for k in keys))
 
 
+def _tensor(tensors: dict, name: str, want: tuple | None = None) -> np.ndarray:
+    """tensors[name], checked against the shape `want` if one is given."""
+    if name not in tensors:
+        raise WeightFormatError(f"missing tensor '{name}' in weight container")
+    if want is not None and tensors[name].shape != want:
+        raise WeightFormatError(f"tensor '{name}' has shape {tensors[name].shape}, expected {want}")
+    return tensors[name]
+
+
 def model_from_tensors(tensors: dict) -> InpaintingModel:
+    """Build a model from named tensors, checking every shape the chain
+    relies on against BLOCK_PLAN, 3P^2 and d_k + FEATURE_CHANNELS."""
     blocks = []
-    for i, (c_in, _c_out, stride, _skip) in enumerate(BLOCK_PLAN):
-        try:
-            w_main = tensors[f"blocks.{i}.main.weight"]
-            w_point = tensors[f"blocks.{i}.point.weight"]
-        except KeyError as exc:
-            raise WeightFormatError(f"missing tensor {exc} in weight container") from None
-        main = ConvSpec(
-            w_main, tensors.get(f"blocks.{i}.main.bias"),
-            stride=stride, padding=w_main.shape[2] // 2, groups=w_main.shape[0],
-        )
-        point = ConvSpec(w_point, tensors.get(f"blocks.{i}.point.bias"))
+    for i, (c_in, c_out, stride, _skip) in enumerate(BLOCK_PLAN):
+        main = ConvSpec(_tensor(tensors, f"blocks.{i}.main.weight", (c_in, 1, 3, 3)),
+                        tensors.get(f"blocks.{i}.main.bias"), stride, padding=1, groups=c_in)
+        point = ConvSpec(_tensor(tensors, f"blocks.{i}.point.weight", (c_out, c_in, 1, 1)),
+                         tensors.get(f"blocks.{i}.point.bias"))
         main_bn = _bn_from(tensors, f"blocks.{i}.main.bn")
         point_bn = _bn_from(tensors, f"blocks.{i}.point.bn")
         skip_bn = _bn_from(tensors, f"blocks.{i}.skip.bn")
         fused = main_bn is None and point_bn is None and skip_bn is None
-        if main.in_channels != c_in:
-            raise WeightFormatError(
-                f"block {i} expects {c_in} input channels, weights give {main.in_channels}"
-            )
         blocks.append(RepBlock(main, main_bn, point, point_bn, skip_bn, fused=fused))
     fused_flags = {b.fused for b in blocks}
     if len(fused_flags) != 1:
         raise WeightFormatError("container mixes fused and unfused blocks")
-    try:
-        final = ConvSpec(tensors["final.weight"], tensors["final.bias"])
-        npm = NpmWeights(
-            embed=tensors["npm.embed"],
-            proj=ProjectionWeights(m_q=tensors["npm.m_q"], m_k=tensors["npm.m_k"]),
-        )
-    except KeyError as exc:
-        raise WeightFormatError(f"missing tensor {exc} in weight container") from None
+    final = ConvSpec(_tensor(tensors, "final.weight", (3, BLOCK_PLAN[-1][1], 1, 1)),
+                     _tensor(tensors, "final.bias"))
+    embed, m_q = _tensor(tensors, "npm.embed"), _tensor(tensors, "npm.m_q")
+    p2, d_k = embed.shape if embed.ndim == 2 else (0, 0)
+    patch = max(1, math.isqrt(p2 // 3))
+    _tensor(tensors, "npm.embed", (3 * patch * patch, d_k))
+    _tensor(tensors, "npm.m_q", (d_k + FEATURE_CHANNELS, m_q.shape[-1] if m_q.ndim == 2 else -1))
+    npm = NpmWeights(embed, ProjectionWeights(m_q, _tensor(tensors, "npm.m_k", m_q.shape)))
     coarse = CoarseModel(blocks=tuple(blocks), final=final, fused=fused_flags.pop())
     return InpaintingModel(coarse=coarse, npm=npm)
 
@@ -176,11 +178,10 @@ def load_model(path) -> InpaintingModel:
 
 def config_for_model(model: InpaintingModel, lr_size: int = 256,
                      composite: bool = True, seed: int = 0) -> PipelineConfig:
-    """Derive patch size and d_k from loaded weight shapes."""
+    """Derive patch size and d_k from the weight shapes, which
+    model_from_tensors checked."""
     p2, d_k = model.npm.embed.shape
-    patch = int(round((p2 / 3) ** 0.5))
-    if 3 * patch * patch != p2:
-        raise WeightFormatError(f"embedding rows {p2} are not 3*P^2 for integer P")
+    patch = math.isqrt(p2 // 3)
     return PipelineConfig(lr_size=lr_size, patch_size=patch, d_k=d_k,
                           composite=composite, seed=seed)
 
@@ -201,8 +202,7 @@ def _validate_inputs(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
         raise ValueError(
             f"image {h}x{w} must be an integer multiple of lr_size {config.lr_size}"
         )
-    if not np.isin(mask, (0, 1)).all():
-        raise ValueError("mask values must be binary {0, 1}")
+    require_binary(mask)
     if not np.isfinite(image).all():
         raise NonFiniteInputError("image pixels must be finite (no NaN or Inf)")
 
@@ -235,10 +235,9 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
                        image: np.ndarray, mask: np.ndarray):
     """Full inpainting chain returning (result, per-stage wall times in ms).
 
-    `coarse` covers downsample_to_lr and the coarse CNN, `refine` the LR
-    attention pass, and `upscale` the HR residual, mixing and composite.
-    The HR blur is now timed under `coarse`: it runs once, in
-    downsample_to_lr, and `upscale` reuses its low-pass.
+    `coarse` covers downsample_to_lr, with the one HR blur, and the coarse
+    CNN; `refine` the LR attention pass; and `upscale` the HR residual,
+    mixing and composite, which reuse that blur's low-pass.
     """
     _validate_inputs(config, image, mask)
     times: dict[str, float] = {}

@@ -26,7 +26,8 @@ import numpy as np
 
 from .attention import AttentionMap
 from .patches import block_any
-from .tensor_ops import DTYPE, _STRIP_BYTES, _bilinear_plan, _run_strips, gaussian_blur
+from .tensor_ops import (DTYPE, _STRIP_BYTES, _bilinear_plan, _run_strips, gaussian_blur,
+                         require_binary)
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -89,8 +90,7 @@ def compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarra
         )
     if m_hr.shape != (1, h_hr, w_hr):
         raise ValueError(f"mask shape {m_hr.shape} does not match image {x_hr_masked.shape}")
-    if not np.isin(m_hr, (0, 1)).all():
-        raise ValueError("mask values must be binary {0, 1}")
+    require_binary(m_hr)
     if (amap.rows, amap.cols) != (h // patch_size, w // patch_size):
         raise ValueError("attention grid does not match the LR patch grid")
     if not amap.masked:
@@ -133,29 +133,23 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
     _, h, w = x_lr_refined.shape
     ph, pw = patch_size * (h_hr // h), patch_size * (w_hr // w)
     n, grid_rows, grid_cols = amap.count, amap.rows, amap.cols
-    plan = amap.plan
+    clean, corrupt = amap.clean, amap.corrupt
     # Patches whose output can change: every one, or with composite only
     # those holding a corrupted pixel; all other pixels become x_hr_masked.
     if composite:
         written = block_any(m_hr[0], ph, pw).reshape(-1) > 0
     else:
         written = np.ones(n, dtype=bool)
-    copies = np.flatnonzero(written & plan.onehot)
-    mixed_from = np.arange(n)[plan.cols] if plan.dense.size else np.arange(0)
-    # The matmul's value rows come first, so they are one contiguous operand;
-    # then the rows that written one-hot rows copy.  Mixed rows follow.
-    copied = np.zeros(n, dtype=bool)
-    copied[plan.src[copies]] = True
-    copied[mixed_from] = False
-    sources = np.concatenate([mixed_from, np.flatnonzero(copied)])
-    hf = np.empty((len(sources) + len(plan.dense), 3, ph, pw), dtype=DTYPE)
-    source_row = np.empty(n, dtype=np.intp)
-    source_row[sources] = np.arange(len(sources))
-    # the hf row that holds a written patch's high frequencies: its mixed
-    # row, or the residual row a one-hot row copies
+    # hf holds the residual of the clean patches, the matmul's value rows,
+    # as one contiguous operand, then the mixed rows of the corrupted ones.
+    # Without mixed rows only the written clean patches need a residual.
+    sources = clean if corrupt.size else clean[written[clean]]
+    hf = np.empty((len(sources) + len(corrupt), 3, ph, pw), dtype=DTYPE)
+    # the hf row that holds a written patch's high frequencies: a clean
+    # patch's own residual, or a corrupted patch's mixed row
     hf_row = np.empty(n, dtype=np.intp)
-    hf_row[copies] = source_row[plan.src[copies]]
-    hf_row[plan.dense] = len(sources) + np.arange(len(plan.dense))
+    hf_row[sources] = np.arange(len(sources))
+    hf_row[corrupt] = len(sources) + np.arange(len(corrupt))
     patches = np.flatnonzero(written)
     cuts = _runs(sources, np.arange(len(sources)), grid_rows, grid_cols)
     adds = _runs(patches, hf_row[patches], grid_rows, grid_cols)
@@ -192,10 +186,9 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
     _run_strips(len(strips), cut, lambda: ())
 
     # 2. one matmul for the mixed rows, into hf
-    if plan.dense.size:
-        k, d = len(mixed_from), 3 * ph * pw
-        np.matmul(plan.weights, hf[:k].reshape(k, d),
-                  out=hf[len(sources):].reshape(len(plan.dense), d))
+    if corrupt.size:
+        k, d = len(sources), 3 * ph * pw
+        np.matmul(amap.weights, hf[:k].reshape(k, d), out=hf[k:].reshape(len(corrupt), d))
 
     # 3. bilinear carrier, high frequencies of the written patches,
     # composite and clip, one strip at a time

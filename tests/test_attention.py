@@ -70,6 +70,16 @@ class TestAttentionScores:
         amap = attention_scores(x, w)
         assert np.abs(amap.a.sum(axis=1) - 1.0).max() < 1e-6
 
+    def test_holds_projections_only(self):
+        # the N x N scores are built only when `a` is read
+        rng = np.random.default_rng(3)
+        x = tokens_from(rng.standard_normal((6, 5)), 2, 3, 5)
+        w = ProjectionWeights(rng.standard_normal((5, 4)).astype(F32),
+                              rng.standard_normal((5, 4)).astype(F32))
+        amap = attention_scores(x, w)
+        assert amap.dense is None and "a" not in amap.__dict__
+        assert np.array_equal(amap.q, x.x @ w.m_q) and np.array_equal(amap.k, x.x @ w.m_k)
+
     def test_dim_mismatch_rejected(self):
         x = tokens_from(np.zeros((4, 6)), 2, 2, 6)
         w = ProjectionWeights(np.zeros((5, 3), F32), np.zeros((5, 3), F32))
@@ -122,6 +132,57 @@ class TestMaskAttention:
         with pytest.raises(AllPatchesCorruptedError):
             mask_attention(amap, np.ones(4, F32))
 
+    def test_scores_map_is_softmax_over_clean_columns(self):
+        # a map from attention_scores is masked on its projections; the
+        # weights equal the float64 softmax of the clean columns' logits
+        rng = np.random.default_rng(8)
+        x = tokens_from(rng.standard_normal((12, 5)), 3, 4, 5)
+        w = ProjectionWeights(rng.standard_normal((5, 4)).astype(F32),
+                              rng.standard_normal((5, 4)).astype(F32))
+        m = np.array([1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0], F32)
+        masked = mask_attention(attention_scores(x, w), m)
+        corrupt, clean = np.flatnonzero(m), np.flatnonzero(m == 0)
+        assert np.array_equal(masked.corrupt, corrupt) and np.array_equal(masked.clean, clean)
+        assert masked.weights.dtype == F32 and masked.weights.shape == (5, 7)
+        q = x.x.astype(np.float64) @ w.m_q.astype(np.float64)
+        k = x.x.astype(np.float64) @ w.m_k.astype(np.float64)
+        logits = q[corrupt] @ k[clean].T / 2.0
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert np.abs(masked.weights - e / e.sum(axis=1, keepdims=True)).max() < 1e-6
+
+    def test_extreme_logits_keep_clean_softmax(self):
+        # logits of ~1e4: a softmax over all N columns underflows every
+        # clean column of some corrupted rows; the clean-column softmax
+        # cannot, since each row holds an exp(0) term
+        rng = np.random.default_rng(9)
+        x = tokens_from(rng.standard_normal((16, 6)), 4, 4, 6)
+        w = ProjectionWeights(rng.standard_normal((6, 4)).astype(F32) * F32(3000.0),
+                              rng.standard_normal((6, 4)).astype(F32))
+        m = (np.arange(16) % 3 == 0).astype(F32)
+        scores = attention_scores(x, w)
+        full = scores.a
+        assert (full[m == 1][:, m == 0].sum(axis=1) == 0).any()
+        masked = mask_attention(scores, m)
+        corrupt, clean = np.flatnonzero(m), np.flatnonzero(m == 0)
+        assert np.isfinite(masked.weights).all()
+        assert np.abs(masked.weights.sum(axis=1) - 1.0).max() < 1e-6
+        logits = (x.x @ w.m_q)[corrupt] @ (x.x @ w.m_k)[clean].T / F32(2.0)
+        want = np.exp(logits.astype(np.float64) - logits.max(axis=1, keepdims=True))
+        assert np.abs(masked.weights - want / want.sum(axis=1, keepdims=True)).max() < 1e-6
+
+    def test_caller_row_without_clean_weight_rejected(self):
+        # patch 0 is corrupted and puts all its weight on corrupted patch 1
+        a = np.array([[0.0, 1.0, 0.0], [0.5, 0.25, 0.25], [0.2, 0.3, 0.5]], F32)
+        with pytest.raises(ValueError, match="no weight on any clean patch"):
+            mask_attention(AttentionMap(a, False, 1, 3), np.array([1, 1, 0], F32))
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, 2.0])
+    def test_non_binary_patch_mask_rejected(self, bad):
+        m = np.zeros(4, F32)
+        m[1] = bad
+        with pytest.raises(ValueError, match="patch mask must be binary"):
+            mask_attention(uniform_map(4, 2, 2), m)
+
     def test_double_masking_rejected(self):
         amap = uniform_map(4, 2, 2)
         masked = mask_attention(amap, np.zeros(4, F32))
@@ -129,8 +190,40 @@ class TestMaskAttention:
             mask_attention(masked, np.zeros(4, F32))
 
 
-def masked_map(a, rows, cols):
-    return AttentionMap(np.asarray(a, F32), True, rows, cols)
+def masked_map(corrupt, weights, rows, cols):
+    """A masked map built by hand: the `corrupt` patches draw from the
+    others, in ascending order, with the rows of `weights`."""
+    corrupt = np.asarray(corrupt, dtype=np.intp)
+    clean = np.setdiff1d(np.arange(rows * cols), corrupt)
+    weights = np.asarray(weights, F32).reshape(len(corrupt), len(clean))
+    return AttentionMap(None, True, rows, cols, corrupt=corrupt, clean=clean, weights=weights)
+
+
+class TestMaskedMapForm:
+    """The masked map holds corrupt and clean patch indices and one weight
+    block; `a` is its dense view, built only when read."""
+
+    def test_dense_view(self):
+        amap = masked_map([1, 2], [[0.25, 0.75], [1.0, 0.0]], 2, 2)
+        want = np.array([[1, 0, 0, 0], [0.25, 0, 0, 0.75], [1, 0, 0, 0], [0, 0, 0, 1]], F32)
+        assert "a" not in amap.__dict__
+        assert np.array_equal(amap.a, want)
+
+    def test_dense_masked_map_rejected(self):
+        with pytest.raises(ValueError, match="mask_attention builds one"):
+            AttentionMap(np.eye(4, dtype=F32), True, 2, 2)
+
+    @pytest.mark.parametrize("corrupt,clean", [([0, 1], [1, 2, 3]), ([0], [1, 2]),
+                                               ([0, 4], [1, 2, 3])])
+    def test_partition_checked(self, corrupt, clean):
+        with pytest.raises(ValueError, match="partition"):
+            AttentionMap(None, True, 2, 2, corrupt=np.array(corrupt), clean=np.array(clean),
+                         weights=np.zeros((len(corrupt), len(clean)), F32))
+
+    def test_weight_shape_checked(self):
+        with pytest.raises(ValueError, match="weights of shape"):
+            AttentionMap(None, True, 2, 2, corrupt=np.array([0]), clean=np.array([1, 2, 3]),
+                         weights=np.zeros((1, 2), F32))
 
 
 class TestTokenMix:
@@ -138,26 +231,21 @@ class TestTokenMix:
         rng = np.random.default_rng(0)
         x = rng.random((3, 8, 8)).astype(F32)
         seq = img2col(x, 4)
-        amap = masked_map(np.eye(4), 2, 2)
+        amap = masked_map([], [], 2, 2)
         out = token_mix(amap, seq)
         assert np.array_equal(out.patches, seq.patches)
 
     def test_one_hot_copies_patch(self):
         rng = np.random.default_rng(1)
         seq = img2col(rng.random((3, 8, 8)).astype(F32), 4)
-        a = np.eye(4, dtype=F32)
-        a[2] = 0
-        a[2, 0] = 1  # patch 2 becomes a copy of patch 0
-        out = token_mix(masked_map(a, 2, 2), seq)
-        assert np.array_equal(out.patches[2], seq.patches[0])
+        # patch 2 becomes a copy of patch 0
+        out = token_mix(masked_map([2], [1, 0, 0], 2, 2), seq)
+        assert out.patches[2].tobytes() == seq.patches[0].tobytes()
 
     def test_half_half_mean(self):
         rng = np.random.default_rng(2)
         seq = img2col(rng.random((3, 8, 8)).astype(F32), 4)
-        a = np.eye(4, dtype=F32)
-        a[3] = 0
-        a[3, 0] = a[3, 1] = 0.5
-        out = token_mix(masked_map(a, 2, 2), seq)
+        out = token_mix(masked_map([3], [0.5, 0.5, 0], 2, 2), seq)
         want = 0.5 * seq.patches[0] + 0.5 * seq.patches[1]
         assert np.abs(out.patches[3] - want).max() < 1e-6
 

@@ -13,10 +13,12 @@ from rethined.image_io import (
 )
 from rethined.pipeline import (
     PipelineConfig,
+    config_for_model,
     load_model,
     model_from_tensors,
     model_to_tensors,
     random_model,
+    run_pipeline,
     save_model,
 )
 from rethined.weights_io import WeightFormatError, load_tensors, save_tensors
@@ -102,6 +104,44 @@ class TestWeightContainer:
         assert set(t1) == set(t2)
         for k in t1:
             assert np.array_equal(t1[k], t2[k])
+
+    @pytest.mark.parametrize("name,shape", [
+        ("npm.m_q", (47, 16)),              # rows must be d_k + 32 = 48
+        ("npm.m_k", (48, 12)),              # width disagrees with m_q's
+        ("npm.embed", (190, 16)),           # rows must be 3P^2
+        ("final.weight", (3, 32, 1, 1)),    # the last block is 16 wide
+        ("blocks.1.main.weight", (16, 1, 5, 5)),
+        ("blocks.2.point.weight", (64, 16, 1, 1)),
+        ("blocks.4.point.weight", (16, 32, 1)),
+    ])
+    def test_model_shape_mismatch_rejected(self, tmp_path, name, shape):
+        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
+        tensors = model_to_tensors(random_model(config, seed=7))
+        tensors[name] = np.zeros(shape, F32)
+        with pytest.raises(WeightFormatError, match=name.replace(".", r"\.")):
+            model_from_tensors(tensors)
+        path = tmp_path / "w.rthd"
+        save_tensors(tensors, path)
+        with pytest.raises(WeightFormatError):
+            load_model(path)
+
+    def test_other_projection_width_loads_and_runs(self, tmp_path):
+        # d_k' = 24 differs from the embedding's d_k = 16: valid
+        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
+        tensors = model_to_tensors(random_model(config, seed=8))
+        rng = np.random.default_rng(8)
+        for name in ("npm.m_q", "npm.m_k"):
+            tensors[name] = (rng.standard_normal((48, 24)) / 7.0).astype(F32)
+        path = tmp_path / "w.rthd"
+        save_tensors(tensors, path)
+        model = load_model(path)
+        assert model.npm.proj.d_k == 24
+        image = rng.random((3, 128, 128)).astype(F32)
+        mask = np.zeros((1, 128, 128), F32)
+        mask[0, 30:70, 40:90] = 1
+        out = run_pipeline(config_for_model(model, lr_size=64), model, image * (1 - mask), mask)
+        assert out.shape == image.shape and np.isfinite(out).all()
+        assert np.array_equal(out[:, mask[0] == 0], image[:, mask[0] == 0])
 
     def test_model_missing_tensor_rejected(self, tmp_path):
         config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)

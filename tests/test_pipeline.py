@@ -3,11 +3,13 @@
 import json
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rethined import bench, pipeline, tensor_ops
+from rethined.attention import AttentionMap
 from rethined.bench import (
     attention_flops,
     flop_estimates,
@@ -110,15 +112,36 @@ class TestRunPipeline:
     def test_mask_checked_once_at_full_resolution(self, monkeypatch):
         config, model, image, mask = small_setup(9)
         sizes = []
-        original = np.isin
+        original = tensor_ops.require_binary
 
-        def counting(element, *args, **kwargs):
-            sizes.append(np.size(element))
-            return original(element, *args, **kwargs)
+        def counting(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return original(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "isin", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rethined") and getattr(module, "require_binary", None) is original:
+                monkeypatch.setattr(module, "require_binary", counting)
         run_pipeline(config, model, image, mask)
         assert sizes.count(mask.size) == 1
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, -1.0])
+    def test_non_binary_mask_rejected(self, bad):
+        config, model, image, mask = small_setup(9)
+        mask[0, 3, 5] = bad
+        with pytest.raises(ValueError, match="mask values must be binary"):
+            run_pipeline(config, model, image, mask)
+
+    def test_dense_attention_map_never_built(self, monkeypatch):
+        # the request path works on the masked map's weight block only
+        config, model, image, mask = small_setup(11)
+        want = run_pipeline(config, model, image, mask)
+
+        def no_dense(self):
+            raise AssertionError("the dense N x N attention map was built")
+
+        monkeypatch.setattr(AttentionMap, "a", property(no_dense))
+        assert run_pipeline(config, model, image, mask).tobytes() == want.tobytes()
+        run_pipeline(replace(config, composite=False), model, image, mask)
 
     def test_concurrent_requests_match_serial(self):
         # r = 8 at 512: both blur passes and the bilinear run over many

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from rethined import tensor_ops, upscale
-from rethined.attention import AttentionMap, mask_attention, mix_plan, mix_rows, token_mix
-from rethined.patches import PatchGrid, block_any, hr_patches, pixel_shuffle, tokenize_mask
+from rethined.attention import (AttentionMap, ProjectionWeights, attention_scores, mask_attention,
+                               token_mix)
+from rethined.patches import PatchGrid, TokenMatrix, block_any, hr_patches, pixel_shuffle, tokenize_mask
 from rethined.pipeline import PipelineConfig, downsample_to_lr
 from rethined.tensor_ops import bilinear_resize, gaussian_blur, gaussian_kernel_1d, softmax_rows
 from rethined.upscale import compose_hr, frequency_split, sigma_for_factor
@@ -58,6 +59,15 @@ def low_pass(x_hr, x_lr):
     """The HR low-pass downsample_to_lr hands to compose_hr."""
     (_, h_hr, w_hr), (_, h, w) = x_hr.shape, x_lr.shape
     return gaussian_blur(x_hr, sigma_for_factor(h_hr // h), sigma_for_factor(w_hr // w))
+
+
+def masked_map(corrupt, weights, rows, cols):
+    """A masked map built by hand: the `corrupt` patches draw from the
+    others, in ascending order, with the rows of `weights`."""
+    corrupt = np.asarray(corrupt, dtype=np.intp)
+    clean = np.setdiff1d(np.arange(rows * cols), corrupt)
+    weights = np.asarray(weights, F32).reshape(len(corrupt), len(clean))
+    return AttentionMap(None, True, rows, cols, corrupt=corrupt, clean=clean, weights=weights)
 
 
 def identity_masked_map(n, rows, cols):
@@ -139,12 +149,10 @@ class TestHfTokenMix:
     def test_one_hot_copy(self):
         rng = np.random.default_rng(1)
         grid = hr_patches(rng.standard_normal((3, 16, 16)).astype(F32), 8, 8)
-        a = np.eye(4, dtype=F32)
-        a[2] = 0
-        a[2, 1] = 1
-        amap = AttentionMap(a, True, 2, 2)
+        # patch 2 draws only from patch 1
+        amap = masked_map([2], [[0, 1, 0]], 2, 2)
         out = token_mix(amap, grid)
-        assert np.array_equal(out.patches[2], grid.patches[1])
+        assert out.patches[2].tobytes() == grid.patches[1].tobytes()
 
     def test_matches_weighted_sum_oracle(self):
         rng = np.random.default_rng(2)
@@ -336,13 +344,33 @@ def unfused_compose(x, low, x_lr, amap, m_hr, p, composite):
     return out
 
 
-def compose_case(seed, lr=(16, 16), r=(4, 4), p=4, share=0.4, logit_scale=1.0,
-                 clean=None):
+def seed_mask_attention(a, vec):
+    """mask_attention as it was on a dense N x N map: the reference of the
+    masked map.  Returns the masked map and its dead rows, corrupted rows
+    with no weight left on any clean column, which it set to uniform."""
+    keep = vec == 0
+    mt = a * keep[None, :].astype(F32)
+    sums = mt.sum(axis=1, keepdims=True)
+    dead = sums[:, 0] == 0.0
+    if dead.any():
+        mt[dead] = keep.astype(F32) / np.float32(keep.sum())
+        sums = mt.sum(axis=1, keepdims=True)
+    mt = mt / sums
+    idx = np.nonzero(keep)[0]
+    mt[keep, :] = 0.0
+    mt[idx, idx] = 1.0
+    return mt.astype(F32, copy=False), dead
+
+
+def compose_inputs(seed, lr=(16, 16), r=(4, 4), p=4, share=0.4, logit_scale=1.0,
+                   clean=None):
     """Pipeline-shaped composer inputs: a masked HR image with its low-pass, a
-    refined LR image and the masked map of the mask's corrupted patches.
+    refined LR image, the unmasked scores of random tokens and the patch
+    mask of the image's mask.
 
     `share` of the patches are corrupted (a random subset of each one's
-    pixels), or every patch but those listed in `clean`."""
+    pixels), or every patch but those listed in `clean`.  The logits have
+    unit spread times `logit_scale`."""
     rng = np.random.default_rng(seed)
     (h, w), (r_h, r_w) = lr, r
     rows, cols = h // p, w // p
@@ -359,9 +387,18 @@ def compose_case(seed, lr=(16, 16), r=(4, 4), p=4, share=0.4, logit_scale=1.0,
     low = gaussian_blur(x, sigma_for_factor(r_h), sigma_for_factor(r_w))
     x_lr = rng.random((3, h, w)).astype(F32) * 1.1 - 0.05
     vec = tokenize_mask(block_any(m_hr[0], r_h, r_w)[None], p)
-    logits = rng.standard_normal((rows * cols, rows * cols)).astype(F32) * logit_scale
-    amap = mask_attention(AttentionMap(softmax_rows(logits), False, rows, cols), vec)
-    return x, low, x_lr, amap, m_hr, p
+    # 8-wide unit tokens over sqrt(8) and unit projections: logits of spread 1
+    tokens = TokenMatrix((rng.standard_normal((rows * cols, 8)) / np.sqrt(8.0)).astype(F32),
+                         rows, cols, 8)
+    proj = ProjectionWeights((rng.standard_normal((8, 8)) * logit_scale).astype(F32),
+                             rng.standard_normal((8, 8)).astype(F32))
+    return x, low, x_lr, attention_scores(tokens, proj), vec, m_hr, p
+
+
+def compose_case(seed, **kwargs):
+    """compose_inputs with the scores masked, in compose_hr's argument order."""
+    x, low, x_lr, scores, vec, m_hr, p = compose_inputs(seed, **kwargs)
+    return x, low, x_lr, mask_attention(scores, vec), m_hr, p
 
 
 def assert_bytes_equal(got, want):
@@ -369,27 +406,137 @@ def assert_bytes_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def seed_reads_clean(amap):
+    """Whether seed_mix_rows, given amap.a, reads the value rows token_mix
+    and the composer read: its matmul runs on the clean columns, or it has
+    no matmul, every row being a one-hot copy (a one-hot row times the clean
+    rows is that copy exactly).  The two then agree byte for byte."""
+    a = amap.a
+    onehot = (a.max(axis=1) == 1.0) & (a.sum(axis=1) == 1.0)
+    if onehot.all():
+        return True
+    cols = np.abs(a[~onehot]).max(axis=0) > 0
+    return onehot.any() and cols.sum() < 0.95 * len(a) and np.array_equal(
+        np.flatnonzero(cols), amap.clean)
+
+
+# The by-construction masked map against its reference, the dense masked map
+# of seed_mask_attention mixed by seed_mix_rows: a random mask, a single clean
+# patch (every corrupted row puts weight 1 on it), 2 of 64 patches corrupted
+# (seed_mix_rows then reads all 64 columns) and logits x3000 (the reference
+# has dead rows).
+ORACLE_CASES = {
+    "random": dict(seed=20, lr=(32, 32), r=(2, 2)),
+    "single-clean": dict(seed=21, clean=[5]),
+    "two-of-64": dict(seed=22, lr=(32, 32), r=(2, 2), clean=range(2, 64)),
+    "extreme-logits": dict(seed=23, logit_scale=3000.0),
+}
+
+
+class TestMaskedMapOracle:
+    @pytest.mark.parametrize("kind", ORACLE_CASES)
+    def test_map_matches_reference(self, kind):
+        _, _, _, scores, vec, _, _ = compose_inputs(**ORACLE_CASES[kind])
+        amap = mask_attention(scores, vec)
+        ref, dead = seed_mask_attention(scores.a, vec)
+        corrupt = vec == 1
+        assert np.array_equal(amap.corrupt, np.flatnonzero(corrupt))
+        # clean rows are one-hots and corrupted columns are empty, exactly
+        assert_bytes_equal(amap.a[~corrupt], ref[~corrupt])
+        assert not amap.a[:, corrupt].any()
+        assert dead.any() == (kind == "extreme-logits")
+        live = corrupt & ~dead
+        assert np.abs(amap.a[live] - ref[live]).max() <= 1e-6
+        # every row, dead ones included, is the softmax of its clean logits
+        q, k = scores.q.astype(np.float64), scores.k.astype(np.float64)
+        logits = q[amap.corrupt] @ k[amap.clean].T / np.sqrt(8.0)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert np.abs(amap.weights - e / e.sum(axis=1, keepdims=True)).max() <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [F32, np.float64])
+    @pytest.mark.parametrize("kind", ORACLE_CASES)
+    def test_token_mix_matches_reference(self, kind, dtype):
+        _, _, _, scores, vec, _, _ = compose_inputs(**ORACLE_CASES[kind])
+        amap = mask_attention(scores, vec)
+        rng = np.random.default_rng(len(kind))
+        values = PatchGrid(rng.standard_normal((amap.count, 48)).astype(dtype),
+                           amap.rows, amap.cols, 4, 4)
+        got = token_mix(amap, values).patches
+        want = seed_mix_rows(amap.a, values.patches)
+        if seed_reads_clean(amap):
+            assert kind != "two-of-64"
+            assert_bytes_equal(got, want)
+        else:
+            # seed_mix_rows reads all 64 columns, 2 of them with weight 0
+            assert kind == "two-of-64"
+            assert np.abs(got - want).max() <= 1e-6
+        # against the reference map, away from its dead rows
+        ref, dead = seed_mask_attention(scores.a, vec)
+        live = ~dead
+        want = seed_mix_rows(ref, values.patches)
+        assert np.abs(got[live] - want[live]).max() <= 1e-6
+
+    @pytest.mark.parametrize("composite", [True, False])
+    @pytest.mark.parametrize("kind", ORACLE_CASES)
+    def test_composer_matches_reference(self, kind, composite):
+        x, low, x_lr, scores, vec, m_hr, p = compose_inputs(**ORACLE_CASES[kind])
+        amap = mask_attention(scores, vec)
+        got = compose_hr(x, low, x_lr, amap, m_hr, p, composite)
+        want = unfused_compose(x, low, x_lr, amap, m_hr, p, composite)
+        if seed_reads_clean(amap):
+            assert kind != "two-of-64"
+            assert_bytes_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-6
+        ref, dead = seed_mask_attention(scores.a, vec)
+        want = unfused_compose(x, low, x_lr, AttentionMap(ref, False, amap.rows, amap.cols),
+                               m_hr, p, composite)
+        # the reference map's dead rows mix their patches differently
+        (_, h_hr, w_hr), (_, h, w) = x.shape, x_lr.shape
+        ph, pw = p * (h_hr // h), p * (w_hr // w)
+        live = np.kron(~dead.reshape(amap.rows, amap.cols), np.ones((ph, pw), bool))
+        assert np.abs(got - want)[:, live].max() <= 1e-6
+
+
 class TestMixPlan:
-    """mix_rows through mix_plan equals the seed's mix_rows byte for byte."""
+    """token_mix, which replaced mix_plan, equals the seed's mix_rows on the
+    dense view of the map: byte for byte where that reads the clean value
+    rows, as token_mix does, and within 1e-6 elsewhere."""
 
     @pytest.mark.parametrize("kind", ["identity", "permutation", "dense", "sparse-cols",
                                       "all-cols", "float64-values"])
     def test_matches_seed_mix_rows(self, kind):
         rng = np.random.default_rng(len(kind))
         n = 32
-        a = softmax_rows(rng.standard_normal((n, n)).astype(F32))
         values = rng.standard_normal((n, 48)).astype(F32)
+        a = softmax_rows(rng.standard_normal((n, n)).astype(F32))
+        corrupt = np.sort(rng.choice(n, 12, replace=False))
         if kind == "identity":
-            a = np.eye(n, dtype=F32)
+            amap = masked_map([], [], 4, 8)
         elif kind == "permutation":
-            a = np.eye(n, dtype=F32)[rng.permutation(n)]
-        elif kind in ("sparse-cols", "float64-values"):
-            a = mask_attention(AttentionMap(a, False, 4, 8), (rng.random(n) < 0.4).astype(F32)).a
+            # each corrupted patch copies a different clean one
+            weights = np.zeros((12, n - 12), F32)
+            weights[np.arange(12), rng.choice(n - 12, 12, replace=False)] = 1.0
+            amap = masked_map(corrupt, weights, 4, 8)
+        elif kind == "sparse-cols":
+            # the mixed rows weight half of the clean patches
+            weights = softmax_rows(rng.standard_normal((12, n - 12)).astype(F32))
+            weights[:, ::2] = 0.0
+            amap = masked_map(corrupt, weights / weights.sum(axis=1, keepdims=True), 4, 8)
         elif kind == "all-cols":
-            a = mask_attention(AttentionMap(a, False, 4, 8), np.eye(n, dtype=F32)[3]).a
+            # 1 of 32 patches corrupted: seed_mix_rows reads every column
+            amap = mask_attention(AttentionMap(a, False, 4, 8), np.eye(n, dtype=F32)[3])
+        else:
+            amap = mask_attention(AttentionMap(a, False, 4, 8), (rng.random(n) < 0.4).astype(F32))
         if kind == "float64-values":
             values = values.astype(np.float64)
-        assert_bytes_equal(mix_rows(a, values), seed_mix_rows(a, values))
+        got = token_mix(amap, PatchGrid(values, 4, 8, 4, 4)).patches
+        want = seed_mix_rows(amap.a, values)
+        if seed_reads_clean(amap):
+            assert_bytes_equal(got, want)
+        else:
+            assert kind in ("sparse-cols", "all-cols")
+            assert got.dtype == want.dtype and np.abs(got - want).max() <= 1e-6
 
 
 class TestPatchMajorComposer:
@@ -397,10 +544,10 @@ class TestPatchMajorComposer:
 
     def _check(self, case, composite=True):
         x, low, x_lr, amap, m_hr, p = case
-        before = [a.copy() for a in (x, low, x_lr, amap.a, m_hr)]
+        before = [a.copy() for a in (x, low, x_lr, amap.weights, m_hr)]
         want = unfused_compose(x, low, x_lr, amap, m_hr, p, composite)
         assert_bytes_equal(compose_hr(x, low, x_lr, amap, m_hr, p, composite), want)
-        for arr, copy in zip((x, low, x_lr, amap.a, m_hr), before):
+        for arr, copy in zip((x, low, x_lr, amap.weights, m_hr), before):
             assert_bytes_equal(arr, copy)
         # run_pipeline's call writes the result over its low-pass
         out = low.copy()
@@ -423,46 +570,53 @@ class TestPatchMajorComposer:
     def test_nothing_written(self):
         case = compose_case(3, share=0.0)
         x, _, _, amap, m_hr, p = case
-        assert not m_hr.any() and mix_plan(amap.a, F32).onehot.all()
+        assert not m_hr.any() and not amap.corrupt.size
         self._check(case, True)
         assert_bytes_equal(compose_hr(*case, True), np.clip(x, 0.0, 1.0))
 
     @pytest.mark.parametrize("composite", [True, False])
     def test_all_columns_branch(self, composite):
-        # 2 of 64 patches corrupted: the mixed rows read >= 95% of the columns
+        # 2 of 64 patches corrupted: seed_mix_rows' mixed rows read all 64
+        # columns, the composer's matmul the 62 clean ones; the 2 others
+        # carry exact zeros
         case = compose_case(4, lr=(32, 32), r=(2, 2), clean=range(2, 64))
-        plan = mix_plan(case[3].a, F32)
-        assert plan.cols == slice(None) and plan.dense.size == 2
+        amap = case[3]
+        assert amap.corrupt.tolist() == [0, 1] and not seed_reads_clean(amap)
         self._check(case, composite)
 
     @pytest.mark.parametrize("composite", [True, False])
-    def test_dead_rows_renormalised(self, composite):
-        # logits this large underflow every clean column of a corrupted row
-        case = compose_case(5, logit_scale=3000.0)
-        plan = mix_plan(case[3].a, F32)
-        assert plan.dense.size and plan.cols.size < case[3].count
-        self._check(case, composite)
+    def test_extreme_logits(self, composite):
+        # logits x3000: a softmax over all N columns underflows every clean
+        # column of some corrupted rows, which the dense masking then set
+        # to uniform; the softmax over clean columns keeps each row's maximum
+        x, low, x_lr, scores, vec, m_hr, p = compose_inputs(5, logit_scale=3000.0)
+        assert seed_mask_attention(scores.a, vec)[1].any()
+        amap = mask_attention(scores, vec)
+        assert np.isfinite(amap.weights).all()
+        self._check((x, low, x_lr, amap, m_hr, p), composite)
 
     @pytest.mark.parametrize("composite", [True, False])
     def test_single_clean_patch(self, composite):
-        # every corrupted row is a one-hot copy of the one clean patch, so
-        # one-hot rows must still be written where their patch is corrupted
+        # every corrupted row puts weight 1 on the one clean patch, so each
+        # corrupted patch that is written gets that patch's high frequencies
         case = compose_case(6, clean=[5])
-        plan = mix_plan(case[3].a, F32)
-        assert plan.onehot.all() and (plan.src != np.arange(case[3].count)).sum() == 15
+        amap = case[3]
+        assert amap.clean.tolist() == [5] and np.array_equal(amap.weights, np.ones((15, 1), F32))
         self._check(case, composite)
 
     @pytest.mark.parametrize("composite", [True, False])
     def test_row_without_weight(self, composite):
-        # a hand-made map whose only mixed row is all zeros: the matmul
-        # reads no value rows and the row mixes to zero
-        x, low, x_lr, amap, m_hr, p = compose_case(12, share=0.0)
-        a = np.eye(amap.count, dtype=F32)
-        a[6] = 0
+        # hand-made maps whose only mixed row has no weight: on 15 clean
+        # value rows, or on none; the row mixes to zero
+        x, low, x_lr, _, m_hr, p = compose_case(12, share=0.0)
         m_hr[0, 16 + 1, 32 + 3] = 1     # a corrupted pixel in patch 6 (row 1, column 2)
-        plan = mix_plan(a, F32)
-        assert plan.dense.tolist() == [6] and plan.weights.shape == (1, 0)
-        self._check((x, low, x_lr, AttentionMap(a, True, 4, 4), m_hr, p), composite)
+        self._check((x, low, x_lr, masked_map([6], np.zeros(15), 4, 4), m_hr, p), composite)
+        no_clean = AttentionMap(None, True, 1, 1, corrupt=np.array([0]),
+                                clean=np.arange(0), weights=np.zeros((1, 0), F32))
+        m_one = np.zeros((1, 16, 16), F32)
+        m_one[0, 1, 3] = 1
+        self._check((x[:, :16, :16], low[:, :16, :16], x_lr[:, :4, :4], no_clean, m_one, p),
+                    composite)
 
     def test_float64_channels_last_image(self):
         x, low, x_lr, amap, m_hr, p = compose_case(11)
@@ -503,7 +657,7 @@ class TestPatchMajorComposer:
         monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
         x, low, x_lr, amap, m_hr, p = compose_case(10, lr=(256, 256), r=(4, 4), p=8,
                                                    share=0.15)
-        assert 0.12 < (mix_plan(amap.a, F32).dense.size / amap.count) < 0.18
+        assert 0.12 < (amap.corrupt.size / amap.count) < 0.18
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
