@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .patches import PatchGrid, TokenMatrix, img2col, pixel_shuffle, tokenize_mask, embed_and_condition
-from .tensor_ops import DTYPE, _blur_axis, require_binary, softmax_rows
+from .tensor_ops import DTYPE, require_binary, softmax_rows
 
 
 class AllPatchesCorruptedError(ValueError):
@@ -176,16 +176,9 @@ def token_mix(amap: AttentionMap, values: PatchGrid) -> PatchGrid:
     return PatchGrid(mixed, values.rows, values.cols, values.patch_h, values.patch_w)
 
 
-# 3-tap Gaussian, sigma = 0.8, used by the coherence layer
-_COHERENCE_TAPS = None
-
-
-def _coherence_taps() -> np.ndarray:
-    global _COHERENCE_TAPS
-    if _COHERENCE_TAPS is None:
-        t = np.exp(-np.array([1.0, 0.0, 1.0]) / (2.0 * 0.8 * 0.8))
-        _COHERENCE_TAPS = (t / t.sum()).astype(DTYPE)
-    return _COHERENCE_TAPS
+# 3-tap Gaussian, sigma = 0.8, of the coherence layer
+_COHERENCE_TAPS = np.exp(-np.array([1.0, 0.0, 1.0]) / (2.0 * 0.8 * 0.8))
+_COHERENCE_TAPS = (_COHERENCE_TAPS / _COHERENCE_TAPS.sum()).astype(DTYPE)
 
 
 def _boundary_band(mask_vec: np.ndarray, rows: int, cols: int, patch_size: int) -> np.ndarray:
@@ -236,8 +229,13 @@ def coherence(image: np.ndarray, mask_vec: np.ndarray, patch_size: int) -> np.nd
     band = _boundary_band(m, rows, cols, patch_size)
     if not band.any():
         return out
-    taps = _coherence_taps()
-    blurred = _blur_axis(_blur_axis(image, taps, axis=2), taps, axis=1)
+    # separable, W then H, in residual form x + k1 * ((x_+1 + x_-1) - 2x),
+    # so constant data pass through exactly
+    k1 = _COHERENCE_TAPS[2]
+    p = np.pad(image, ((0, 0), (0, 0), (1, 1)), mode="reflect")
+    blurred = image + k1 * ((p[:, :, 2:] + p[:, :, :-2]) - (image + image))
+    p = np.pad(blurred, ((0, 0), (1, 1), (0, 0)), mode="reflect")
+    blurred = blurred + k1 * ((p[:, 2:] + p[:, :-2]) - (blurred + blurred))
     out[:, band] = blurred[:, band]
     return out
 

@@ -59,7 +59,9 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
     hr_px = 3 * h_hr * w_hr
     lr_px = 3 * lr * lr
 
-    # one separable HR blur per request, run by downsample_to_lr under coarse
+    # one separable HR blur per request, run by downsample_to_lr under coarse;
+    # counted as direct taps (a multiply-add each), not as the GEMM band the
+    # blur runs, which spends (64 + 2r - 1) multiply-adds per output
     blur_hr = 2 * (_gauss_taps(r_h) + _gauss_taps(r_w)) * hr_px
     conv = 0
     for c_in, c_out, size in ((4, 16, lr), (16, 32, lr // 2), (32, 64, lr // 4),

@@ -30,7 +30,7 @@ from .coarse import (
     _he_uniform,
 )
 from .patches import block_any
-from .tensor_ops import DTYPE, bilinear_resize, gaussian_blur, require_binary
+from .tensor_ops import DTYPE, all_finite, bilinear_resize, gaussian_blur, require_binary
 from .upscale import _compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
@@ -203,7 +203,7 @@ def _validate_inputs(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
             f"image {h}x{w} must be an integer multiple of lr_size {config.lr_size}"
         )
     require_binary(mask)
-    if not np.isfinite(image).all():
+    if not all_finite(image):
         raise NonFiniteInputError("image pixels must be finite (no NaN or Inf)")
 
 

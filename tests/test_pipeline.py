@@ -184,6 +184,18 @@ class TestRunPipeline:
         with pytest.raises(NonFiniteInputError):
             run_pipeline(config, model, image, mask)
 
+    # 1024-wide rows give 64-row strips, so the last pixel sits in the last
+    # of 16 strips of the last channel
+    @pytest.mark.parametrize("where", [(0, 0, 0), (2, -1, -1)], ids=["first", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_in_any_strip_rejected(self, bad, where, monkeypatch):
+        config, model, image, mask = small_setup(8, size=1024)
+        assert tensor_ops._strip_rows(1024 * image.itemsize) < 1024
+        image[where] = bad
+        monkeypatch.setattr(pipeline, "downsample_to_lr", lambda *a, **k: pytest.fail("a stage ran"))
+        with pytest.raises(NonFiniteInputError, match=r"^image pixels must be finite \(no NaN or Inf\)$"):
+            run_pipeline(config, model, image, mask)
+
     @pytest.mark.parametrize("patch", [8, 16])
     def test_patch_size_sweep(self, patch):
         config = PipelineConfig(lr_size=64, patch_size=patch, d_k=12)
