@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import DTYPE, _run_strips, _strip_rows, require_binary
+from .tensor_ops import DTYPE, _strip_rows, require_binary
 
 
 class ImageFormatError(ValueError):
@@ -77,17 +77,15 @@ def write_image(tensor: np.ndarray, path) -> None:
     dtype = np.result_type(tensor, 0.0)
     q = np.empty((h, w, 3), dtype=np.uint8)
     step = _strip_rows(w * 3 * dtype.itemsize)
-
-    def quantise(s, buf):
-        rows = slice(s * step, (s + 1) * step)
-        buf = buf[:len(q[rows])]
-        np.clip(hwc[rows], 0.0, 1.0, out=buf)
-        buf *= 255.0
-        buf += 0.5
-        np.floor(buf, out=buf)
-        q[rows] = buf
-
-    _run_strips(-(-h // step), quantise, lambda: (np.empty((min(step, h), w, 3), dtype=dtype),))
+    buf = np.empty((min(step, h), w, 3), dtype=dtype)
+    for r0 in range(0, h, step):
+        rows = slice(r0, r0 + step)
+        strip = buf[:len(q[rows])]
+        np.clip(hwc[rows], 0.0, 1.0, out=strip)
+        strip *= 255.0
+        strip += 0.5
+        np.floor(strip, out=strip)
+        q[rows] = strip
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(q)

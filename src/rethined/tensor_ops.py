@@ -6,31 +6,27 @@ Tensors are numpy float32 arrays laid out [C, H, W] (convolution weights are
 mutated and results are deterministic for fixed inputs.  Reductions may use
 wider accumulators internally.
 
-The full-resolution strip loops (the difference and add steps of both blur
-passes, both lerps of the bilinear resize, PPM quantisation, the passes of
-the HR composition, the finiteness check) run on every CPU of the process
-affinity through one strip executor, `_run_strips`.  Each output element
-gets the same ops in the same order whatever the thread count, so results
-are bit-identical to a serial run.  The bilinear resize and the HR
-composition share one resize plan, `_bilinear_plan`.
+The full-resolution loops that need scratch (both lerps of the bilinear
+resize, PPM quantisation, the compose pass of the HR composition, the
+finiteness check) run on the calling thread over strips of about
+_STRIP_BYTES, so their scratch stays cache-sized; results are bit-identical
+to the untiled forms.  The bilinear resize and the HR composition share one resize plan,
+`_bilinear_plan`.
 
 The Gaussian blur is the exact truncated Gaussian, computed as a banded
 GEMM on first differences (`_blur_axis`).  It differs from the direct sum of
 taps by a few float32 ulp of the input's largest magnitude (the tests bound
 it at 8; 2 measured at the radii of the HR path, 3.5 at radius 45), is
 bit-exact wherever a pixel's whole window is constant, and does not depend
-on the CPU or BLAS thread counts.  A non-finite or overflowing input can
+on the BLAS thread count.  A non-finite or overflowing input can
 turn a whole GEMM tile to NaN (0 * inf).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -38,7 +34,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 DTYPE = np.float32
 
 # Bytes per array of one strip of a full-resolution pass.  The few arrays of
-# a strip (input, halo, accumulator, temporaries) then share a core's L2.
+# a strip (input, scratch, output) then share a core's L2.
 _STRIP_BYTES = 256 * 1024
 
 
@@ -53,66 +49,6 @@ _CHUNK_BYTES = 8 * 1024 * 1024
 
 def _strip_rows(row_bytes: int) -> int:
     return max(1, _STRIP_BYTES // row_bytes)
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
-
-def _strip_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="rethined-strips")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads, so
-    # work submitted to it would never run; the child makes its own pool.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_strips(n_strips: int, strip: Callable[..., None],
-                scratch: Callable[[], tuple]) -> None:
-    """Call strip(s, *buffers) for s in range(n_strips), split into one
-    contiguous chunk of strips per CPU; the first chunk runs on the calling
-    thread, the others on the shared pool.
-
-    `scratch()` runs here, once per chunk, so a strip's arrays come from
-    the calling thread, not from pool threads (glibc gives each thread its
-    own malloc arena, which would raise peak RSS).  Strips must write
-    disjoint outputs and never call _run_strips themselves, so concurrent
-    callers cannot deadlock the pool.
-    """
-    k = max(1, min(n_strips, _cpu_count()))
-    bounds = [n_strips * i // k for i in range(k + 1)]
-    chunks = [(range(bounds[i], bounds[i + 1]), scratch()) for i in range(k)]
-
-    def run(chunk, buffers):
-        for s in chunk:
-            strip(s, *buffers)
-
-    futures = [_strip_pool().submit(run, *c) for c in chunks[1:]]
-    try:
-        run(*chunks[0])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
 
 
 @dataclass(frozen=True)
@@ -236,18 +172,15 @@ def all_finite(x: np.ndarray) -> bool:
     into a strip-sized buffer instead of one boolean array of x's size."""
     c, h, w = x.shape
     step = _strip_rows(w * x.itemsize)
-    per_ch = -(-h // step)
-    finite = np.zeros(c * per_ch, dtype=bool)
-
-    def check(s, buf):
-        ch, r0 = divmod(s, per_ch)
-        seg = x[ch, r0 * step:(r0 + 1) * step]
-        buf = buf[:len(seg)]
-        np.isfinite(seg, out=buf)
-        finite[s] = buf.all()
-
-    _run_strips(c * per_ch, check, lambda: (np.empty((min(step, h), w), dtype=bool),))
-    return bool(finite.all())
+    buf = np.empty((min(step, h), w), dtype=bool)
+    for ch in range(c):
+        for r0 in range(0, h, step):
+            seg = x[ch, r0:r0 + step]
+            finite = buf[:len(seg)]
+            np.isfinite(seg, out=finite)
+            if not finite.all():
+                return False
+    return True
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -316,23 +249,19 @@ def _bilinear_plan(x: np.ndarray, out_h: int, out_w: int) -> _BilinearPlan:
     rows, inv = np.unique(np.concatenate([y0, y1]), return_inverse=True)
     lerp_w = np.empty((c, len(rows), out_w), dtype=x.dtype)
     step = _strip_rows(max(w, out_w) * x.itemsize)
-    per_ch = -(-len(rows) // step)
-
-    def lerp(s, src, a):
-        ch, r0 = s // per_ch, s % per_ch * step
-        r1 = min(r0 + step, len(rows))
-        src, a, seg = src[:r1 - r0], a[:r1 - r0], lerp_w[ch, r0:r1]
-        np.take(x[ch], rows[r0:r1], axis=0, out=src, mode="clip")
-        np.take(src, x0, axis=1, out=a, mode="clip")
-        np.take(src, x1, axis=1, out=seg, mode="clip")
-        # lerp form keeps constant regions exact: a + t*(b - a) == a when a == b
-        seg -= a
-        seg *= fx
-        seg += a
-
-    cap = min(step, len(rows))
-    _run_strips(c * per_ch, lerp, lambda: (np.empty((cap, w), dtype=x.dtype),
-                                           np.empty((cap, out_w), dtype=x.dtype)))
+    src_buf = np.empty((min(step, len(rows)), w), dtype=x.dtype)
+    a_buf = np.empty((len(src_buf), out_w), dtype=x.dtype)
+    for ch in range(c):
+        for r0 in range(0, len(rows), step):
+            r1 = min(r0 + step, len(rows))
+            src, a, seg = src_buf[:r1 - r0], a_buf[:r1 - r0], lerp_w[ch, r0:r1]
+            np.take(x[ch], rows[r0:r1], axis=0, out=src, mode="clip")
+            np.take(src, x0, axis=1, out=a, mode="clip")
+            np.take(src, x1, axis=1, out=seg, mode="clip")
+            # lerp form keeps constant regions exact: a + t*(b - a) == a when a == b
+            seg -= a
+            seg *= fx
+            seg += a
     return _BilinearPlan(lerp_w, inv[:out_h], inv[out_h:], fy)
 
 
@@ -349,14 +278,10 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     c = x.shape[0]
     out = np.empty((c, out_h, out_w), dtype=plan.lerp_w.dtype)
     step = _strip_rows(c * out_w * out.itemsize)
-
-    def lerp(s, top):
-        r0 = s * step
+    top = np.empty((c, min(step, out_h), out_w), dtype=out.dtype)
+    for r0 in range(0, out_h, step):
         r1 = min(r0 + step, out_h)
         plan.lerp_rows(r0, r1, out[:, r0:r1], top[:, :r1 - r0])
-
-    _run_strips(-(-out_h // step), lerp,
-                lambda: (np.empty((c, min(step, out_h), out_w), dtype=out.dtype),))
     return out.astype(DTYPE, copy=False)
 
 
@@ -436,17 +361,17 @@ def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int,
     and dtype), which may be `x` itself for the W pass only.
 
     Each tile of _BAND_TILE outputs is one GEMM of its differences with the
-    same band, issued from the calling thread so that the BLAS threads it.
-    Differences are built, and x added, one chunk of rows at a time on the
-    strip executor; the scratch is a chunk of differences (and, for the W
-    pass, of GEMM results).  Taps must be symmetric (Gaussian kernels are).
+    same band.  Differences are built, and x added, one chunk of rows at a
+    time, one numpy call each; the scratch is a chunk of differences (and,
+    for the W pass, of GEMM results).  Taps must be symmetric (Gaussian
+    kernels are).
 
     Where the whole window of a sample is constant its differences are all
     0, so it passes through bit-exactly, which the frequency decomposition
     depends on.  Elsewhere the result is within a few float32 ulp of the
     direct sum of taps.  A non-finite or overflowing difference makes its
     whole tile NaN (0 * inf in the GEMM).  Results do not depend on the
-    number of CPUs or BLAS threads: chunks and tiles have fixed sizes.
+    number of BLAS threads: chunks and tiles have fixed sizes.
     """
     if x.ndim != 3 or axis not in (1, 2):
         raise ValueError(f"expected a [C, H, W] input and axis 1 or 2, got {x.shape}, {axis}")
@@ -464,18 +389,11 @@ def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int,
         chunk = max(1, _CHUNK_BYTES // (n_diff * size))
         diff = np.empty((min(chunk, c * h), n_diff), dtype=x.dtype)
         prod = np.empty((len(diff), w), dtype=x.dtype)
-        step = _strip_rows(n_diff * size)
         full, rem = divmod(w, _BAND_TILE)
         for r0 in range(0, c * h, chunk):
             src, o = rows[r0:r0 + chunk], dst[r0:r0 + chunk]
             d, res = diff[:len(src)], prod[:len(src)]
-
-            def w_diff(s):
-                sl = slice(s * step, (s + 1) * step)
-                _reflect_diff(src[sl], reflect, 0, n_diff, d[sl], axis=1)
-
-            strips = -(-len(src) // step)
-            _run_strips(strips, w_diff, lambda: ())
+            _reflect_diff(src, reflect, 0, n_diff, d, axis=1)
             if full:
                 k = band.shape[0]
                 tiles = (full, len(d), _BAND_TILE), (_BAND_TILE * size, res.strides[0], size)
@@ -484,17 +402,11 @@ def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int,
             if rem:
                 a = full * _BAND_TILE
                 np.matmul(d[:, a:], band[:rem + 2 * radius - 1, :rem], out=res[:, a:])
-
-            def w_add(s):
-                sl = slice(s * step, (s + 1) * step)
-                np.add(src[sl], res[sl], out=o[sl])
-
-            _run_strips(strips, w_add, lambda: ())
+            np.add(src, res, out=o)
         return out
     reflect = _reflect_indices(h, radius)
     chunk = max(_BAND_TILE, _CHUNK_BYTES // (w * size) // _BAND_TILE * _BAND_TILE)
     diff = np.empty((min(chunk, h) + 2 * radius - 1, w), dtype=x.dtype)
-    step = _strip_rows(w * size)
     bt = np.ascontiguousarray(band.T)
     for ch in range(c):
         src = x[ch]
@@ -502,12 +414,7 @@ def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int,
             r1 = min(r0 + chunk, h)
             n_d = r1 - r0 + 2 * radius - 1
             d, o = diff[:n_d], out[ch, r0:r1]
-
-            def h_diff(s):
-                a, b = s * step, min((s + 1) * step, n_d)
-                _reflect_diff(src, reflect, r0 + a, r0 + b, d[a:b], axis=0)
-
-            _run_strips(-(-n_d // step), h_diff, lambda: ())
+            _reflect_diff(src, reflect, r0, r0 + n_d, d, axis=0)
             full, rem = divmod(r1 - r0, _BAND_TILE)
             if full:
                 k = bt.shape[1]
@@ -516,12 +423,7 @@ def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int,
             if rem:
                 a = full * _BAND_TILE
                 np.matmul(bt[:rem, :rem + 2 * radius - 1], d[a:], out=o[a:])
-
-            def h_add(s):
-                a, b = s * step, min((s + 1) * step, r1 - r0)
-                o[a:b] += src[r0 + a:r0 + b]
-
-            _run_strips(-(-(r1 - r0) // step), h_add, lambda: ())
+            o += src[r0:r1]
     return out
 
 

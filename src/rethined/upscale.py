@@ -12,9 +12,9 @@ low-pass to get the LR input, and hands it to compose_hr for the residual.
 The composition works patch-major and only where output can change: it cuts
 the residual of the patches the mix reads straight into one patch-major
 buffer, runs one matmul for the mixed rows into the same buffer, and then
-makes one strip pass over the output (bilinear, high frequencies of the
-patches that can change, composite, clip).  No full-resolution residual,
-patch grid or high-frequency image is built.
+makes one pass over the output, a cache-sized strip at a time (bilinear,
+high frequencies of the patches that can change, composite, clip).  No
+full-resolution residual, patch grid or high-frequency image is built.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 
 from .attention import AttentionMap
 from .patches import block_any
-from .tensor_ops import (DTYPE, _STRIP_BYTES, _bilinear_plan, _run_strips, gaussian_blur,
-                         require_binary)
+from .tensor_ops import DTYPE, _STRIP_BYTES, _bilinear_plan, gaussian_blur, require_binary
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -154,19 +153,9 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
     cuts = _runs(sources, np.arange(len(sources)), grid_rows, grid_cols)
     adds = _runs(patches, hf_row[patches], grid_rows, grid_cols)
 
-    # Both full-resolution passes run over the same strips: a run of whole
-    # patch rows of about _STRIP_BYTES per channel, or part of one patch row
-    # when patches are large.  [3, patch y, buffer row, patch x] and
-    # [3, grid row, patch y, grid col, patch x] views make a run of patches
-    # one basic slice of hf or of an image.
-    row_bytes = w_hr * np.dtype(DTYPE).itemsize
-    per = _STRIP_BYTES // (ph * row_bytes)
-    if per:
-        strips = [(p, min(p + per, grid_rows), 0, ph) for p in range(0, grid_rows, per)]
-    else:
-        parts = -(-ph * row_bytes // _STRIP_BYTES)
-        strips = [(p, p + 1, ph * j // parts, ph * (j + 1) // parts)
-                  for p in range(grid_rows) for j in range(parts)]
+    # [3, patch y, buffer row, patch x] and [3, grid row, patch y, grid col,
+    # patch x] views make a run of patches one basic slice of hf or of an
+    # image.
     hf_t = hf.transpose(1, 2, 0, 3)
 
     def grid(img):
@@ -175,15 +164,10 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
     # 1. residual x - low of the source patches, cut straight into hf, in
     # image order (3x faster than in patch order at 2048)
     x_grid, low_grid = grid(x_hr_masked), grid(low)
-
-    def cut(s):
-        p0, p1, a, b = strips[s]
-        for pr in range(p0, p1):
-            for pc, r0, k in cuts[pr]:
-                np.subtract(x_grid[:, pr, a:b, pc:pc + k], low_grid[:, pr, a:b, pc:pc + k],
-                            out=hf_t[:, a:b, r0:r0 + k])
-
-    _run_strips(len(strips), cut, lambda: ())
+    for pr, runs in enumerate(cuts):
+        for pc, r0, k in runs:
+            np.subtract(x_grid[:, pr, :, pc:pc + k], low_grid[:, pr, :, pc:pc + k],
+                        out=hf_t[:, :, r0:r0 + k])
 
     # 2. one matmul for the mixed rows, into hf
     if corrupt.size:
@@ -191,15 +175,24 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
         np.matmul(amap.weights, hf[:k].reshape(k, d), out=hf[k:].reshape(len(corrupt), d))
 
     # 3. bilinear carrier, high frequencies of the written patches,
-    # composite and clip, one strip at a time
+    # composite and clip, one strip at a time: a run of whole patch rows of
+    # about _STRIP_BYTES per channel, or part of one patch row when patches
+    # are large, so the strip's scratch stays cache-sized
+    row_bytes = w_hr * np.dtype(DTYPE).itemsize
+    per = _STRIP_BYTES // (ph * row_bytes)
+    if per:
+        strips = [(p, min(p + per, grid_rows), 0, ph) for p in range(0, grid_rows, per)]
+    else:
+        parts = -(-ph * row_bytes // _STRIP_BYTES)
+        strips = [(p, p + 1, ph * j // parts, ph * (j + 1) // parts)
+                  for p in range(grid_rows) for j in range(parts)]
     carrier = _bilinear_plan(x_lr_refined, h_hr, w_hr)
     if out is None:
         out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
     out_grid = grid(out)
     cap = max((p1 - p0 - 1) * ph + b - a for p0, p1, a, b in strips)
-
-    def compose(s, top, keep):
-        p0, p1, a, b = strips[s]
+    top, keep = np.empty((3, cap, w_hr), dtype=DTYPE), np.empty((cap, w_hr), dtype=bool)
+    for p0, p1, a, b in strips:
         y0, y1 = p0 * ph + a, (p1 - 1) * ph + b
         seg = out[:, y0:y1]
         carrier.lerp_rows(y0, y1, seg, top[:, :y1 - y0])
@@ -212,7 +205,4 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
             np.equal(m_hr[0, y0:y1], 0, out=known)
             np.copyto(seg, x_hr_masked[:, y0:y1], where=known)
         np.clip(seg, 0.0, 1.0, out=seg)
-
-    _run_strips(len(strips), compose, lambda: (
-        np.empty((3, cap, w_hr), dtype=DTYPE), np.empty((cap, w_hr), dtype=bool)))
     return out

@@ -144,8 +144,8 @@ class TestRunPipeline:
         run_pipeline(replace(config, composite=False), model, image, mask)
 
     def test_concurrent_requests_match_serial(self):
-        # r = 8 at 512: both blur passes and the bilinear run over many
-        # strips, so the callers share the strip pool
+        # r = 8 at 512: both blur passes run over several chunks and the
+        # bilinear and composition over many strips, in every caller at once
         config, model, image, mask = small_setup(10, lr=64, size=512)
         want = run_pipeline(config, model, image, mask)
         n_threads, n_runs = 3, 2
@@ -171,6 +171,13 @@ class TestRunPipeline:
         assert [len(r) for r in results] == [n_runs] * n_threads
         for out in (o for r in results for o in r):
             assert out.tobytes() == want.tobytes()
+
+    def test_request_starts_no_threads(self, tmp_path):
+        # the full-resolution strip loops run on the calling thread
+        config, model, image, mask = small_setup(11, lr=64, size=512)
+        write_image(run_pipeline(config, model, image, mask), tmp_path / "out.ppm")
+        names = [t.name for t in threading.enumerate()]
+        assert not [n for n in names if n.startswith("rethined-strips")]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixel_rejected(self, bad, monkeypatch):
@@ -323,6 +330,17 @@ class TestBenchHarness:
         assert "attention" in csv_text
         md = report_to_markdown(report)
         assert md.startswith("# Latency report")
+
+    @pytest.mark.parametrize("config,h,w,want", [
+        (PipelineConfig(), 2048, 2048,
+         {"coarse": 2137128960, "attention": 159383552, "masking": 3145728,
+          "mixing": 405012480, "upscale": 25895632896, "total": 28600303616}),
+        (PipelineConfig(lr_size=64, patch_size=8, d_k=16), 256, 128,
+         {"coarse": 10887168, "attention": 327680, "masking": 12288,
+          "mixing": 1720320, "upscale": 13565952, "total": 26513408}),
+    ], ids=["default-2048", "lr64-256x128"])
+    def test_flop_estimates_pinned(self, config, h, w, want):
+        assert flop_estimates(config, h, w) == want
 
     def test_flops_count_hr_blur_once(self, monkeypatch):
         config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)

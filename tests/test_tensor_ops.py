@@ -5,7 +5,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -565,55 +564,27 @@ def _blur_in_child(x, want):
 
 
 class TestStripExecutor:
-    @pytest.fixture
-    def threads_seen(self, monkeypatch):
-        """Idents of the threads that build the blur's first differences."""
-        seen = set()
-        inner = tensor_ops._reflect_diff
+    """The strip and chunk loops of the full-resolution kernels, which run
+    on the calling thread."""
 
-        def recording(*args, **kwargs):
-            seen.add(threading.get_ident())
-            inner(*args, **kwargs)
-
-        monkeypatch.setattr(tensor_ops, "_reflect_diff", recording)
-        return seen
-
-    @pytest.mark.skipif(tensor_ops._cpu_count() < 2, reason="one CPU in the process affinity")
-    def test_multi_strip_blur_uses_several_threads(self, threads_seen):
-        x = _input((3, 70, 2048), "f32")
-        assert_blur_close(gaussian_blur(x, 2.0), untiled_gaussian_blur(x, 2.0), x)
-        assert len(threads_seen) > 1
-
-    def test_single_strip_runs_on_calling_thread(self, threads_seen):
-        x = _input((1, 4, 16), "f32")
-        assert_blur_close(gaussian_blur(x, 2.0), untiled_gaussian_blur(x, 2.0), x)
-        assert threads_seen == {threading.get_ident()}
-
-    # w = 2048 gives 32-row strips: 1, 2, 7 and 9 strips per pass, the last
-    # one partial, against 1 to 5 workers; the blur must give the bytes of a
-    # one-CPU run whatever the split
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    # `split` cuts the strip loops into about that many strips, the last one
+    # partial; the resize must equal its four-gather form whatever the split
+    @pytest.mark.parametrize("split", [1, 2, 3, 5])
     @pytest.mark.parametrize("shape", [(2, 5, 2048), (1, 33, 2048), (3, 70, 2048)])
-    def test_every_split_equals_untiled(self, monkeypatch, cpus, shape):
+    def test_every_split_equals_untiled(self, monkeypatch, split, shape):
         x = _input(shape, "f32", seed=3)
-        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 1)
-        serial = gaussian_blur(x, 2.0, 3.0)
-        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: cpus)
-        assert_bit_equal(gaussian_blur(x, 2.0, 3.0), serial)
-        assert_blur_close(serial, untiled_gaussian_blur(x, 2.0, 3.0), x)
+        c, h, w = shape
+        assert_blur_close(gaussian_blur(x, 2.0, 3.0), untiled_gaussian_blur(x, 2.0, 3.0), x)
+        monkeypatch.setattr(tensor_ops, "_STRIP_BYTES", 4 * w * -(-c * h // split))
         small = np.ascontiguousarray(x[:, ::2, ::8])
-        _, h, w = shape
         assert_bit_equal(bilinear_resize(small, h, w), four_gather_bilinear(small, h, w))
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method")
-    def test_forked_child_blurs(self, monkeypatch):
-        # the parent's pool threads do not exist in a forked child; a child
-        # that submitted to the inherited pool would wait forever
-        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
+    def test_forked_child_blurs(self):
+        # a child forked after the parent has blurred blurs to the same bytes
         x = _input((3, 70, 2048), "f32")
         want = gaussian_blur(x, 2.0)
-        assert tensor_ops._pool is not None
         child = multiprocessing.get_context("fork").Process(target=_blur_in_child, args=(x, want))
         child.start()
         child.join(timeout=30)

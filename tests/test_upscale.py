@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rethined import tensor_ops, upscale
+from rethined import upscale
 from rethined.attention import (AttentionMap, ProjectionWeights, attention_scores, mask_attention,
                                token_mix)
 from rethined.patches import PatchGrid, TokenMatrix, block_any, hr_patches, pixel_shuffle, tokenize_mask
 from rethined.pipeline import PipelineConfig, downsample_to_lr
-from rethined.tensor_ops import bilinear_resize, gaussian_blur, gaussian_kernel_1d, softmax_rows
+from rethined.tensor_ops import (_BilinearPlan, bilinear_resize, gaussian_blur, gaussian_kernel_1d,
+                                 softmax_rows)
 from rethined.upscale import compose_hr, frequency_split, sigma_for_factor
 
 F32 = np.float32
@@ -623,9 +624,7 @@ class TestPatchMajorComposer:
         x64 = np.ascontiguousarray(x.astype(np.float64).transpose(1, 2, 0)).transpose(2, 0, 1)
         self._check((x64, low, x_lr, amap, m_hr, p), True)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_every_cpu_count(self, monkeypatch, cpus):
-        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: cpus)
+    def test_larger_grids(self):
         self._check(compose_case(7, lr=(32, 32)), True)
         self._check(compose_case(8, lr=(16, 32), r=(4, 2)), False)
 
@@ -637,24 +636,29 @@ class TestPatchMajorComposer:
     ])
     def test_strip_shapes(self, monkeypatch, strip_bytes, strips):
         monkeypatch.setattr(upscale, "_STRIP_BYTES", strip_bytes)
-        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
-        counts = []
-        inner = upscale._run_strips
-
-        def counting(n, *args):
-            counts.append(n)
-            inner(n, *args)
-
-        monkeypatch.setattr(upscale, "_run_strips", counting)
+        case = compose_case(9)
         for composite in (True, False):
-            self._check(compose_case(9), composite)
-        assert set(counts) == {strips}
+            self._check(case, composite)
+        # the compose pass lerps the carrier once per strip, top to bottom
+        calls = []
+        inner = _BilinearPlan.lerp_rows
 
-    def test_peak_memory_below_2_5x_output(self, monkeypatch):
+        def counting(plan, *args):
+            calls.append(args[:2])
+            inner(plan, *args)
+
+        monkeypatch.setattr(_BilinearPlan, "lerp_rows", counting)
+        for composite in (True, False):
+            calls.clear()
+            upscale._compose_hr(*case, composite)
+            assert len(calls) == strips
+            rows = [r for call in calls for r in call]
+            assert rows[0] == 0 and rows[-1] == case[0].shape[1]
+            assert rows[1:-1:2] == rows[2:-1:2]
+
+    def test_peak_memory_below_2_5x_output(self):
         # 3 x 1024^2, r = 4, ~15% of patches corrupted; the unfused
-        # composition peaked at ~3.9x of the output here.  Strip scratch
-        # grows with the CPU count, so the count is fixed at 2.
-        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
+        # composition peaked at ~3.9x of the output here
         x, low, x_lr, amap, m_hr, p = compose_case(10, lr=(256, 256), r=(4, 4), p=8,
                                                    share=0.15)
         assert 0.12 < (amap.corrupt.size / amap.count) < 0.18
