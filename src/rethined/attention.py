@@ -185,30 +185,23 @@ def _boundary_band(mask_vec: np.ndarray, rows: int, cols: int, patch_size: int) 
     """Pixels within 2 px of an interior grid edge that borders a corrupted patch."""
     corr = mask_vec.reshape(rows, cols) == 1
     p = patch_size
-    h, w = rows * p, cols * p
-    ry = np.arange(h) // p
-    cx = np.arange(w) // p
-    py = np.arange(h) % p
-    px = np.arange(w) % p
+    # per patch: does each of its four edges border a corrupted patch?
+    top = np.zeros_like(corr)
+    top[1:] = corr[1:] | corr[:-1]
+    bot = np.zeros_like(corr)
+    bot[:-1] = corr[:-1] | corr[1:]
+    left = np.zeros_like(corr)
+    left[:, 1:] = corr[:, 1:] | corr[:, :-1]
+    right = np.zeros_like(corr)
+    right[:, :-1] = corr[:, :-1] | corr[:, 1:]
 
-    padded = np.zeros((rows + 2, cols + 2), dtype=bool)
-    padded[1:-1, 1:-1] = corr
-    here = padded[np.ix_(ry + 1, cx + 1)]
-    up = padded[np.ix_(ry, cx + 1)]
-    down = padded[np.ix_(ry + 2, cx + 1)]
-    left = padded[np.ix_(ry + 1, cx)]
-    right = padded[np.ix_(ry + 1, cx + 2)]
-
-    near_top = (py < 2)[:, None] & (ry > 0)[:, None]
-    near_bot = (py >= p - 2)[:, None] & (ry < rows - 1)[:, None]
-    near_left = (px < 2)[None, :] & (cx > 0)[None, :]
-    near_right = (px >= p - 2)[None, :] & (cx < cols - 1)[None, :]
-
-    band = near_top & (here | up)
-    band |= near_bot & (here | down)
-    band |= near_left & (here | left)
-    band |= near_right & (here | right)
-    return band
+    lo, hi = np.arange(p) < 2, np.arange(p) >= p - 2
+    # band[r, y, c, x] is pixel (y, x) of patch (r, c)
+    band = ((top[:, None, :, None] & lo[:, None, None])
+            | (bot[:, None, :, None] & hi[:, None, None])
+            | (left[:, None, :, None] & lo)
+            | (right[:, None, :, None] & hi))
+    return band.reshape(rows * p, cols * p)
 
 
 def coherence(image: np.ndarray, mask_vec: np.ndarray, patch_size: int) -> np.ndarray:
@@ -236,7 +229,7 @@ def coherence(image: np.ndarray, mask_vec: np.ndarray, patch_size: int) -> np.nd
     blurred = image + k1 * ((p[:, :, 2:] + p[:, :, :-2]) - (image + image))
     p = np.pad(blurred, ((0, 0), (1, 1), (0, 0)), mode="reflect")
     blurred = blurred + k1 * ((p[:, 2:] + p[:, :-2]) - (blurred + blurred))
-    out[:, band] = blurred[:, band]
+    np.copyto(out, blurred, where=band)
     return out
 
 

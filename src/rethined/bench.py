@@ -63,14 +63,15 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
     # counted as direct taps (a multiply-add each), not as the GEMM band the
     # blur runs, which spends (64 + 2r - 1) multiply-adds per output
     blur_hr = 2 * (_gauss_taps(r_h) + _gauss_taps(r_w)) * hr_px
-    # coarse_forward runs blocks 0-2 at LR, 1/2 and 1/4 (each decimates
-    # after), block 3 at 1/8 and block 4 at 1/4 (after a 2x upsample)
+    # coarse_forward evaluates blocks 0-2 only at the pixels they keep (1/2,
+    # 1/4 and 1/8 of LR), block 3 at 1/8 and block 4 at 1/4 (after a 2x
+    # upsample), and the final 1x1 at 1/4 before the 4x upsample
     conv = 0
-    for (c_in, c_out, _, _), scale in zip(BLOCK_PLAN, (1, 2, 4, 8, 4)):
+    for (c_in, c_out, _, _), scale in zip(BLOCK_PLAN, (2, 4, 8, 8, 4)):
         size = lr // scale
         conv += 2 * c_in * 9 * size * size             # depthwise 3x3
         conv += 2 * c_in * c_out * size * size         # pointwise
-    conv += 2 * BLOCK_PLAN[-1][1] * 3 * lr * lr        # final 1x1 at full LR res
+    conv += 2 * BLOCK_PLAN[-1][1] * 3 * (lr // 4) ** 2  # final 1x1
     coarse = blur_hr + conv + 8 * lr_px
 
     masking = 3 * n * n

@@ -7,6 +7,13 @@ convolution, both batch-normalized and ReLU-activated.  Fusion folds every
 BN into its convolution (W_hat = W * gamma/sigma, b_hat = beta - gamma*mu/sigma
 + gamma/sigma * b) and materializes the skip as a center-one kernel padded by
 S - 1 zeros, leaving a single convolution per stage.
+
+The forward computes only the pixels it keeps.  The depthwise stage runs as
+nine shifted multiply-adds that read every `step`-th row and column, so an
+encoder block evaluates its 3x3 only at the positions its 2x decimation
+keeps; BN, ReLU, the skip and the 1x1 are per-pixel, so they commute with the
+decimation.  Every 1x1 is one matmul, and the final 1x1 runs at 1/4 LR before
+the 4x nearest upsample.  tensor_ops.conv2d is the oracle for both kernels.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from .tensor_ops import (
 )
 
 # (C_in, C_out, stride, skip) per block; dec1 (index 3) is the feature tap.
-# All blocks are stride 1 with a depthwise-stage skip; the encoder decimates
-# by 2 after each of its three stages (strided 3x3 convs cannot satisfy the
-# integral-output contract on even extents).
+# All blocks are stride 1 with a depthwise-stage skip, as the identity skip
+# requires; coarse_forward evaluates the three encoder blocks at every 2nd row
+# and column (step 2), which halves each extent.
 BLOCK_PLAN = ((4, 16, 1, True), (16, 32, 1, True), (32, 64, 1, True),
               (64, 32, 1, True), (32, 16, 1, True))
 FEATURE_TAP = 3
@@ -64,15 +71,63 @@ class CoarseModel:
     fused: bool = False
 
 
-def rep_block_forward(block: RepBlock, x: np.ndarray) -> np.ndarray:
+def _depthwise3x3(x: np.ndarray, spec: ConvSpec, step: int) -> np.ndarray:
+    """3x3 depthwise cross-correlation, zero padding 1, at every `step`-th
+    row and column: conv2d(x, spec)[:, ::step, ::step] up to float rounding.
+
+    Nine shifted multiply-adds.  The zero-padded input is split into its
+    step x step polyphase components, each flattened per channel, so every
+    tap reads one contiguous run; the `halo` spare columns of each row are
+    computed and dropped.
+    """
+    c, h, w = x.shape
+    if (spec.kernel_size, spec.padding, spec.stride, spec.groups, spec.in_channels,
+            spec.out_channels) != (3, 1, 1, c, c, c):
+        raise ValueError(f"expected a stride-1 3x3 depthwise conv over {c} channels")
+    h_out, w_out = -(-h // step), -(-w // step)
+    halo = -(-2 // step)  # how far, in phase pixels, a tap reaches past its output
+    rows, cols = h_out + halo + 1, w_out + halo  # +1 row: the last run overruns a row
+    xp = np.zeros((c, step * rows, step * cols), DTYPE)
+    xp[:, 1:h + 1, 1:w + 1] = x
+    phases = {(a, b): np.ascontiguousarray(xp[:, a::step, b::step]).reshape(c, -1)
+              for a in range(min(step, 3)) for b in range(min(step, 3))}
+    taps = spec.weights.reshape(c, 9, 1)
+    n = h_out * cols
+    out = np.zeros((c, n), DTYPE)
+    tmp = np.empty_like(out)
+    for k in range(9):
+        dy, dx = divmod(k, 3)
+        start = (dy // step) * cols + dx // step
+        np.multiply(taps[:, k], phases[dy % step, dx % step][:, start:start + n], out=tmp)
+        out += tmp
+    out = out.reshape(c, h_out, cols)[:, :, :w_out]
+    if spec.bias is None:
+        return np.ascontiguousarray(out)
+    return out + spec.bias[:, None, None]
+
+
+def _pointwise(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """1x1 convolution as one matmul W[C_out, C_in] @ x[C_in, H*W]."""
+    c, h, w = x.shape
+    if spec.kernel_size != 1 or spec.groups != 1 or spec.in_channels != c:
+        raise ValueError(f"expected a 1x1 conv over {c} channels")
+    out = spec.weights.reshape(spec.out_channels, c) @ x.reshape(c, h * w)
+    if spec.bias is not None:
+        out += spec.bias[:, None]
+    return out.reshape(spec.out_channels, h, w)
+
+
+def rep_block_forward(block: RepBlock, x: np.ndarray, step: int = 1) -> np.ndarray:
+    """One block on [C_in, H, W], evaluated at every `step`-th row and column:
+    rep_block_forward(block, x)[:, ::step, ::step] up to float rounding."""
     if block.fused:
-        y = relu(conv2d(x, block.main))
-        return relu(conv2d(y, block.point))
-    y = batchnorm(conv2d(x, block.main), block.main_bn)
+        y = relu(_depthwise3x3(x, block.main, step))
+        return relu(_pointwise(y, block.point))
+    y = batchnorm(_depthwise3x3(x, block.main, step), block.main_bn)
     if block.skip_bn is not None:
-        y = y + batchnorm(x, block.skip_bn)
+        y = y + batchnorm(x[:, ::step, ::step], block.skip_bn)
     y = relu(y)
-    return relu(batchnorm(conv2d(y, block.point), block.point_bn))
+    return relu(batchnorm(_pointwise(y, block.point), block.point_bn))
 
 
 def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
@@ -95,13 +150,11 @@ def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
     for i, block in enumerate(model.blocks):
         if i == 4:
             x = upsample_nearest(x, 2)
-        x = rep_block_forward(block, x)
-        if i < 3:
-            x = np.ascontiguousarray(x[:, ::2, ::2])  # encoder decimation
+        x = rep_block_forward(block, x, 2 if i < 3 else 1)  # the encoder decimates
         if i == model.feature_tap:
             features = x
-    x = upsample_nearest(x, 4)
-    residual = conv2d(x, model.final)
+    # the 1x1 is per-pixel, so it runs before the nearest upsample
+    residual = upsample_nearest(_pointwise(x, model.final), 4)
     coarse = x_lr + residual * mask_lr
     return coarse.astype(DTYPE, copy=False), features
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from rethined.attention import (
+    _COHERENCE_TAPS,
     AllPatchesCorruptedError,
     AttentionMap,
     NpmWeights,
     ProjectionWeights,
+    _boundary_band,
     attention_scores,
     coherence,
     mask_attention,
@@ -303,6 +305,48 @@ class TestTokenMix:
         assert np.abs(m1.a - m2.a).max() < 1e-6
 
 
+def seed_boundary_band(mask_vec, rows, cols, patch_size):
+    """The pixel-level form of the coherence band, by five np.ix_ gathers."""
+    corr = mask_vec.reshape(rows, cols) == 1
+    p = patch_size
+    h, w = rows * p, cols * p
+    ry, cx = np.arange(h) // p, np.arange(w) // p
+    py, px = np.arange(h) % p, np.arange(w) % p
+    padded = np.zeros((rows + 2, cols + 2), dtype=bool)
+    padded[1:-1, 1:-1] = corr
+    here = padded[np.ix_(ry + 1, cx + 1)]
+    up = padded[np.ix_(ry, cx + 1)]
+    down = padded[np.ix_(ry + 2, cx + 1)]
+    left = padded[np.ix_(ry + 1, cx)]
+    right = padded[np.ix_(ry + 1, cx + 2)]
+    near_top = (py < 2)[:, None] & (ry > 0)[:, None]
+    near_bot = (py >= p - 2)[:, None] & (ry < rows - 1)[:, None]
+    near_left = (px < 2)[None, :] & (cx > 0)[None, :]
+    near_right = (px >= p - 2)[None, :] & (cx < cols - 1)[None, :]
+    band = near_top & (here | up)
+    band |= near_bot & (here | down)
+    band |= near_left & (here | left)
+    band |= near_right & (here | right)
+    return band
+
+
+def seed_coherence(image, mask_vec, patch_size):
+    """coherence with the pixel-level band and a fancy-index scatter."""
+    _, h, w = image.shape
+    m = np.asarray(mask_vec).reshape(-1)
+    out = image.copy()
+    band = seed_boundary_band(m, h // patch_size, w // patch_size, patch_size)
+    if not band.any():
+        return out
+    k1 = _COHERENCE_TAPS[2]
+    p = np.pad(image, ((0, 0), (0, 0), (1, 1)), mode="reflect")
+    blurred = image + k1 * ((p[:, :, 2:] + p[:, :, :-2]) - (image + image))
+    p = np.pad(blurred, ((0, 0), (1, 1), (0, 0)), mode="reflect")
+    blurred = blurred + k1 * ((p[:, 2:] + p[:, :-2]) - (blurred + blurred))
+    out[:, band] = blurred[:, band]
+    return out
+
+
 class TestCoherence:
     def test_no_corruption_bit_equal(self):
         rng = np.random.default_rng(0)
@@ -340,6 +384,18 @@ class TestCoherence:
         band[8:16, 14:18] = True   # right edge
         assert np.abs(out[:, band] - blurred[:, band]).max() < 1e-6
         assert np.array_equal(out[:, ~band], x[:, ~band])
+
+    @pytest.mark.parametrize("seed,rows,cols,p", [
+        (0, 32, 32, 8), (1, 32, 32, 8), (2, 32, 32, 8), (3, 32, 32, 8), (4, 32, 32, 8),
+        (5, 5, 7, 4), (6, 9, 3, 2), (7, 4, 4, 3), (8, 6, 5, 1), (9, 1, 6, 8), (10, 7, 1, 5),
+    ])
+    def test_equals_pixel_level_oracle(self, seed, rows, cols, p):
+        rng = np.random.default_rng(seed)
+        m = (rng.random(rows * cols) < rng.uniform(0.05, 0.9)).astype(F32)
+        x = rng.random((3, rows * p, cols * p)).astype(F32)
+        band = _boundary_band(m, rows, cols, p)
+        assert np.array_equal(band, seed_boundary_band(m, rows, cols, p))
+        assert coherence(x, m, p).tobytes() == seed_coherence(x, m, p).tobytes()
 
     def test_far_patches_untouched(self):
         rng = np.random.default_rng(1)

@@ -9,6 +9,7 @@ from rethined.coarse import (
     CoarseModel,
     ConvSpec,
     RepBlock,
+    _depthwise3x3,
     coarse_forward,
     fuse_block,
     fuse_model,
@@ -17,6 +18,7 @@ from rethined.coarse import (
     random_rep_block,
     rep_block_forward,
 )
+from rethined.tensor_ops import batchnorm, conv2d, relu, upsample_nearest
 
 F32 = np.float32
 
@@ -183,3 +185,93 @@ class TestFuseModel:
             c1, _ = coarse_forward(model, x * (1 - mask), mask)
             c2, _ = coarse_forward(fused, x * (1 - mask), mask)
             assert np.abs(c1 - c2).max() < 1e-5
+
+
+def seed_block_forward(block, x):
+    """The full-size block forward: every convolution through conv2d."""
+    if block.fused:
+        return relu(conv2d(relu(conv2d(x, block.main)), block.point))
+    y = batchnorm(conv2d(x, block.main), block.main_bn)
+    if block.skip_bn is not None:
+        y = y + batchnorm(x, block.skip_bn)
+    return relu(batchnorm(conv2d(relu(y), block.point), block.point_bn))
+
+
+def seed_coarse_forward(model, x_lr, mask_lr):
+    """The forward that evaluates every block at full size and then decimates,
+    with the final 1x1 after the 4x upsample: the oracle of coarse_forward."""
+    x = np.concatenate([x_lr, mask_lr], axis=0).astype(F32)
+    features = None
+    for i, block in enumerate(model.blocks):
+        if i == 4:
+            x = upsample_nearest(x, 2)
+        x = seed_block_forward(block, x)
+        if i < 3:
+            x = np.ascontiguousarray(x[:, ::2, ::2])
+        if i == model.feature_tap:
+            features = x
+    residual = conv2d(upsample_nearest(x, 4), model.final)
+    return (x_lr + residual * mask_lr).astype(F32), features
+
+
+class TestKeptPixelForward:
+    """coarse_forward evaluates its convolutions only at the pixels it keeps;
+    conv2d and the full-size forward are the oracles."""
+
+    @pytest.mark.parametrize("c,h,w,step,bias", [
+        (1, 1, 1, 1, False), (1, 2, 3, 2, True), (3, 7, 10, 1, True), (3, 7, 10, 2, False),
+        (4, 16, 16, 2, True), (5, 9, 4, 3, True), (8, 12, 5, 2, True), (8, 33, 17, 1, False),
+    ])
+    def test_depthwise_matches_conv2d(self, c, h, w, step, bias):
+        rng = np.random.default_rng(c * 100 + h)
+        spec = ConvSpec(rng.standard_normal((c, 1, 3, 3)).astype(F32),
+                        rng.standard_normal(c).astype(F32) if bias else None,
+                        stride=1, padding=1, groups=c)
+        x = rng.uniform(-1, 1, (c, h, w)).astype(F32)
+        got = _depthwise3x3(x, spec, step)
+        want = conv2d(x, spec)[:, ::step, ::step]
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() < 1e-5
+
+    def test_depthwise_rejects_other_convs(self):
+        rng = np.random.default_rng(0)
+        x = rng.random((4, 8, 8)).astype(F32)
+        for spec in (ConvSpec(rng.random((4, 4, 3, 3)).astype(F32), padding=1),
+                     ConvSpec(rng.random((4, 1, 5, 5)).astype(F32), padding=2, groups=4),
+                     ConvSpec(rng.random((4, 1, 3, 3)).astype(F32), padding=0, groups=4),
+                     ConvSpec(rng.random((4, 2, 3, 3)).astype(F32), padding=1, groups=4)):
+            with pytest.raises(ValueError):
+                _depthwise3x3(x, spec, 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_step_two_block_equals_decimated(self, seed, fused):
+        rng = np.random.default_rng(seed)
+        c_in, c_out = seed + 1, int(rng.integers(1, 9))
+        block = random_rep_block(rng, c_in, c_out, 1, skip=True, conv_bias=bool(seed % 2))
+        if fused:
+            block = fuse_block(block)
+        for h, w in ((8, 8), (16, 6), (9, 13)):
+            x = rng.uniform(-1, 1, (c_in, h, w)).astype(F32)
+            got = rep_block_forward(block, x, 2)
+            want = rep_block_forward(block, x)[:, ::2, ::2]
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-5
+            assert np.abs(got - seed_block_forward(block, x)[:, ::2, ::2]).max() < 1e-5
+
+    @pytest.mark.parametrize("h,w", [(64, 64), (128, 128), (256, 256), (256, 128)])
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_matches_seed_forward(self, h, w, fused):
+        # measured over 30 models and these sizes: max |dcoarse| 2.3e-6,
+        # max |dfeatures| 5.7e-6 on features up to 9.6 (6.1e-7 of max |features|)
+        rng = np.random.default_rng(h + w)
+        model = random_coarse_model(rng)
+        if fused:
+            model = fuse_model(model)
+        x = rng.random((3, h, w)).astype(F32)
+        mask = (rng.random((1, h, w)) < 0.4).astype(F32)
+        c1, f1 = coarse_forward(model, x * (1 - mask), mask)
+        c0, f0 = seed_coarse_forward(model, x * (1 - mask), mask)
+        assert c1.shape == c0.shape and f1.shape == f0.shape == (32, h // 8, w // 8)
+        assert np.abs(c1 - c0).max() < 1e-5
+        assert np.abs(f1 - f0).max() < 2e-6 * max(1.0, np.abs(f0).max())

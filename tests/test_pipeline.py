@@ -333,11 +333,11 @@ class TestBenchHarness:
 
     @pytest.mark.parametrize("config,h,w,want", [
         (PipelineConfig(), 2048, 2048,
-         {"coarse": 2137128960, "attention": 159383552, "masking": 3145728,
-          "mixing": 405012480, "upscale": 25895632896, "total": 28600303616}),
+         {"coarse": 2090926080, "attention": 159383552, "masking": 3145728,
+          "mixing": 405012480, "upscale": 25895632896, "total": 28554100736}),
         (PipelineConfig(lr_size=64, patch_size=8, d_k=16), 256, 128,
-         {"coarse": 10887168, "attention": 327680, "masking": 12288,
-          "mixing": 1720320, "upscale": 13565952, "total": 26513408}),
+         {"coarse": 7999488, "attention": 327680, "masking": 12288,
+          "mixing": 1720320, "upscale": 13565952, "total": 23625728}),
     ], ids=["default-2048", "lr64-256x128"])
     def test_flop_estimates_pinned(self, config, h, w, want):
         assert flop_estimates(config, h, w) == want
