@@ -12,8 +12,9 @@ The forward computes only the pixels it keeps.  The depthwise stage runs as
 nine shifted multiply-adds that read every `step`-th row and column, so an
 encoder block evaluates its 3x3 only at the positions its 2x decimation
 keeps; BN, ReLU, the skip and the 1x1 are per-pixel, so they commute with the
-decimation.  Every 1x1 is one matmul, and the final 1x1 runs at 1/4 LR before
-the 4x nearest upsample.  tensor_ops.conv2d is the oracle for both kernels.
+decimation.  Every 1x1 is one einsum on the calling thread, and the final 1x1
+runs at 1/4 LR before the 4x nearest upsample.  tensor_ops.conv2d is the
+oracle for both kernels.
 """
 
 from __future__ import annotations
@@ -107,11 +108,18 @@ def _depthwise3x3(x: np.ndarray, spec: ConvSpec, step: int) -> np.ndarray:
 
 
 def _pointwise(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """1x1 convolution as one matmul W[C_out, C_in] @ x[C_in, H*W]."""
+    """1x1 convolution W[C_out, C_in] . x[C_in, H*W] as one einsum.
+
+    einsum without `optimize` runs on the calling thread.  At LR 256 these
+    products are at most 2 M multiply-adds, too small for BLAS threads to
+    pay: as a threaded GEMM each one waited for a second CPU, so the
+    forward's time followed the load of the machine.
+    """
     c, h, w = x.shape
     if spec.kernel_size != 1 or spec.groups != 1 or spec.in_channels != c:
         raise ValueError(f"expected a 1x1 conv over {c} channels")
-    out = spec.weights.reshape(spec.out_channels, c) @ x.reshape(c, h * w)
+    out = np.einsum("oi,ip->op", spec.weights.reshape(spec.out_channels, c),
+                    x.reshape(c, h * w))
     if spec.bias is not None:
         out += spec.bias[:, None]
     return out.reshape(spec.out_channels, h, w)
