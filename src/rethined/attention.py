@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .patches import PatchGrid, TokenMatrix, img2col, pixel_shuffle, tokenize_mask, embed_and_condition
-from .tensor_ops import DTYPE, require_binary, softmax_rows
+from .tensor_ops import DTYPE, _reflect_indices, _scratch, _strip_rows, require_binary, softmax_rows
 
 
 class AllPatchesCorruptedError(ValueError):
@@ -223,13 +223,43 @@ def coherence(image: np.ndarray, mask_vec: np.ndarray, patch_size: int) -> np.nd
     if not band.any():
         return out
     # separable, W then H, in residual form x + k1 * ((x_+1 + x_-1) - 2x),
-    # so constant data pass through exactly
+    # so constant data pass through exactly; computed a strip of rows at a
+    # time in workspace scratch, skipping strips with no band pixel
     k1 = _COHERENCE_TAPS[2]
-    p = np.pad(image, ((0, 0), (0, 0), (1, 1)), mode="reflect")
-    blurred = image + k1 * ((p[:, :, 2:] + p[:, :, :-2]) - (image + image))
-    p = np.pad(blurred, ((0, 0), (1, 1), (0, 0)), mode="reflect")
-    blurred = blurred + k1 * ((p[:, 2:] + p[:, :-2]) - (blurred + blurred))
-    np.copyto(out, blurred, where=band)
+    dtype = np.result_type(image, k1)
+    refl_h, refl_w = _reflect_indices(h, 1), _reflect_indices(w, 1)
+    step = _strip_rows(2 * 3 * w * dtype.itemsize)  # each buffer ~ _STRIP_BYTES / 2
+    for r0 in range(0, h, step):
+        r1 = min(r0 + step, h)
+        if not band[r0:r1].any():
+            continue
+        # the strip's rows and one reflected row on each side, reflect-padded in W
+        n = r1 - r0 + 2
+        pad = _scratch("coherence.pad", (3, n, w + 2), dtype)
+        x = pad[:, :, 1:-1]
+        a, b = max(r0 - 1, 0), min(r1 + 1, h)
+        x[:, a - r0 + 1:b - r0 + 1] = image[:, a:b]
+        if r0 == 0:
+            x[:, 0] = image[:, refl_h[0]]
+        if r1 == h:
+            x[:, -1] = image[:, refl_h[-1]]
+        pad[:, :, 0] = pad[:, :, 1 + refl_w[0]]
+        pad[:, :, -1] = pad[:, :, 1 + refl_w[-1]]
+        # W pass into `low`, then H pass into `two` (pad is free by then)
+        low = _scratch("coherence.low", (3, n, w), dtype)
+        two = _scratch("coherence.two", (3, n, w), dtype)
+        np.add(pad[:, :, 2:], pad[:, :, :-2], out=low)
+        np.add(x, x, out=two)
+        low -= two
+        np.multiply(k1, low, out=low)
+        np.add(x, low, out=low)
+        mid, s, d = low[:, 1:-1], two[:, :n - 2], pad[:, :n - 2, :w]
+        np.add(low[:, 2:], low[:, :-2], out=s)
+        np.add(mid, mid, out=d)
+        s -= d
+        np.multiply(k1, s, out=s)
+        np.add(mid, s, out=s)
+        np.copyto(out[:, r0:r1], s, where=band[r0:r1])
     return out
 
 
@@ -251,12 +281,10 @@ def npm_refine(coarse: np.ndarray, x_lr: np.ndarray, features: np.ndarray,
         raise ValueError(
             f"embedding shape {weights.embed.shape} != (3P^2={3 * patch_size ** 2}, d_k={d_k})"
         )
-    seq = img2col(coarse, patch_size)
-    tokens = embed_and_condition(seq, features, weights.embed)
+    # nested calls, so each LR-sized intermediate is freed once it is read
+    tokens = embed_and_condition(img2col(coarse, patch_size), features, weights.embed)
     m = tokenize_mask(mask_pixels, patch_size)
-    amap = attention_scores(tokens, weights.proj)
-    masked = mask_attention(amap, m)
-
-    mixed = token_mix(masked, img2col(x_lr, patch_size))
-    refined = pixel_shuffle(mixed)
+    masked = mask_attention(attention_scores(tokens, weights.proj), m)
+    del tokens
+    refined = pixel_shuffle(token_mix(masked, img2col(x_lr, patch_size)))
     return coherence(refined, m, patch_size), masked

@@ -30,6 +30,7 @@ from .tensor_ops import (
     ConvSpec,
     batchnorm,
     conv2d,
+    _scratch,
     relu,
     require_binary,
     upsample_nearest,
@@ -76,10 +77,11 @@ def _depthwise3x3(x: np.ndarray, spec: ConvSpec, step: int) -> np.ndarray:
     """3x3 depthwise cross-correlation, zero padding 1, at every `step`-th
     row and column: conv2d(x, spec)[:, ::step, ::step] up to float rounding.
 
-    Nine shifted multiply-adds.  The zero-padded input is split into its
-    step x step polyphase components, each flattened per channel, so every
-    tap reads one contiguous run; the `halo` spare columns of each row are
-    computed and dropped.
+    Nine shifted multiply-adds.  The step x step polyphase components of the
+    zero-padded input are written straight from `x`, each flattened per
+    channel, so every tap reads one contiguous run; the `halo` spare columns
+    of each row are computed and dropped.  Returns a workspace array (role
+    "dw.tmp"), valid until the next call on this thread.
     """
     c, h, w = x.shape
     if (spec.kernel_size, spec.padding, spec.stride, spec.groups, spec.in_channels,
@@ -88,27 +90,39 @@ def _depthwise3x3(x: np.ndarray, spec: ConvSpec, step: int) -> np.ndarray:
     h_out, w_out = -(-h // step), -(-w // step)
     halo = -(-2 // step)  # how far, in phase pixels, a tap reaches past its output
     rows, cols = h_out + halo + 1, w_out + halo  # +1 row: the last run overruns a row
-    xp = np.zeros((c, step * rows, step * cols), DTYPE)
-    xp[:, 1:h + 1, 1:w + 1] = x
-    phases = {(a, b): np.ascontiguousarray(xp[:, a::step, b::step]).reshape(c, -1)
-              for a in range(min(step, 3)) for b in range(min(step, 3))}
+    k = min(step, 3)
+    phases = _scratch("dw.phases", (k, k, c, rows * cols))
+    phases.fill(0)
+    for a in range(k):
+        for b in range(k):
+            # phase (a, b) holds padded pixel (a + step*i, b + step*j), which
+            # is x[a + step*i - 1, b + step*j - 1]; i starts at 1 when a == 0
+            src = x[:, (a - 1) % step::step, (b - 1) % step::step]
+            i0, j0 = int(a == 0), int(b == 0)
+            dst = phases[a, b].reshape(c, rows, cols)
+            dst[:, i0:i0 + src.shape[1], j0:j0 + src.shape[2]] = src
     taps = spec.weights.reshape(c, 9, 1)
     n = h_out * cols
-    out = np.zeros((c, n), DTYPE)
-    tmp = np.empty_like(out)
-    for k in range(9):
-        dy, dx = divmod(k, 3)
+    acc = _scratch("dw.acc", (c, n))
+    acc.fill(0)
+    tmp = _scratch("dw.tmp", (c, n))
+    for t in range(9):
+        dy, dx = divmod(t, 3)
         start = (dy // step) * cols + dx // step
-        np.multiply(taps[:, k], phases[dy % step, dx % step][:, start:start + n], out=tmp)
-        out += tmp
-    out = out.reshape(c, h_out, cols)[:, :, :w_out]
+        np.multiply(taps[:, t], phases[dy % step, dx % step][:, start:start + n], out=tmp)
+        acc += tmp
+    kept = acc.reshape(c, h_out, cols)[:, :, :w_out]
+    out = _scratch("dw.tmp", (c, h_out, w_out))  # tmp is dead; n >= h_out * w_out
     if spec.bias is None:
-        return np.ascontiguousarray(out)
-    return out + spec.bias[:, None, None]
+        np.copyto(out, kept)
+    else:
+        np.add(kept, spec.bias[:, None, None], out=out)
+    return out
 
 
-def _pointwise(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """1x1 convolution W[C_out, C_in] . x[C_in, H*W] as one einsum.
+def _pointwise(x: np.ndarray, spec: ConvSpec, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """1x1 convolution W[C_out, C_in] . x[C_in, H*W] as one einsum, into
+    `out` ([C_out, H, W] float32, not overlapping x) if given.
 
     einsum without `optimize` runs on the calling thread.  At LR 256 these
     products are at most 2 M multiply-adds, too small for BLAS threads to
@@ -118,24 +132,38 @@ def _pointwise(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     c, h, w = x.shape
     if spec.kernel_size != 1 or spec.groups != 1 or spec.in_channels != c:
         raise ValueError(f"expected a 1x1 conv over {c} channels")
-    out = np.einsum("oi,ip->op", spec.weights.reshape(spec.out_channels, c),
-                    x.reshape(c, h * w))
+    if out is None:
+        out = np.empty((spec.out_channels, h, w), DTYPE)
+    flat = out.reshape(spec.out_channels, h * w)
+    np.einsum("oi,ip->op", spec.weights.reshape(spec.out_channels, c),
+              x.reshape(c, h * w), out=flat)
     if spec.bias is not None:
-        out += spec.bias[:, None]
-    return out.reshape(spec.out_channels, h, w)
+        flat += spec.bias[:, None]
+    return out
+
+
+def _rep_block(block: RepBlock, x: np.ndarray, step: int, out: np.ndarray) -> np.ndarray:
+    """rep_block_forward into `out` ([C_out, H', W'] float32), which may
+    share memory with `x`: x is read in full before out is written."""
+    if block.fused:
+        y = _depthwise3x3(x, block.main, step)
+        np.maximum(y, 0, out=y)
+        _pointwise(y, block.point, out)
+        return np.maximum(out, 0, out=out)
+    y = batchnorm(_depthwise3x3(x, block.main, step), block.main_bn)
+    if block.skip_bn is not None:
+        y = y + batchnorm(x[:, ::step, ::step], block.skip_bn)
+    y = relu(y)
+    np.copyto(out, relu(batchnorm(_pointwise(y, block.point), block.point_bn)))
+    return out
 
 
 def rep_block_forward(block: RepBlock, x: np.ndarray, step: int = 1) -> np.ndarray:
     """One block on [C_in, H, W], evaluated at every `step`-th row and column:
     rep_block_forward(block, x)[:, ::step, ::step] up to float rounding."""
-    if block.fused:
-        y = relu(_depthwise3x3(x, block.main, step))
-        return relu(_pointwise(y, block.point))
-    y = batchnorm(_depthwise3x3(x, block.main, step), block.main_bn)
-    if block.skip_bn is not None:
-        y = y + batchnorm(x[:, ::step, ::step], block.skip_bn)
-    y = relu(y)
-    return relu(batchnorm(_pointwise(y, block.point), block.point_bn))
+    _, h, w = x.shape
+    out = np.empty((block.point.out_channels, -(-h // step), -(-w // step)), DTYPE)
+    return _rep_block(block, x, step, out)
 
 
 def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
@@ -143,6 +171,8 @@ def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
 
     Returns (coarse, features): the [3, H, W] completion (residual applied
     only inside corrupted pixels) and the tapped [32, H/8, W/8] feature map.
+    Both are new arrays; every other intermediate lives in this thread's
+    workspace.
     """
     if x_lr.ndim != 3 or x_lr.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got shape {x_lr.shape}")
@@ -153,18 +183,34 @@ def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
         raise ValueError(f"input {h}x{w} not divisible by encoder factor {ENCODER_FACTOR}")
     require_binary(mask_lr)
 
-    x = np.concatenate([x_lr, mask_lr], axis=0).astype(DTYPE, copy=False)
+    # every block reads its input from "cnn.x" in full before it writes its
+    # output there; only the tapped features get their own array
+    x = _scratch("cnn.x", (4, h, w))
+    x[:3], x[3:] = x_lr, mask_lr
     features = None
     for i, block in enumerate(model.blocks):
+        c, hx, wx = x.shape
         if i == 4:
-            x = upsample_nearest(x, 2)
-        x = rep_block_forward(block, x, 2 if i < 3 else 1)  # the encoder decimates
+            # nearest 2x upsample as one broadcast copy (numpy buffers it if
+            # x is in "cnn.x" too)
+            up = _scratch("cnn.x", (c, 2 * hx, 2 * wx))
+            np.copyto(up.reshape(c, hx, 2, wx, 2), x[:, :, None, :, None])
+            x, hx, wx = up, 2 * hx, 2 * wx
+        step = 2 if i < 3 else 1  # the encoder decimates
+        shape = (block.point.out_channels, -(-hx // step), -(-wx // step))
+        out = np.empty(shape, DTYPE) if i == model.feature_tap else _scratch("cnn.x", shape)
+        x = _rep_block(block, x, step, out)
         if i == model.feature_tap:
             features = x
-    # the 1x1 is per-pixel, so it runs before the nearest upsample
-    residual = upsample_nearest(_pointwise(x, model.final), 4)
-    coarse = x_lr + residual * mask_lr
-    return coarse.astype(DTYPE, copy=False), features
+    # the 1x1 is per-pixel, so it runs before the nearest 4x upsample, which
+    # is a broadcast view: coarse = x_lr + up4(residual) * mask_lr
+    _, hr, wr = x.shape
+    residual = _pointwise(x, model.final, _scratch("coarse.residual", (3, hr, wr)))
+    coarse = np.empty((3, h, w), DTYPE)
+    np.multiply(residual[:, :, None, :, None], mask_lr.reshape(1, hr, 4, wr, 4),
+                out=coarse.reshape(3, hr, 4, wr, 4))
+    np.add(x_lr, coarse, out=coarse)
+    return coarse, features
 
 
 def _fuse_conv_bn(spec: ConvSpec, bn: BatchNormParams):

@@ -57,12 +57,18 @@ def read_image(path) -> np.ndarray:
         blob = fh.read()
     width, height, pos = _parse_header(blob, b"P6", path)
     need = width * height * 3
-    raw = blob[pos:pos + need]
+    raw = memoryview(blob)[pos:pos + need]
     if len(raw) != need:
         raise ImageFormatError(f"{path}: expected {need} pixel bytes, found {len(raw)}")
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
-    out = arr.transpose(2, 0, 1).astype(DTYPE, order="C")
-    out /= DTYPE(255.0)
+    # u8 / 255 in float32 in one pass, a strip of rows at a time, so each
+    # strip of interleaved bytes is read from cache by all three planes
+    out = np.empty((3, height, width), dtype=DTYPE)
+    step = _strip_rows(width * out.itemsize)
+    for r0 in range(0, height, step):
+        rows = slice(r0, r0 + step)
+        for c in range(3):
+            np.divide(arr[rows, :, c], 255, out=out[c, rows], dtype=DTYPE)
     return out
 
 
@@ -71,21 +77,22 @@ def write_image(tensor: np.ndarray, path) -> None:
     if tensor.ndim != 3 or tensor.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] tensor, got shape {tensor.shape}")
     _, h, w = tensor.shape
-    hwc = tensor.transpose(1, 2, 0)
     # floor(clip(t, 0, 1) * 255 + 0.5) in the dtype that expression computes
-    # in, a strip of rows at a time, into the uint8 buffer that is written
+    # in, one channel plane of a strip of rows at a time, scattered into the
+    # interleaved uint8 buffer that is written
     dtype = np.result_type(tensor, 0.0)
     q = np.empty((h, w, 3), dtype=np.uint8)
-    step = _strip_rows(w * 3 * dtype.itemsize)
-    buf = np.empty((min(step, h), w, 3), dtype=dtype)
+    step = _strip_rows(w * dtype.itemsize)
+    buf = np.empty((min(step, h), w), dtype=dtype)
     for r0 in range(0, h, step):
         rows = slice(r0, r0 + step)
         strip = buf[:len(q[rows])]
-        np.clip(hwc[rows], 0.0, 1.0, out=strip)
-        strip *= 255.0
-        strip += 0.5
-        np.floor(strip, out=strip)
-        q[rows] = strip
+        for c in range(3):
+            np.clip(tensor[c, rows], 0.0, 1.0, out=strip)
+            strip *= 255.0
+            strip += 0.5
+            np.floor(strip, out=strip)
+            q[rows, :, c] = strip
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(q)

@@ -213,11 +213,16 @@ def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
     Returns (x_lr, m_lr, low): `low` is the float32 Gaussian low-pass of the
     HR image at sigma_for_factor(r) per axis, which compose_hr reuses for the
     high-frequency residual, and x_lr is `low` bilinearly resized to lr_size.
-    At r == 1 the taps are exactly [0, 1, 0], so low and x_lr equal the image.
+    At r == 1 the taps are exactly [0, 1, 0], so low and x_lr equal the image:
+    then all three are the caller's arrays (cast to float32 if they are not),
+    and no blur runs.
     """
     _, h, w = image.shape
     lr = config.lr_size
     r_h, r_w = h // lr, w // lr
+    if r_h == r_w == 1:
+        x = image.astype(DTYPE, copy=False)
+        return x, mask.astype(DTYPE, copy=False), x
     low = gaussian_blur(image, sigma_for_factor(r_h), sigma_for_factor(r_w))
     x_lr = bilinear_resize(low, lr, lr)
     m_lr = block_any(mask[0], r_h, r_w)[None].astype(DTYPE)
@@ -252,12 +257,14 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
     t0 = time.perf_counter()
     x_lr_hat, masked_map = npm_refine(coarse, x_lr, features, model.npm,
                                       m_lr, config.patch_size, config.d_k)
+    del coarse, features, x_lr, m_lr  # the composition's arrays can reuse their memory
     times["refine"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    # the result overwrites the low-pass, which is dead once the residual is cut
+    # the result overwrites the low-pass, which is dead once the residual is
+    # cut, unless the low-pass is the caller's image (r == 1)
     out = _compose_hr(image, low, x_lr_hat, masked_map, mask, config.patch_size,
-                      config.composite, out=low)
+                      config.composite, out=None if low is image else low)
     times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times

@@ -20,11 +20,16 @@ it at 8; 2 measured at the radii of the HR path, 3.5 at radius 45), is
 bit-exact wherever a pixel's whole window is constant, and does not depend
 on the BLAS thread count.  A non-finite or overflowing input can
 turn a whole GEMM tile to NaN (0 * inf).
+
+The LR core's kernels (the coarse CNN's depthwise and pointwise stages, the
+coherence filter) take their intermediates from `_scratch`, one store per
+thread that persists across calls, instead of allocating them per request.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -49,6 +54,31 @@ _CHUNK_BYTES = 8 * 1024 * 1024
 
 def _strip_rows(row_bytes: int) -> int:
     return max(1, _STRIP_BYTES // row_bytes)
+
+
+# Per-thread store of the LR core's intermediates: role -> uint8 buffer.
+# Allocated per call, they were page-faulted in anew on every request: glibc
+# returns the heap top to the kernel once a request's arrays are freed.
+_workspace = threading.local()
+
+
+def _scratch(role: str, shape: tuple, dtype=DTYPE) -> np.ndarray:
+    """An uninitialised C-contiguous array of `shape` and `dtype` in this
+    thread's buffer for `role`.
+
+    Each role's buffer grows to its largest use and is kept, so repeated
+    calls reuse memory that is already mapped.  A role names a lifetime, not
+    a shape: stages whose intermediates are never live at once share one.
+    The array is valid until the next _scratch call for its role on the same
+    thread, so no public function returns one.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = getattr(_workspace, role, None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_workspace, role, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -388,6 +388,8 @@ class TestCoherence:
     @pytest.mark.parametrize("seed,rows,cols,p", [
         (0, 32, 32, 8), (1, 32, 32, 8), (2, 32, 32, 8), (3, 32, 32, 8), (4, 32, 32, 8),
         (5, 5, 7, 4), (6, 9, 3, 2), (7, 4, 4, 3), (8, 6, 5, 1), (9, 1, 6, 8), (10, 7, 1, 5),
+        # many row strips, the last one partial
+        (11, 64, 64, 4), (12, 9, 250, 7), (13, 11, 700, 3),
     ])
     def test_equals_pixel_level_oracle(self, seed, rows, cols, p):
         rng = np.random.default_rng(seed)
@@ -396,6 +398,25 @@ class TestCoherence:
         band = _boundary_band(m, rows, cols, p)
         assert np.array_equal(band, seed_boundary_band(m, rows, cols, p))
         assert coherence(x, m, p).tobytes() == seed_coherence(x, m, p).tobytes()
+
+    def test_one_corrupted_patch_any_row_equals_oracle(self):
+        # 2048-wide rows give 5-row strips, so the strips start at every
+        # offset into the band of some patch row
+        rng = np.random.default_rng(15)
+        x = rng.random((3, 64, 2048)).astype(F32)
+        for r in range(8):
+            m = np.zeros(8 * 256, F32)
+            m[r * 256 + 100] = 1
+            assert coherence(x, m, 8).tobytes() == seed_coherence(x, m, 8).tobytes()
+
+    def test_second_call_leaves_first_result(self):
+        rng = np.random.default_rng(14)
+        x0, x1 = rng.random((2, 3, 64, 64)).astype(F32)
+        m = (rng.random(64) < 0.4).astype(F32)
+        first = coherence(x0, m, 8)
+        kept, x0_before = first.copy(), x0.copy()
+        coherence(x1, 1 - m, 8)
+        assert np.array_equal(first, kept) and np.array_equal(x0, x0_before)
 
     def test_far_patches_untouched(self):
         rng = np.random.default_rng(1)
@@ -453,3 +474,13 @@ class TestNpmRefine:
         out, _ = npm_refine(coarse, x_lr, feats, weights, mask, 8, 6)
         assert out.shape == (3, 32, 32)
         assert out.dtype == np.float32
+
+    def test_second_call_leaves_first_result(self):
+        rng, x_lr, feats, weights = self._setup(3)
+        mask = np.zeros((1, 32, 32), F32)
+        mask[0, 4:20, 6:25] = 1
+        coarse = rng.random((3, 32, 32)).astype(F32)
+        out, amap = npm_refine(coarse, x_lr, feats, weights, mask, 8, 6)
+        kept, weights_kept = out.copy(), amap.weights.copy()
+        npm_refine(1 - coarse, 1 - x_lr, -feats, weights, 1 - mask, 8, 6)
+        assert np.array_equal(out, kept) and np.array_equal(amap.weights, weights_kept)

@@ -1,6 +1,8 @@
 """Coarse network and reparametrization tests; the unfused forward is the
 oracle for every fusion check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,108 @@ class TestKeptPixelForward:
         assert c1.shape == c0.shape and f1.shape == f0.shape == (32, h // 8, w // 8)
         assert np.abs(c1 - c0).max() < 1e-5
         assert np.abs(f1 - f0).max() < 2e-6 * max(1.0, np.abs(f0).max())
+
+
+def alloc_depthwise3x3(x, spec, step):
+    """_depthwise3x3 as it was before the LR workspace: a zero-padded copy of
+    x, its polyphase components as new arrays, new accumulators."""
+    c, h, w = x.shape
+    h_out, w_out = -(-h // step), -(-w // step)
+    halo = -(-2 // step)
+    rows, cols = h_out + halo + 1, w_out + halo
+    xp = np.zeros((c, step * rows, step * cols), F32)
+    xp[:, 1:h + 1, 1:w + 1] = x
+    phases = {(a, b): np.ascontiguousarray(xp[:, a::step, b::step]).reshape(c, -1)
+              for a in range(min(step, 3)) for b in range(min(step, 3))}
+    taps = spec.weights.reshape(c, 9, 1)
+    n = h_out * cols
+    out = np.zeros((c, n), F32)
+    tmp = np.empty_like(out)
+    for k in range(9):
+        dy, dx = divmod(k, 3)
+        start = (dy // step) * cols + dx // step
+        np.multiply(taps[:, k], phases[dy % step, dx % step][:, start:start + n], out=tmp)
+        out += tmp
+    out = out.reshape(c, h_out, cols)[:, :, :w_out]
+    if spec.bias is None:
+        return np.ascontiguousarray(out)
+    return out + spec.bias[:, None, None]
+
+
+def alloc_pointwise(x, spec):
+    c, h, w = x.shape
+    out = np.einsum("oi,ip->op", spec.weights.reshape(spec.out_channels, c),
+                    x.reshape(c, h * w))
+    if spec.bias is not None:
+        out += spec.bias[:, None]
+    return out.reshape(spec.out_channels, h, w)
+
+
+def alloc_coarse_forward(model, x_lr, mask_lr):
+    """coarse_forward as it was before the LR workspace, every intermediate a
+    new array: the byte-equality oracle of the workspace forward."""
+    x = np.concatenate([x_lr, mask_lr], axis=0).astype(F32, copy=False)
+    features = None
+    for i, block in enumerate(model.blocks):
+        if i == 4:
+            x = upsample_nearest(x, 2)
+        step = 2 if i < 3 else 1
+        if block.fused:
+            x = relu(alloc_pointwise(relu(alloc_depthwise3x3(x, block.main, step)), block.point))
+        else:
+            y = batchnorm(alloc_depthwise3x3(x, block.main, step), block.main_bn)
+            if block.skip_bn is not None:
+                y = y + batchnorm(x[:, ::step, ::step], block.skip_bn)
+            x = relu(batchnorm(alloc_pointwise(relu(y), block.point), block.point_bn))
+        if i == model.feature_tap:
+            features = x
+    residual = upsample_nearest(alloc_pointwise(x, model.final), 4)
+    return (x_lr + residual * mask_lr).astype(F32, copy=False), features
+
+
+class TestWorkspaceForward:
+    """coarse_forward keeps its intermediates in the per-thread workspace; the
+    allocating forward it replaced is the byte-equality oracle, and public
+    functions return new arrays."""
+
+    @pytest.mark.parametrize("h,w,tap", [(64, 64, 3), (256, 256, 3), (256, 128, 3),
+                                         (8, 16, 3), (64, 64, 1), (64, 64, 4)])
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_bytes_equal_allocating_forward(self, h, w, tap, fused):
+        rng = np.random.default_rng(h * w + tap)
+        model = random_coarse_model(rng)
+        if fused:
+            model = fuse_model(model)
+        model = replace(model, feature_tap=tap)
+        x = rng.random((3, h, w)).astype(F32)
+        mask = (rng.random((1, h, w)) < 0.4).astype(F32)
+        c1, f1 = coarse_forward(model, x * (1 - mask), mask)
+        c0, f0 = alloc_coarse_forward(model, x * (1 - mask), mask)
+        assert c1.tobytes() == c0.tobytes() and f1.tobytes() == f0.tobytes()
+
+    def test_second_call_leaves_first_result(self):
+        rng = np.random.default_rng(5)
+        model = fuse_model(random_coarse_model(rng))
+        inputs = []
+        for _ in range(2):
+            mask = (rng.random((1, 64, 64)) < 0.4).astype(F32)
+            inputs.append((rng.random((3, 64, 64)).astype(F32) * (1 - mask), mask))
+        first = coarse_forward(model, *inputs[0])
+        kept = [a.copy() for a in first]
+        x_before = [a.copy() for a in inputs[0]]
+        coarse_forward(model, *inputs[1])
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+        assert all(np.array_equal(a, b) for a, b in zip(inputs[0], x_before))
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_block_second_call_leaves_first_result(self, fused):
+        rng = np.random.default_rng(6)
+        block = random_rep_block(rng, 8, 16, 1, skip=True, conv_bias=True)
+        if fused:
+            block = fuse_block(block)
+        x0, x1 = rng.uniform(-1, 1, (2, 8, 20, 20)).astype(F32)
+        first = rep_block_forward(block, x0, 2)
+        kept = first.copy()
+        rep_block_forward(block, x1, 2)
+        rep_block_forward(block, x1)
+        assert np.array_equal(first, kept)

@@ -178,6 +178,14 @@ class TestPpmPgm:
         want = raw.reshape(5, 4, 3).transpose(2, 0, 1).astype(F32) / F32(255.0)
         assert np.array_equal(img, want)
 
+    def test_read_image_strips_exact(self, tmp_path):
+        # 777 rows of 1031 pixels span many strips, the last one partial
+        raw = np.random.default_rng(6).integers(0, 256, 777 * 1031 * 3, dtype=np.uint8)
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n1031 777\n255\n" + raw.tobytes() + b"trailing")
+        want = raw.reshape(777, 1031, 3).transpose(2, 0, 1).astype(F32) / F32(255.0)
+        assert read_image(path).tobytes() == want.tobytes()
+
     def test_read_write_8bit_byte_exact(self, tmp_path):
         payload = np.arange(256 * 3, dtype=np.uint16).astype(np.uint8)[::-1].tobytes()
         src, dst = tmp_path / "src.ppm", tmp_path / "dst.ppm"

@@ -3,13 +3,14 @@
 import json
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rethined import bench, pipeline, tensor_ops
-from rethined.attention import AttentionMap
+from rethined.attention import AttentionMap, npm_refine
 from rethined.bench import (
     attention_flops,
     flop_estimates,
@@ -21,7 +22,10 @@ from rethined.bench import (
 from rethined.cli import main as cli_main
 from rethined.image_io import read_image, read_mask, write_image, write_mask
 from rethined.masks import MaskSpec, generate_mask
-from rethined.upscale import sigma_for_factor
+from rethined.coarse import coarse_forward
+from rethined.patches import block_any
+from rethined.tensor_ops import bilinear_resize, gaussian_blur
+from rethined.upscale import _compose_hr, sigma_for_factor
 from rethined.pipeline import (
     NonFiniteInputError,
     PipelineConfig,
@@ -213,6 +217,130 @@ class TestRunPipeline:
         mask[0, 20:80, 30:100] = 1
         out = run_pipeline(config, model, image * (1 - mask), mask)
         assert out.shape == (3, 128, 128)
+
+
+def lr256_setup(seeds):
+    """The default config (lr 256), a fused model, and r = 1 inputs."""
+    config = PipelineConfig()
+    model = fuse_pipeline_model(random_model(config, seed=7))
+    return config, model, [synthetic_inputs(config, 256, s) for s in seeds]
+
+
+def blur_path_pipeline(config, model, image, mask):
+    """run_pipeline as it ran before r = 1 skipped the blur: blur, bilinear
+    decimation and block-ANY at factor 1, composed into the low-pass."""
+    lr, p = config.lr_size, config.patch_size
+    low = gaussian_blur(image, sigma_for_factor(1), sigma_for_factor(1))
+    x_lr = bilinear_resize(low, lr, lr)
+    m_lr = block_any(mask[0], 1, 1)[None].astype(F32)
+    coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
+    x_hat, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr, p, config.d_k)
+    low_bytes = low.tobytes()
+    return low_bytes, _compose_hr(image, low, x_hat, amap, mask, p, config.composite, out=low)
+
+
+class TestLrWorkspace:
+    """The LR core keeps its intermediates in a per-thread workspace: results
+    never alias it, threads do not share it, and its size is planned."""
+
+    @pytest.mark.parametrize("composite", [True, False])
+    def test_identity_factor_runs_no_blur(self, composite, monkeypatch):
+        config, model, [(image, mask)] = lr256_setup([3])
+        config = replace(config, composite=composite)
+        before = image.copy()
+        low_bytes, want = blur_path_pipeline(config, model, image.copy(), mask)
+        monkeypatch.setattr(pipeline, "gaussian_blur", lambda *a: pytest.fail("r = 1 blurred"))
+        out = run_pipeline(config, model, image, mask)
+        assert np.array_equal(image, before)
+        assert out.tobytes() == want.tobytes()
+        # at r = 1 the taps are exactly [0, 1, 0]
+        assert low_bytes == image.tobytes()
+
+    def test_identity_factor_casts_float64(self):
+        config, model, [(image, mask)] = lr256_setup([4])
+        want = run_pipeline(config, model, image, mask)
+        image64 = image.astype(np.float64)
+        out = run_pipeline(config, model, image64, mask)
+        assert out.dtype == F32 and out.tobytes() == want.tobytes()
+        assert np.array_equal(image64, image)
+
+    @pytest.mark.parametrize("size", [256, 512])
+    def test_second_call_leaves_first_result(self, size):
+        config, model, _ = lr256_setup([])
+        (a, ma), (b, mb) = (synthetic_inputs(config, size, s) for s in (5, 6))
+        first = run_pipeline(config, model, a, ma)
+        kept = first.copy()
+        run_pipeline(config, model, b, mb)
+        assert np.array_equal(first, kept)
+
+    def test_results_do_not_share_workspace(self):
+        config, model, [(image, mask)] = lr256_setup([7])
+        x_lr, m_lr, _ = downsample_to_lr(config, image, mask)
+        coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
+        refined, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr,
+                                   config.patch_size, config.d_k)
+        out = run_pipeline(config, model, image, mask)
+        buffers = vars(tensor_ops._workspace).values()
+        assert buffers
+        for result in (coarse, features, refined, amap.weights, out):
+            assert not any(np.shares_memory(result, buf) for buf in buffers)
+
+    def test_workspace_planned_below_4_mb(self):
+        # 3.68 MB at LR 256: the depthwise phases, accumulator and scratch,
+        # the block activations, the final 1x1 and coherence's row strips
+        config, model, [(image, mask)] = lr256_setup([8])
+
+        def workspace():
+            out = run_pipeline(config, model, image, mask)
+            return out, sum(b.nbytes for b in vars(tensor_ops._workspace).values())
+
+        box = []
+        t = threading.Thread(target=lambda: box.append(workspace()))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        out, nbytes = box[0]
+        assert nbytes <= 4_000_000
+        assert out.tobytes() == run_pipeline(config, model, image, mask).tobytes()
+
+    def test_warm_request_traced_peak(self):
+        # warm lr256 request (the 2nd call): 10.5-10.6 MiB before the
+        # workspace, 4.05-4.16 MiB with it (synthetic_inputs seeds 1-3)
+        config, model, [(image, mask)] = lr256_setup([1])
+        run_pipeline(config, model, image, mask)
+        tracemalloc.start()
+        try:
+            run_pipeline(config, model, image, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+    def test_concurrent_lr_requests_match_serial(self):
+        # each thread has its own workspace; more threads than cores
+        config, model, inputs = lr256_setup([11, 12, 13])
+        want = [run_pipeline(config, model, im, m).tobytes() for im, m in inputs]
+        n_runs = 3
+        results = [[] for _ in inputs]
+        start = threading.Barrier(len(inputs))
+
+        def request(k):
+            start.wait(timeout=60)
+            for _ in range(n_runs):
+                results[k].append(run_pipeline(config, model, *inputs[k]).tobytes())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=request, args=(k,)) for k in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[w] * n_runs for w in want]
 
 
 class TestCli:

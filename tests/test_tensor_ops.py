@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -614,3 +615,24 @@ class TestKernelMemory:
         x = np.random.default_rng(0).random((3, 256, 256)).astype(F32)
         out_bytes = 3 * 1024 * 1024 * 4
         assert _peak_alloc(bilinear_resize, x, 1024, 1024) < 6 * out_bytes
+
+
+class TestScratch:
+    def test_role_reuses_and_grows(self):
+        a = tensor_ops._scratch("test.role", (4, 5))
+        assert a.shape == (4, 5) and a.dtype == F32 and a.flags.c_contiguous
+        b = tensor_ops._scratch("test.role", (2, 3), np.float64)
+        assert b.dtype == np.float64 and np.shares_memory(a, b)
+        c = tensor_ops._scratch("test.role", (100, 100))
+        assert c.shape == (100, 100) and not np.shares_memory(a, c)
+        assert np.shares_memory(c, tensor_ops._scratch("test.role", (7,)))
+        assert not np.shares_memory(c, tensor_ops._scratch("test.other", (100, 100)))
+
+    def test_threads_get_their_own_buffers(self):
+        mine = tensor_ops._scratch("test.thread", (64,))
+        theirs = []
+        t = threading.Thread(target=lambda: theirs.append(tensor_ops._scratch("test.thread", (64,))))
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert not np.shares_memory(mine, theirs[0])
