@@ -59,10 +59,13 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
     hr_px = 3 * h_hr * w_hr
     lr_px = 3 * lr * lr
 
+    # at r = 1 the image is its own low-pass: no blur runs and the residual
+    # is zero, so the HR mix does not run either
+    r1 = r_h == r_w == 1
     # one separable HR blur per request, run by downsample_to_lr under coarse;
     # counted as direct taps (a multiply-add each), not as the GEMM band the
     # blur runs, which spends (64 + 2r - 1) multiply-adds per output
-    blur_hr = 2 * (_gauss_taps(r_h) + _gauss_taps(r_w)) * hr_px
+    blur_hr = 0 if r1 else 2 * (_gauss_taps(r_h) + _gauss_taps(r_w)) * hr_px
     # coarse_forward evaluates blocks 0-2 only at the pixels they keep (1/2,
     # 1/4 and 1/8 of LR), block 3 at 1/8 and block 4 at 1/4 (after a 2x
     # upsample), and the final 1x1 at 1/4 before the 4x upsample
@@ -77,7 +80,7 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
     masking = 3 * n * n
     mixing = 2 * n * n * 3 * p * p + 4 * 3 * lr_px
     d_hr = 3 * (p * r_h) * (p * r_w)
-    upscale = 2 * n * n * d_hr + 8 * hr_px + 2 * hr_px
+    upscale = (0 if r1 else 2 * n * n * d_hr) + 8 * hr_px + 2 * hr_px
     att = attention_flops(n, d_k, c)
     return {
         "coarse": coarse,

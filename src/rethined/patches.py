@@ -1,17 +1,18 @@
 """Patch extraction, mask tokenization, patch embedding and reassembly.
 
-One patch-grid type, PatchGrid, serves both resolutions: img2col cuts square
-LR patches, hr_patches cuts the matching rectangular HR patches, and
-pixel_shuffle inverts either.  The HR composition does not build an HR
-PatchGrid: upscale._compose_hr cuts only the patches it reads, straight from
-the image, in the same channel-major layout.  block_any reduces a mask over
-blocks, for the patch mask here and the mask decimations of the pipeline.
+One patch-grid type, PatchGrid, serves both resolutions: hr_patches cuts
+rectangular patches, img2col is its square LR form, and pixel_shuffle
+inverts either.  The HR composition does not build an HR PatchGrid:
+upscale._compose_hr cuts only the patches it reads, straight from the image,
+in the same channel-major layout.  block_any reduces a mask over blocks, for
+the patch mask here and the mask decimations of the pipeline.
 
-img2col follows the strided-convolution construction: P*P identity indicator
-kernels (w(i,j) = 1 iff i == j), duplicated per input channel and applied as a
-grouped convolution with stride P and no padding.  Rows of the result are
-channel-major flattened patches (all R pixels row-major, then G, then B),
-bit-identical to direct non-overlapping slicing.
+Patches are cut by one strided copy.  Rows of the result are channel-major
+flattened patches (all R pixels row-major, then G, then B): bit-identical to
+direct non-overlapping slicing and to the paper's strided-convolution
+construction, P*P identity indicator kernels (w(i,j) = 1 iff i == j)
+duplicated per input channel and applied as a grouped convolution with
+stride P, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import DTYPE, ConvSpec, conv2d, require_binary
+from .tensor_ops import DTYPE, require_binary
 
 
 @dataclass(frozen=True)
@@ -61,33 +62,17 @@ class TokenMatrix:
         return self.x.shape[0]
 
 
-def img2col_weights(patch_size: int, channels: int = 3) -> np.ndarray:
-    """Identity-selector kernels [channels*P^2, 1, P, P] for the patching conv."""
-    p2 = patch_size * patch_size
-    eye = np.eye(p2, dtype=DTYPE).reshape(p2, 1, patch_size, patch_size)
-    return np.tile(eye, (channels, 1, 1, 1))
-
-
 def img2col(image: np.ndarray, patch_size: int) -> PatchGrid:
-    """Split a [3, H, W] image into non-overlapping P x P patches via a
-    grouped convolution with stride P."""
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
-    _, h, w = image.shape
-    if h % patch_size or w % patch_size:
-        raise ValueError(f"image {h}x{w} not divisible by patch size {patch_size}")
-    spec = ConvSpec(img2col_weights(patch_size), stride=patch_size, padding=0, groups=3)
-    out = conv2d(image, spec)
-    rows, cols = out.shape[1], out.shape[2]
-    patches = np.ascontiguousarray(out.reshape(out.shape[0], rows * cols).T)
-    return PatchGrid(patches, rows, cols, patch_size, patch_size)
+    """Split a [3, H, W] image into non-overlapping P x P patches."""
+    return hr_patches(image, patch_size, patch_size)
 
 
 def hr_patches(image: np.ndarray, patch_h: int, patch_w: int) -> PatchGrid:
-    """Split a [3, H, W] image into patch_h x patch_w patches by reshaping.
+    """Split a [3, H, W] image into patch_h x patch_w patches, as one copy
+    into a new float32 array.
 
-    Same layout as img2col; HR patches are rectangular whenever the two axes
-    are downsampled by different factors.
+    HR patches are rectangular whenever the two axes are downsampled by
+    different factors.
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
@@ -95,9 +80,10 @@ def hr_patches(image: np.ndarray, patch_h: int, patch_w: int) -> PatchGrid:
     if h % patch_h or w % patch_w:
         raise ValueError(f"image {h}x{w} not divisible by patch {patch_h}x{patch_w}")
     rows, cols = h // patch_h, w // patch_w
-    arr = image.reshape(3, rows, patch_h, cols, patch_w)
-    arr = arr.transpose(1, 3, 0, 2, 4).reshape(rows * cols, 3 * patch_h * patch_w)
-    return PatchGrid(np.ascontiguousarray(arr, dtype=DTYPE), rows, cols, patch_h, patch_w)
+    patches = np.empty((rows * cols, 3 * patch_h * patch_w), dtype=DTYPE)
+    patches.reshape(rows, cols, 3, patch_h, patch_w)[...] = (
+        image.reshape(3, rows, patch_h, cols, patch_w).transpose(1, 3, 0, 2, 4))
+    return PatchGrid(patches, rows, cols, patch_h, patch_w)
 
 
 def pixel_shuffle(grid: PatchGrid) -> np.ndarray:

@@ -127,52 +127,62 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
 
     Each output element gets the ops of the unfused form, bilinear + mixed
     high frequencies, composite, clip, so results are bit-identical to it.
+    When `low` is `x_hr_masked` itself, as downsample_to_lr returns it at
+    r = 1, the residual is exactly zero and only the strip pass runs; a
+    -0.0 carrier value then stays -0.0, where the unfused form's + 0.0
+    makes it +0.0.
     """
     _, h_hr, w_hr = x_hr_masked.shape
     _, h, w = x_lr_refined.shape
     ph, pw = patch_size * (h_hr // h), patch_size * (w_hr // w)
     n, grid_rows, grid_cols = amap.count, amap.rows, amap.cols
-    clean, corrupt = amap.clean, amap.corrupt
-    # Patches whose output can change: every one, or with composite only
-    # those holding a corrupted pixel; all other pixels become x_hr_masked.
-    if composite:
-        written = block_any(m_hr[0], ph, pw).reshape(-1) > 0
-    else:
-        written = np.ones(n, dtype=bool)
-    # hf holds the residual of the clean patches, the matmul's value rows,
-    # as one contiguous operand, then the mixed rows of the corrupted ones.
-    # Without mixed rows only the written clean patches need a residual.
-    sources = clean if corrupt.size else clean[written[clean]]
-    hf = np.empty((len(sources) + len(corrupt), 3, ph, pw), dtype=DTYPE)
-    # the hf row that holds a written patch's high frequencies: a clean
-    # patch's own residual, or a corrupted patch's mixed row
-    hf_row = np.empty(n, dtype=np.intp)
-    hf_row[sources] = np.arange(len(sources))
-    hf_row[corrupt] = len(sources) + np.arange(len(corrupt))
-    patches = np.flatnonzero(written)
-    cuts = _runs(sources, np.arange(len(sources)), grid_rows, grid_cols)
-    adds = _runs(patches, hf_row[patches], grid_rows, grid_cols)
 
-    # [3, patch y, buffer row, patch x] and [3, grid row, patch y, grid col,
-    # patch x] views make a run of patches one basic slice of hf or of an
-    # image.
-    hf_t = hf.transpose(1, 2, 0, 3)
-
+    # [3, grid row, patch y, grid col, patch x] views make a run of patches
+    # one basic slice of an image
     def grid(img):
         return img.reshape(3, grid_rows, ph, grid_cols, pw)
 
-    # 1. residual x - low of the source patches, cut straight into hf, in
-    # image order (3x faster than in patch order at 2048)
-    x_grid, low_grid = grid(x_hr_masked), grid(low)
-    for pr, runs in enumerate(cuts):
-        for pc, r0, k in runs:
-            np.subtract(x_grid[:, pr, :, pc:pc + k], low_grid[:, pr, :, pc:pc + k],
-                        out=hf_t[:, :, r0:r0 + k])
+    if low is x_hr_masked:
+        # downsample_to_lr hands the image back as its own low-pass at r = 1:
+        # the residual is exactly zero, so nothing is cut, mixed or added
+        adds = [[] for _ in range(grid_rows)]
+    else:
+        clean, corrupt = amap.clean, amap.corrupt
+        # Patches whose output can change: every one, or with composite only
+        # those holding a corrupted pixel; all other pixels become x_hr_masked.
+        if composite:
+            written = block_any(m_hr[0], ph, pw).reshape(-1) > 0
+        else:
+            written = np.ones(n, dtype=bool)
+        # hf holds the residual of the clean patches, the matmul's value rows,
+        # as one contiguous operand, then the mixed rows of the corrupted ones.
+        # Without mixed rows only the written clean patches need a residual.
+        sources = clean if corrupt.size else clean[written[clean]]
+        hf = np.empty((len(sources) + len(corrupt), 3, ph, pw), dtype=DTYPE)
+        # the hf row that holds a written patch's high frequencies: a clean
+        # patch's own residual, or a corrupted patch's mixed row
+        hf_row = np.empty(n, dtype=np.intp)
+        hf_row[sources] = np.arange(len(sources))
+        hf_row[corrupt] = len(sources) + np.arange(len(corrupt))
+        patches = np.flatnonzero(written)
+        cuts = _runs(sources, np.arange(len(sources)), grid_rows, grid_cols)
+        adds = _runs(patches, hf_row[patches], grid_rows, grid_cols)
+        # [3, patch y, buffer row, patch x]: a run of patches is one basic
+        # slice of hf
+        hf_t = hf.transpose(1, 2, 0, 3)
 
-    # 2. one matmul for the mixed rows, into hf
-    if corrupt.size:
-        k, d = len(sources), 3 * ph * pw
-        np.matmul(amap.weights, hf[:k].reshape(k, d), out=hf[k:].reshape(len(corrupt), d))
+        # 1. residual x - low of the source patches, cut straight into hf, in
+        # image order (3x faster than in patch order at 2048)
+        x_grid, low_grid = grid(x_hr_masked), grid(low)
+        for pr, runs in enumerate(cuts):
+            for pc, r0, k in runs:
+                np.subtract(x_grid[:, pr, :, pc:pc + k], low_grid[:, pr, :, pc:pc + k],
+                            out=hf_t[:, :, r0:r0 + k])
+
+        # 2. one matmul for the mixed rows, into hf
+        if corrupt.size:
+            k, d = len(sources), 3 * ph * pw
+            np.matmul(amap.weights, hf[:k].reshape(k, d), out=hf[k:].reshape(len(corrupt), d))
 
     # 3. bilinear carrier, high frequencies of the written patches,
     # composite and clip, one strip at a time: a run of whole patch rows of

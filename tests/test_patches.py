@@ -11,6 +11,7 @@ from rethined.patches import (
     pixel_shuffle,
     tokenize_mask,
 )
+from rethined.tensor_ops import ConvSpec, conv2d
 
 F32 = np.float32
 
@@ -65,6 +66,27 @@ class TestImg2col:
         x = np.zeros((3, 32, 24), F32)
         seq = img2col(x, 8)
         assert seq.count == 32 * 24 // 64
+
+
+def img2col_weights(p, channels=3):
+    """Identity-selector kernels [channels*P^2, 1, P, P] of the paper's
+    patching convolution: w(i, j) = 1 iff i == j, one set per channel."""
+    eye = np.eye(p * p, dtype=F32).reshape(p * p, 1, p, p)
+    return np.tile(eye, (channels, 1, 1, 1))
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (4, 2), (3, 5)])
+def test_img2col_equals_identity_kernel_conv(p, rows, cols):
+    """The grouped stride-P convolution with identity kernels, its output
+    channels read as patch columns, cuts the same bytes as img2col."""
+    rng = np.random.default_rng(p * 100 + rows * 10 + cols)
+    x = rng.standard_normal((3, rows * p, cols * p)).astype(F32)
+    out = conv2d(x, ConvSpec(img2col_weights(p), stride=p, padding=0, groups=3))
+    assert out.shape == (3 * p * p, rows, cols)
+    want = np.ascontiguousarray(out.reshape(3 * p * p, rows * cols).T)
+    got = img2col(x, p).patches
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestPixelShuffle:

@@ -466,7 +466,11 @@ class TestBenchHarness:
         (PipelineConfig(lr_size=64, patch_size=8, d_k=16), 256, 128,
          {"coarse": 7999488, "attention": 327680, "masking": 12288,
           "mixing": 1720320, "upscale": 13565952, "total": 23625728}),
-    ], ids=["default-2048", "lr64-256x128"])
+        # r = 1: neither the HR blur nor the HR mix runs, so neither counts
+        (PipelineConfig(), 256, 256,
+         {"coarse": 27328512, "attention": 159383552, "masking": 3145728,
+          "mixing": 405012480, "upscale": 1966080, "total": 596836352}),
+    ], ids=["default-2048", "lr64-256x128", "default-256"])
     def test_flop_estimates_pinned(self, config, h, w, want):
         assert flop_estimates(config, h, w) == want
 

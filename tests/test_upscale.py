@@ -565,6 +565,18 @@ class TestPatchMajorComposer:
         self._check(compose_case(1, r=(1, 1)), composite)
 
     @pytest.mark.parametrize("composite", [True, False])
+    def test_zero_residual_when_low_is_the_image(self, monkeypatch, composite):
+        # at r = 1 run_pipeline passes the image as its own low-pass: the
+        # composer then cuts, mixes and adds nothing, and gives the bytes of
+        # the full path, which a copy of the image as low-pass takes
+        x, _, x_lr, amap, m_hr, p = compose_case(1, r=(1, 1))
+        assert amap.corrupt.size and amap.clean.size
+        want = upscale._compose_hr(x, x.copy(), x_lr, amap, m_hr, p, composite)
+        monkeypatch.setattr(upscale, "_runs", lambda *a: pytest.fail("residual cut at r = 1"))
+        assert_bytes_equal(upscale._compose_hr(x, x, x_lr, amap, m_hr, p, composite), want)
+        assert_bytes_equal(compose_hr(x, x, x_lr, amap, m_hr, p, composite), want)
+
+    @pytest.mark.parametrize("composite", [True, False])
     def test_rectangular_patches(self, composite):
         self._check(compose_case(2, lr=(16, 8), r=(2, 4)), composite)
 
