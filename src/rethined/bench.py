@@ -1,34 +1,26 @@
-"""Latency benchmark harness: warmup-then-measure stage timing on frozen
-intermediates, closed-form FLOP estimates, CSV and Markdown reports.
+"""Latency benchmark harness: whole requests timed by the pipeline's own
+stage clock, closed-form FLOP estimates, CSV and Markdown reports.
 
-Stages are timed independently (the total row times the whole chain), using a
-monotonic clock, with median and p90 over the measured runs.
+Each resolution runs warmup + runs requests through run_pipeline_timed; every
+row (coarse, refine, upscale, total) is the median and p90 of the measured
+requests' own stage times, so all rows come from the same requests.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from .attention import attention_scores, mask_attention, npm_refine, token_mix, coherence
-from .coarse import BLOCK_PLAN, FEATURE_CHANNELS, coarse_forward
+from .coarse import BLOCK_PLAN, FEATURE_CHANNELS
 from .masks import MaskSpec, generate_mask
-from .patches import embed_and_condition, img2col, pixel_shuffle, tokenize_mask
-from .pipeline import (
-    InpaintingModel,
-    PipelineConfig,
-    _features_for_grid,
-    downsample_to_lr,
-    run_pipeline,
-)
+from .pipeline import InpaintingModel, PipelineConfig, run_pipeline_timed
 from .tensor_ops import DTYPE
-from .upscale import compose_hr, sigma_for_factor
+from .upscale import sigma_for_factor
 
-STAGES = ("coarse", "attention", "masking", "mixing", "upscale", "total")
+STAGES = ("coarse", "refine", "upscale", "total")
 DEFAULT_WARMUP = 5
 DEFAULT_RUNS = 30
 
@@ -116,73 +108,6 @@ class BenchReport:
     rows: List[ResolutionReport] = field(default_factory=list)
 
 
-def _time_call(fn, warmup: int, runs: int) -> List[float]:
-    for _ in range(warmup):
-        fn()
-    out = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        fn()
-        out.append((time.perf_counter() - t0) * 1e3)
-    return out
-
-
-def measure_stages(config: PipelineConfig, model: InpaintingModel,
-                   image: np.ndarray, mask: np.ndarray,
-                   runs: int = DEFAULT_RUNS, warmup: int = DEFAULT_WARMUP,
-                   hr_runs: Optional[int] = None,
-                   hr_warmup: Optional[int] = None) -> Dict[str, List[float]]:
-    """Per-stage wall-time samples (ms) on frozen intermediates.
-
-    hr_runs/hr_warmup override the run counts for stages whose cost scales
-    with the HR pixel count (coarse, upscale, total).
-    """
-    hr_runs = runs if hr_runs is None else hr_runs
-    hr_warmup = warmup if hr_warmup is None else hr_warmup
-    p = config.patch_size
-
-    x_lr, m_lr, low = downsample_to_lr(config, image, mask)
-    coarse_img, feats = coarse_forward(model.coarse, x_lr, m_lr)
-    feats = _features_for_grid(config, feats)
-    seq = img2col(coarse_img, p)
-    tokens = embed_and_condition(seq, feats, model.npm.embed)
-    m_vec = tokenize_mask(m_lr, p)
-    amap = attention_scores(tokens, model.npm.proj)
-    masked_map = mask_attention(amap, m_vec)
-    values = img2col(x_lr, p)
-    x_lr_hat, _ = npm_refine(coarse_img, x_lr, feats, model.npm, m_lr, p, config.d_k)
-
-    def stage_coarse():
-        xl, ml, _ = downsample_to_lr(config, image, mask)
-        _features_for_grid(config, coarse_forward(model.coarse, xl, ml)[1])
-
-    def stage_attention():
-        s = img2col(coarse_img, p)
-        t = embed_and_condition(s, feats, model.npm.embed)
-        attention_scores(t, model.npm.proj)
-
-    def stage_masking():
-        mask_attention(amap, tokenize_mask(m_lr, p))
-
-    def stage_mixing():
-        coherence(pixel_shuffle(token_mix(masked_map, values)), m_vec, p)
-
-    def stage_upscale():
-        compose_hr(image, low, x_lr_hat, masked_map, mask, p, composite=config.composite)
-
-    def stage_total():
-        run_pipeline(config, model, image, mask)
-
-    samples = {}
-    samples["coarse"] = _time_call(stage_coarse, hr_warmup, hr_runs)
-    samples["attention"] = _time_call(stage_attention, warmup, runs)
-    samples["masking"] = _time_call(stage_masking, warmup, runs)
-    samples["mixing"] = _time_call(stage_mixing, warmup, runs)
-    samples["upscale"] = _time_call(stage_upscale, hr_warmup, hr_runs)
-    samples["total"] = _time_call(stage_total, hr_warmup, hr_runs)
-    return samples
-
-
 def _p90(xs: List[float]) -> float:
     ys = sorted(xs)
     idx = min(int(round(0.9 * (len(ys) - 1))), len(ys) - 1)
@@ -203,14 +128,20 @@ def synthetic_inputs(config: PipelineConfig, resolution: int, seed: int = 0):
 
 def run_bench(config: PipelineConfig, model: InpaintingModel, resolutions: List[int],
               runs: int = DEFAULT_RUNS, warmup: int = DEFAULT_WARMUP,
-              hr_runs: Optional[int] = None, seed: int = 0) -> BenchReport:
+              seed: int = 0) -> BenchReport:
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be non-negative, got {warmup}")
     report = BenchReport(warmup=warmup, runs=runs, lr_size=config.lr_size,
                          patch_size=config.patch_size)
     for res in resolutions:
         image, mask = synthetic_inputs(config, res, seed)
-        samples = measure_stages(config, model, image, mask, runs=runs,
-                                 warmup=warmup, hr_runs=hr_runs)
-        flops = flop_estimates(config, res, res)
+        timed = [run_pipeline_timed(config, model, image, mask)[1]
+                 for _ in range(warmup + runs)][warmup:]
+        samples = {name: [t[name] for t in timed] for name in STAGES}
+        est = flop_estimates(config, res, res)
+        flops = dict(est, refine=est["attention"] + est["masking"] + est["mixing"])
         stages = {
             name: StageStats(
                 median_ms=statistics.median(samples[name]),

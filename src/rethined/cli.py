@@ -103,8 +103,7 @@ def _cmd_bench(args) -> int:
     config, model = _build(args)
     resolutions = [int(tok) for tok in args.res.split(",") if tok]
     report = bench_mod.run_bench(config, model, resolutions,
-                                 runs=args.runs, warmup=args.warmup,
-                                 hr_runs=args.hr_runs, seed=args.seed)
+                                 runs=args.runs, warmup=args.warmup, seed=args.seed)
     csv_text = bench_mod.report_to_csv(report)
     args.report.write_text(csv_text)
     md_path = args.report.with_suffix(".md")
@@ -148,13 +147,13 @@ def main(argv=None) -> int:
     p.add_argument("--b", type=Path, required=True)
     p.set_defaults(fn=_cmd_metrics)
 
-    p = sub.add_parser("bench", help="latency benchmark over a resolution sweep")
+    p = sub.add_parser("bench", help="per-stage latency of whole requests per resolution")
     p.add_argument("--res", type=str, required=True, help="comma-separated resolutions")
     p.add_argument("--report", type=Path, required=True, help="CSV output path")
-    p.add_argument("--runs", type=int, default=bench_mod.DEFAULT_RUNS)
-    p.add_argument("--warmup", type=int, default=bench_mod.DEFAULT_WARMUP)
-    p.add_argument("--hr-runs", type=int, default=None,
-                   help="override run count for HR-heavy stages")
+    p.add_argument("--runs", type=int, default=bench_mod.DEFAULT_RUNS,
+                   help="timed requests per resolution")
+    p.add_argument("--warmup", type=int, default=bench_mod.DEFAULT_WARMUP,
+                   help="untimed requests per resolution before the timed ones")
     _add_config_flags(p)
     p.set_defaults(fn=_cmd_bench)
 

@@ -1,7 +1,7 @@
-"""Radix-2 FFT (1-D and 2-D) and the focal frequency loss.
+"""1-D and 2-D FFT over power-of-two extents, and the focal frequency loss.
 
-The transform is an iterative Cooley-Tukey over power-of-two extents,
-vectorized across rows; no library FFT is used.  Forward is unnormalized with
+The transforms are numpy's FFT, always in complex128: inputs are cast first,
+since np.fft keeps float32 input in complex64.  Forward is unnormalized with
 the e^{-2*pi*i} sign convention; the inverse carries the 1/(H*W) factor.
 """
 
@@ -38,47 +38,15 @@ class ComplexGrid:
         return (self.re + 1j * self.im).reshape(self.height, self.width)
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_last_axis(a: np.ndarray, sign: float) -> np.ndarray:
-    """Iterative radix-2 transform along the last axis of a complex array."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    a = a[..., _bit_reverse_indices(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        a = a.reshape(a.shape[:-1] + (n // size, size))
-        even = a[..., :half]
-        odd = a[..., half:] * tw
-        a = np.concatenate([even + odd, even - odd], axis=-1)
-        a = a.reshape(a.shape[:-2] + (n,))
-        size *= 2
-    return a
-
-
 def fft1d(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Radix-2 FFT of a complex (or real) 1-D array of power-of-two length."""
+    """FFT of a complex (or real) 1-D array of power-of-two length."""
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("fft1d expects a 1-d array")
     if not _is_pow2(x.shape[0]):
         raise ValueError(f"length {x.shape[0]} is not a power of two")
-    sign = 1.0 if inverse else -1.0
-    out = _fft_last_axis(x.astype(np.complex128), sign)
-    if inverse:
-        out /= x.shape[0]
-    return out
+    x = x.astype(np.complex128)
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 def fft2d(x: np.ndarray) -> ComplexGrid:
@@ -88,26 +56,13 @@ def fft2d(x: np.ndarray) -> ComplexGrid:
     _, h, w = x.shape
     if not (_is_pow2(h) and _is_pow2(w)):
         raise ValueError(f"extents {h}x{w} must be powers of two")
-    z = x[0].astype(np.complex128)
-    z = _fft_last_axis(z, -1.0)
-    z = _fft_last_axis(z.T, -1.0).T
-    flat = z.reshape(-1)
+    flat = np.fft.fft2(x[0].astype(np.complex128)).reshape(-1)
     return ComplexGrid(h, w, np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag))
 
 
 def ifft2d(grid: ComplexGrid) -> np.ndarray:
     """Inverse 2-D DFT with 1/(H*W) scaling; returns the real part as [1, H, W]."""
-    z = grid.to_complex()
-    z = _fft_last_axis(z, 1.0)
-    z = _fft_last_axis(z.T, 1.0).T
-    z /= grid.height * grid.width
-    return z.real[None].astype(DTYPE)
-
-
-def _spectrum(channel: np.ndarray) -> np.ndarray:
-    z = channel.astype(np.complex128)
-    z = _fft_last_axis(z, -1.0)
-    return _fft_last_axis(z.T, -1.0).T
+    return np.fft.ifft2(grid.to_complex()).real[None].astype(DTYPE)
 
 
 def focal_frequency_loss(pred: np.ndarray, target: np.ndarray, alpha: float = 1.0) -> float:
@@ -127,7 +82,8 @@ def focal_frequency_loss(pred: np.ndarray, target: np.ndarray, alpha: float = 1.
         raise ValueError(f"extents {h}x{w} must be powers of two")
     total = 0.0
     for c in range(pred.shape[0]):
-        d = np.abs(_spectrum(pred[c]) - _spectrum(target[c]))
+        d = np.abs(np.fft.fft2(pred[c].astype(np.complex128))
+                   - np.fft.fft2(target[c].astype(np.complex128)))
         mx = d.max()
         if mx == 0.0:
             continue

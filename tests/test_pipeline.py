@@ -1,6 +1,7 @@
 """End-to-end pipeline, CLI and benchmark harness tests (small sizes)."""
 
 import json
+import statistics
 import sys
 import threading
 import tracemalloc
@@ -429,8 +430,27 @@ class TestCli:
         capsys.readouterr()
         text = report.read_text()
         assert text.splitlines()[0] == "resolution,stage,median_ms,p90_ms,flops"
-        assert len(text.splitlines()) == 1 + 6
+        assert len(text.splitlines()) == 1 + 4
+        assert [line.split(",")[1] for line in text.splitlines()[1:]] == list(bench.STAGES)
         assert report.with_suffix(".md").exists()
+
+    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--warmup", "-1"]])
+    def test_bench_command_rejects_bad_counts(self, tmp_path, monkeypatch, flags):
+        def no_request(*args):
+            raise AssertionError("a request ran before the counts were checked")
+
+        monkeypatch.setattr(bench, "run_pipeline_timed", no_request)
+        report = tmp_path / "bench.csv"
+        with pytest.raises(ValueError):
+            cli_main(["bench", "--res", "128", "--report", str(report),
+                      "--lr", "64", "--dk", "16", *flags])
+        assert not report.exists()
+
+    def test_bench_command_has_no_hr_runs_flag(self, tmp_path):
+        with pytest.raises(SystemExit):
+            cli_main(["bench", "--res", "128", "--report", str(tmp_path / "b.csv"),
+                      "--lr", "64", "--dk", "16", "--runs", "1", "--warmup", "0",
+                      "--hr-runs", "3"])
 
 
 class TestBenchHarness:
@@ -445,19 +465,57 @@ class TestBenchHarness:
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row.resolution == 128
-        assert set(row.stages) == {"coarse", "attention", "masking", "mixing",
-                                   "upscale", "total"}
+        assert set(row.stages) == {"coarse", "refine", "upscale", "total"}
         for st in row.stages.values():
             assert st.median_ms >= 0
             assert st.p90_ms >= st.median_ms or abs(st.p90_ms - st.median_ms) < 1e-9
         est = flop_estimates(config, 128, 128)
-        assert row.stages["attention"].flops == attention_flops(64, 16, 32)
+        assert row.stages["refine"].flops == (attention_flops(64, 16, 32)
+                                              + est["masking"] + est["mixing"])
         assert est["total"] == sum(est[k] for k in
                                    ("coarse", "attention", "masking", "mixing", "upscale"))
         csv_text = report_to_csv(report)
-        assert "attention" in csv_text
+        assert "refine" in csv_text
         md = report_to_markdown(report)
         assert md.startswith("# Latency report")
+
+    def test_rows_are_the_stages_of_whole_requests(self, monkeypatch):
+        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
+        model = random_model(config, seed=2)
+        calls = []
+
+        # request i reports stage k as 100*k + i ms; the first two are warmup
+        def fake_timed(cfg, mdl, image, mask):
+            assert cfg is config and mdl is model
+            calls.append(image.shape[1])
+            i = len(calls) - 1
+            return None, {name: 100.0 * k + i for k, name in enumerate(bench.STAGES)}
+
+        monkeypatch.setattr(bench, "run_pipeline_timed", fake_timed)
+        report = run_bench(config, model, [64, 128], runs=5, warmup=2)
+        assert calls == [64] * 7 + [128] * 7
+        for row, first in zip(report.rows, (2, 9)):
+            measured = range(first, first + 5)
+            est = flop_estimates(config, row.resolution, row.resolution)
+            for k, name in enumerate(bench.STAGES):
+                samples = [100.0 * k + i for i in measured]
+                assert row.stages[name].median_ms == statistics.median(samples)
+                assert row.stages[name].p90_ms == 100.0 * k + first + 4
+            assert row.stages["coarse"].flops == est["coarse"]
+            assert row.stages["refine"].flops == (est["attention"] + est["masking"]
+                                                  + est["mixing"])
+            assert row.stages["upscale"].flops == est["upscale"]
+            assert row.stages["total"].flops == est["total"]
+
+    @pytest.mark.parametrize("kwargs", [{"runs": 0}, {"runs": -1}, {"warmup": -1}])
+    def test_run_bench_rejects_bad_counts_before_any_request(self, monkeypatch, kwargs):
+        def no_request(*args):
+            raise AssertionError("a request ran before the counts were checked")
+
+        monkeypatch.setattr(bench, "run_pipeline_timed", no_request)
+        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
+        with pytest.raises(ValueError):
+            run_bench(config, random_model(config, seed=2), [128], **kwargs)
 
     @pytest.mark.parametrize("config,h,w,want", [
         (PipelineConfig(), 2048, 2048,

@@ -210,3 +210,59 @@ class TestFocalFrequencyLoss:
         assert abs(loss - focal_frequency_loss(x8, y8)) < 1e-12
         _, none_pad = focal_frequency_loss_padded(pad_to_pow2(x), pad_to_pow2(y))
         assert none_pad is None
+
+
+class TestFloat32InputKeepsFloat64Precision:
+    """float32 input is transformed in complex128: a complex64 transform
+    would be off by ~1e-7 relative, far outside these 1e-9 bounds."""
+
+    def test_fft2d(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((1, 16, 16)).astype(F32)
+        grid = fft2d(x)
+        assert grid.re.dtype == np.float64 and grid.im.dtype == np.float64
+        want = dft2d_oracle(x[0].astype(np.float64))
+        assert np.abs(grid.to_complex() - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_ifft2d_round_trip(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((1, 16, 8)).astype(F32)
+        back = ifft2d(fft2d(x))
+        assert back.dtype == F32
+        assert np.abs(back.astype(np.float64) - x).max() <= 1e-9 * np.abs(x).max()
+
+    def test_focal_frequency_loss(self):
+        rng = np.random.default_rng(7)
+        x = rng.random((2, 16, 16)).astype(F32)
+        y = rng.random((2, 16, 16)).astype(F32)
+        for alpha in (1.0, 0.5):
+            want = ffl_oracle(x, y, alpha)
+            assert abs(focal_frequency_loss(x, y, alpha=alpha) - want) <= 1e-9 * want
+
+
+class TestFft1d:
+    def test_inverse_round_trip(self):
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        back = fft1d(fft1d(z), inverse=True)
+        assert back.dtype == np.complex128
+        assert np.abs(back - z).max() < 1e-12
+
+    def test_inverse_matches_naive(self):
+        rng = np.random.default_rng(9)
+        z = (rng.standard_normal(16) + 1j * rng.standard_normal(16)).astype(np.complex64)
+        n = len(z)
+        want = np.array([
+            sum(complex(z[t]) * np.exp(2j * np.pi * k * t / n) for t in range(n)) / n
+            for k in range(n)
+        ])
+        assert np.abs(fft1d(z, inverse=True) - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [0, 3, 12])
+    def test_non_pow2_length_rejected(self, n):
+        with pytest.raises(ValueError, match="power of two"):
+            fft1d(np.zeros(n))
+
+    def test_non_1d_rejected(self):
+        with pytest.raises(ValueError):
+            fft1d(np.zeros((4, 4)))
