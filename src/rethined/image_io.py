@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import DTYPE, _strip_rows, require_binary
+from .tensor_ops import DTYPE, _split, _strip_rows, require_binary
 
 
 class ImageFormatError(ValueError):
@@ -65,10 +65,14 @@ def read_image(path) -> np.ndarray:
     # strip of interleaved bytes is read from cache by all three planes
     out = np.empty((3, height, width), dtype=DTYPE)
     step = _strip_rows(width * out.itemsize)
-    for r0 in range(0, height, step):
-        rows = slice(r0, r0 + step)
-        for c in range(3):
-            np.divide(arr[rows, :, c], 255, out=out[c, rows], dtype=DTYPE)
+
+    def convert(starts):
+        for r0 in starts:
+            rows = slice(r0, r0 + step)
+            for c in range(3):
+                np.divide(arr[rows, :, c], 255, out=out[c, rows], dtype=DTYPE)
+
+    _split(convert, range(0, height, step), arr.nbytes + out.nbytes)
     return out
 
 
@@ -83,16 +87,20 @@ def write_image(tensor: np.ndarray, path) -> None:
     dtype = np.result_type(tensor, 0.0)
     q = np.empty((h, w, 3), dtype=np.uint8)
     step = _strip_rows(w * dtype.itemsize)
-    buf = np.empty((min(step, h), w), dtype=dtype)
-    for r0 in range(0, h, step):
-        rows = slice(r0, r0 + step)
-        strip = buf[:len(q[rows])]
-        for c in range(3):
-            np.clip(tensor[c, rows], 0.0, 1.0, out=strip)
-            strip *= 255.0
-            strip += 0.5
-            np.floor(strip, out=strip)
-            q[rows, :, c] = strip
+
+    def quantise(starts, buf):
+        for r0 in starts:
+            rows = slice(r0, r0 + step)
+            strip = buf[:len(q[rows])]
+            for c in range(3):
+                np.clip(tensor[c, rows], 0.0, 1.0, out=strip)
+                strip *= 255.0
+                strip += 0.5
+                np.floor(strip, out=strip)
+                q[rows, :, c] = strip
+
+    _split(quantise, range(0, h, step), q.nbytes + 3 * h * w * dtype.itemsize,
+           lambda: np.empty((min(step, h), w), dtype=dtype))
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(q)

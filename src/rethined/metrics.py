@@ -22,17 +22,26 @@ def l1(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a.astype(np.float64) - b.astype(np.float64)).mean())
 
 
-def _ssim_window() -> np.ndarray:
+def _ssim_taps() -> np.ndarray:
     r = SSIM_WINDOW // 2
     t = np.arange(-r, r + 1, dtype=np.float64)
     g = np.exp(-(t * t) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
-def _filter_valid(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    win = sliding_window_view(img, window.shape)
-    return np.einsum("hwst,st->hw", win, window, optimize=True)
+def _ssim_window() -> np.ndarray:
+    """The 11x11 Gaussian window, outer(g, g) of the normalised taps."""
+    g = _ssim_taps()
+    return np.outer(g, g)
+
+
+def _filter_valid(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Valid-mode correlation of a 2-D float64 image with the window
+    outer(taps, taps), as two 1-D passes (W, then H): 2k multiply-adds per
+    pixel instead of k^2.  Within a few float64 ulp of the dense window."""
+    k = len(taps)
+    rows = np.einsum("hwk,k->hw", sliding_window_view(img, k, axis=1), taps)
+    return np.einsum("hwk,k->hw", sliding_window_view(rows, k, axis=0), taps)
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -44,16 +53,16 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     _, h, w = a.shape
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(f"image {h}x{w} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    window = _ssim_window()
+    taps = _ssim_taps()
     total = 0.0
     for c in range(a.shape[0]):
         x = a[c].astype(np.float64)
         y = b[c].astype(np.float64)
-        mu_x = _filter_valid(x, window)
-        mu_y = _filter_valid(y, window)
-        var_x = _filter_valid(x * x, window) - mu_x * mu_x
-        var_y = _filter_valid(y * y, window) - mu_y * mu_y
-        cov = _filter_valid(x * y, window) - mu_x * mu_y
+        mu_x = _filter_valid(x, taps)
+        mu_y = _filter_valid(y, taps)
+        var_x = _filter_valid(x * x, taps) - mu_x * mu_x
+        var_y = _filter_valid(y * y, taps) - mu_y * mu_y
+        cov = _filter_valid(x * y, taps) - mu_x * mu_y
         num = (2 * mu_x * mu_y + SSIM_C1) * (2 * cov + SSIM_C2)
         den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
         total += float((num / den).mean())

@@ -30,7 +30,7 @@ from .coarse import (
     _he_uniform,
 )
 from .patches import block_any
-from .tensor_ops import DTYPE, all_finite, bilinear_resize, gaussian_blur, require_binary
+from .tensor_ops import DTYPE, _one_blas_thread, all_finite, bilinear_resize, gaussian_blur, require_binary
 from .upscale import _compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
@@ -242,36 +242,44 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
 
     `coarse` covers downsample_to_lr, with the one HR blur, and the coarse
     CNN; `refine` the LR attention pass; and `upscale` the HR residual,
-    mixing and composite, which reuse that blur's low-pass.
+    mixing and composite, which reuse that blur's low-pass.  `total` also
+    covers the input checks.
+
+    The whole chain runs with numpy's OpenBLAS held at one thread, and its
+    full-resolution loops are split across the CPUs of the process affinity
+    (see tensor_ops._split).
     """
-    _validate_inputs(config, image, mask)
     times: dict[str, float] = {}
     t_all = time.perf_counter()
+    with _one_blas_thread():
+        _validate_inputs(config, image, mask)
 
-    t0 = time.perf_counter()
-    x_lr, m_lr, low = downsample_to_lr(config, image, mask)
-    coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
-    features = _features_for_grid(config, features)
-    times["coarse"] = (time.perf_counter() - t0) * 1e3
+        t0 = time.perf_counter()
+        x_lr, m_lr, low = downsample_to_lr(config, image, mask)
+        coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
+        features = _features_for_grid(config, features)
+        times["coarse"] = (time.perf_counter() - t0) * 1e3
 
-    t0 = time.perf_counter()
-    x_lr_hat, masked_map = npm_refine(coarse, x_lr, features, model.npm,
-                                      m_lr, config.patch_size, config.d_k)
-    del coarse, features, x_lr, m_lr  # the composition's arrays can reuse their memory
-    times["refine"] = (time.perf_counter() - t0) * 1e3
+        t0 = time.perf_counter()
+        x_lr_hat, masked_map = npm_refine(coarse, x_lr, features, model.npm,
+                                          m_lr, config.patch_size, config.d_k)
+        del coarse, features, x_lr, m_lr  # the composition's arrays can reuse their memory
+        times["refine"] = (time.perf_counter() - t0) * 1e3
 
-    t0 = time.perf_counter()
-    # the result overwrites the low-pass, which is dead once the residual is
-    # cut, unless the low-pass is the caller's image (r == 1)
-    out = _compose_hr(image, low, x_lr_hat, masked_map, mask, config.patch_size,
-                      config.composite, out=None if low is image else low)
-    times["upscale"] = (time.perf_counter() - t0) * 1e3
+        t0 = time.perf_counter()
+        # the result overwrites the low-pass, which is dead once the residual
+        # is cut, unless the low-pass is the caller's image (r == 1)
+        out = _compose_hr(image, low, x_lr_hat, masked_map, mask, config.patch_size,
+                          config.composite, out=None if low is image else low)
+        times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times
 
 
 def run_pipeline(config: PipelineConfig, model: InpaintingModel,
                  image: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Inpaint a masked HR image; deterministic for fixed (config, model, input)."""
+    """Inpaint a masked HR image; deterministic for fixed (config, model,
+    input), whatever the number of CPUs, and with numpy's bundled OpenBLAS
+    whatever its thread count."""
     out, _ = run_pipeline_timed(config, model, image, mask)
     return out

@@ -15,6 +15,9 @@ buffer, runs one matmul for the mixed rows into the same buffer, and then
 makes one pass over the output, a cache-sized strip at a time (bilinear,
 high frequencies of the patches that can change, composite, clip).  No
 full-resolution residual, patch grid or high-frequency image is built.
+Each of the three steps is split across CPUs by tensor_ops._split: the cut
+by source patches, the matmul by row blocks of the weights and the pass by
+strips; one BLAS thread runs each row block.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .attention import AttentionMap
 from .patches import block_any
-from .tensor_ops import DTYPE, _STRIP_BYTES, _bilinear_plan, gaussian_blur, require_binary
+from .tensor_ops import DTYPE, _STRIP_BYTES, _bilinear_plan, _split, gaussian_blur, require_binary
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -165,24 +168,34 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
         hf_row[sources] = np.arange(len(sources))
         hf_row[corrupt] = len(sources) + np.arange(len(corrupt))
         patches = np.flatnonzero(written)
-        cuts = _runs(sources, np.arange(len(sources)), grid_rows, grid_cols)
         adds = _runs(patches, hf_row[patches], grid_rows, grid_cols)
         # [3, patch y, buffer row, patch x]: a run of patches is one basic
         # slice of hf
         hf_t = hf.transpose(1, 2, 0, 3)
+        x_grid, low_grid = grid(x_hr_masked), grid(low)
 
         # 1. residual x - low of the source patches, cut straight into hf, in
-        # image order (3x faster than in patch order at 2048)
-        x_grid, low_grid = grid(x_hr_masked), grid(low)
-        for pr, runs in enumerate(cuts):
-            for pc, r0, k in runs:
-                np.subtract(x_grid[:, pr, :, pc:pc + k], low_grid[:, pr, :, pc:pc + k],
-                            out=hf_t[:, :, r0:r0 + k])
+        # image order (3x faster than in patch order at 2048), by slices of
+        # the source patches
+        def cut(part):
+            for pr, runs in enumerate(_runs(sources[part], np.asarray(part), grid_rows, grid_cols)):
+                for pc, r0, k in runs:
+                    np.subtract(x_grid[:, pr, :, pc:pc + k], low_grid[:, pr, :, pc:pc + k],
+                                out=hf_t[:, :, r0:r0 + k])
 
-        # 2. one matmul for the mixed rows, into hf
+        _split(cut, range(len(sources)), 3 * hf[:len(sources)].nbytes)
+
+        # 2. one matmul for the mixed rows, into hf, by row blocks of the
+        # weights
         if corrupt.size:
             k, d = len(sources), 3 * ph * pw
-            np.matmul(amap.weights, hf[:k].reshape(k, d), out=hf[k:].reshape(len(corrupt), d))
+            values, mixed = hf[:k].reshape(k, d), hf[k:].reshape(len(corrupt), d)
+
+            def mix(part):
+                rows = slice(part.start, part.stop)
+                np.matmul(amap.weights[rows], values, out=mixed[rows])
+
+            _split(mix, range(len(corrupt)), values.nbytes + mixed.nbytes)
 
     # 3. bilinear carrier, high frequencies of the written patches,
     # composite and clip, one strip at a time: a run of whole patch rows of
@@ -201,18 +214,23 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
         out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
     out_grid = grid(out)
     cap = max((p1 - p0 - 1) * ph + b - a for p0, p1, a, b in strips)
-    top, keep = np.empty((3, cap, w_hr), dtype=DTYPE), np.empty((cap, w_hr), dtype=bool)
-    for p0, p1, a, b in strips:
-        y0, y1 = p0 * ph + a, (p1 - 1) * ph + b
-        seg = out[:, y0:y1]
-        carrier.lerp_rows(y0, y1, seg, top[:, :y1 - y0])
-        for pr in range(p0, p1):
-            for pc, r0, k in adds[pr]:
-                dst = out_grid[:, pr, a:b, pc:pc + k]
-                dst += hf_t[:, a:b, r0:r0 + k]
-        if composite:
-            known = keep[:y1 - y0]
-            np.equal(m_hr[0, y0:y1], 0, out=known)
-            np.copyto(seg, x_hr_masked[:, y0:y1], where=known)
-        np.clip(seg, 0.0, 1.0, out=seg)
+
+    def compose(part, bufs):
+        top, keep = bufs
+        for p0, p1, a, b in part:
+            y0, y1 = p0 * ph + a, (p1 - 1) * ph + b
+            seg = out[:, y0:y1]
+            carrier.lerp_rows(y0, y1, seg, top[:, :y1 - y0])
+            for pr in range(p0, p1):
+                for pc, r0, k in adds[pr]:
+                    dst = out_grid[:, pr, a:b, pc:pc + k]
+                    dst += hf_t[:, a:b, r0:r0 + k]
+            if composite:
+                known = keep[:y1 - y0]
+                np.equal(m_hr[0, y0:y1], 0, out=known)
+                np.copyto(seg, x_hr_masked[:, y0:y1], where=known)
+            np.clip(seg, 0.0, 1.0, out=seg)
+
+    _split(compose, strips, 3 * out.nbytes,
+           lambda: (np.empty((3, cap, w_hr), dtype=DTYPE), np.empty((cap, w_hr), dtype=bool)))
     return out

@@ -1,11 +1,16 @@
 """End-to-end pipeline, CLI and benchmark harness tests (small sizes)."""
 
+import hashlib
 import json
+import os
 import statistics
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,12 +182,26 @@ class TestRunPipeline:
         for out in (o for r in results for o in r):
             assert out.tobytes() == want.tobytes()
 
-    def test_request_starts_no_threads(self, tmp_path):
-        # the full-resolution strip loops run on the calling thread
+    def test_request_starts_no_threads(self, tmp_path, monkeypatch):
+        # the split loops' helper threads are joined before each call returns
         config, model, image, mask = small_setup(11, lr=64, size=512)
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        monkeypatch.setattr(tensor_ops.threading, "Thread", Recorded)
         write_image(run_pipeline(config, model, image, mask), tmp_path / "out.ppm")
         names = [t.name for t in threading.enumerate()]
-        assert not [n for n in names if n.startswith("rethined-strips")]
+        assert not [n for n in names if n.startswith("rethined")]
+        if tensor_ops._openblas() is not None:
+            assert started and all(n.startswith("rethined-split") for n in started)
+        else:
+            assert not started
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixel_rejected(self, bad, monkeypatch):
@@ -229,15 +248,30 @@ def lr256_setup(seeds):
 
 def blur_path_pipeline(config, model, image, mask):
     """run_pipeline as it ran before r = 1 skipped the blur: blur, bilinear
-    decimation and block-ANY at factor 1, composed into the low-pass."""
+    decimation and block-ANY at factor 1, composed into the low-pass, with
+    BLAS held at one thread as run_pipeline holds it."""
     lr, p = config.lr_size, config.patch_size
-    low = gaussian_blur(image, sigma_for_factor(1), sigma_for_factor(1))
-    x_lr = bilinear_resize(low, lr, lr)
-    m_lr = block_any(mask[0], 1, 1)[None].astype(F32)
-    coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
-    x_hat, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr, p, config.d_k)
-    low_bytes = low.tobytes()
-    return low_bytes, _compose_hr(image, low, x_hat, amap, mask, p, config.composite, out=low)
+    with tensor_ops._one_blas_thread():
+        low = gaussian_blur(image, sigma_for_factor(1), sigma_for_factor(1))
+        x_lr = bilinear_resize(low, lr, lr)
+        m_lr = block_any(mask[0], 1, 1)[None].astype(F32)
+        coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
+        x_hat, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr, p, config.d_k)
+        low_bytes = low.tobytes()
+        return low_bytes, _compose_hr(image, low, x_hat, amap, mask, p, config.composite, out=low)
+
+
+def test_total_covers_the_input_checks(monkeypatch):
+    config, model, image, mask = small_setup(14)
+    validate = pipeline._validate_inputs
+
+    def slow(*args):
+        time.sleep(0.05)
+        validate(*args)
+
+    monkeypatch.setattr(pipeline, "_validate_inputs", slow)
+    _, times = run_pipeline_timed(config, model, image, mask)
+    assert times["total"] >= 50.0 + times["coarse"] + times["refine"] + times["upscale"]
 
 
 class TestLrWorkspace:
@@ -342,6 +376,109 @@ class TestLrWorkspace:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert results == [[w] * n_runs for w in want]
+
+
+def _blas_threads():
+    get, _ = tensor_ops._openblas()
+    return get()
+
+
+needs_openblas = pytest.mark.skipif(tensor_ops._openblas() is None,
+                                    reason="numpy's BLAS is not an OpenBLAS")
+
+
+@needs_openblas
+class TestOneBlasThread:
+    """The chain holds numpy's OpenBLAS at one thread and gives the saved
+    count back however it ends, with overlapping callers too."""
+
+    @pytest.fixture
+    def two_threads(self):
+        get, put = tensor_ops._openblas()
+        saved = get()
+        put(2)
+        yield get()
+        put(saved)
+
+    def test_count_restored_after_return_and_error(self, two_threads, tmp_path, monkeypatch):
+        config, model, image, mask = small_setup(12, lr=64, size=256)
+        seen = []
+        compose = pipeline._compose_hr
+        monkeypatch.setattr(pipeline, "_compose_hr",
+                            lambda *a, **k: seen.append(_blas_threads()) or compose(*a, **k))
+        out = run_pipeline(config, model, image, mask)
+        assert seen == [1] and _blas_threads() == two_threads
+        gaussian_blur(image, 2.0)
+        assert _blas_threads() == two_threads
+        write_image(out, tmp_path / "out.ppm")
+        assert _blas_threads() == two_threads
+        bad = image.copy()
+        bad[0, 3, 3] = np.nan
+        with pytest.raises(NonFiniteInputError):
+            run_pipeline(config, model, bad, mask)
+        assert _blas_threads() == two_threads
+
+    def test_count_restored_with_overlapping_callers(self, two_threads):
+        config, model, image, mask = small_setup(13, lr=64, size=512)
+        want = run_pipeline(config, model, image, mask).tobytes()
+        start, outs = threading.Barrier(2), []
+
+        def request():
+            start.wait(timeout=60)
+            for _ in range(2):
+                outs.append(run_pipeline(config, model, image, mask).tobytes())
+                outs.append(gaussian_blur(image, 3.0).shape)
+
+        threads = [threading.Thread(target=request) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert outs.count(want) == 4
+        assert _blas_threads() == two_threads
+
+
+_ONE_THREAD_CHILD = """
+import hashlib
+from rethined import pipeline
+from rethined.bench import synthetic_inputs
+config = pipeline.PipelineConfig()
+model = pipeline.fuse_pipeline_model(pipeline.random_model(config, seed=600))
+for size in (512, 1024):
+    out = pipeline.run_pipeline(config, model, *synthetic_inputs(config, size, 1))
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+@needs_openblas
+def test_bytes_equal_one_blas_thread_at_any_split(monkeypatch):
+    # r = 2 and r = 4 with the default config; the masks leave both
+    # corrupted and clean patches, so the residual cut and the mix run
+    import rethined
+
+    config = PipelineConfig()
+    model = fuse_pipeline_model(random_model(config, seed=600))
+    inputs = [synthetic_inputs(config, size, 1) for size in (512, 1024)]
+    for _, mask in inputs:
+        corrupted = block_any(mask[0], mask.shape[1] // config.grid, mask.shape[2] // config.grid)
+        assert 0 < np.count_nonzero(corrupted) < corrupted.size
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(rethined.__file__).resolve().parents[1]))
+    child = subprocess.run([sys.executable, "-c", _ONE_THREAD_CHILD], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    want = child.stdout.split()
+
+    def digests():
+        return [hashlib.sha256(run_pipeline(config, model, im, m).tobytes()).hexdigest()
+                for im, m in inputs]
+
+    assert digests() == want
+    monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+    for parts in (1, 3):
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: parts)
+        assert digests() == want
 
 
 class TestCli:

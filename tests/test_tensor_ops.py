@@ -636,3 +636,135 @@ class TestScratch:
         t.join(timeout=30)
         assert not t.is_alive()
         assert not np.shares_memory(mine, theirs[0])
+
+
+def _blas_threads():
+    get, _ = tensor_ops._openblas()
+    return get()
+
+
+needs_openblas = pytest.mark.skipif(tensor_ops._openblas() is None,
+                                    reason="numpy's BLAS is not an OpenBLAS")
+
+
+class TestBlasHold:
+    """_one_blas_thread: one BLAS thread while any holder is inside, the
+    saved count back when the last one leaves, nothing on other BLAS."""
+
+    @needs_openblas
+    def test_nested_and_overlapping_holds_restore_the_count(self):
+        before = _blas_threads()
+        inside, release, seen = threading.Event(), threading.Event(), []
+
+        def other():
+            with tensor_ops._one_blas_thread():
+                inside.set()
+                release.wait(timeout=30)
+
+        t = threading.Thread(target=other)
+        t.start()
+        assert inside.wait(timeout=30)
+        with tensor_ops._one_blas_thread() as held:
+            with tensor_ops._one_blas_thread():
+                seen.append(_blas_threads())
+            seen.append(_blas_threads())
+        # the other thread still holds: the count stays at one
+        seen.append(_blas_threads())
+        release.set()
+        t.join(timeout=30)
+        assert held and seen == [1, 1, 1]
+        assert _blas_threads() == before
+
+    @needs_openblas
+    def test_count_restored_after_an_error(self):
+        before = _blas_threads()
+        with pytest.raises(KeyError):
+            with tensor_ops._one_blas_thread():
+                raise KeyError("boom")
+        assert _blas_threads() == before
+
+    def test_no_hold_and_no_split_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(tensor_ops, "_openblas", lambda: None)
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        with tensor_ops._one_blas_thread() as held:
+            assert held is False
+        callers = []
+        out = tensor_ops._split(lambda part: callers.append(threading.current_thread()) or len(part),
+                                range(10), 1 << 30)
+        assert out == [10] and callers == [threading.current_thread()]
+
+
+class TestSplit:
+    """_split: contiguous slices, one per CPU, joined before it returns."""
+
+    @needs_openblas
+    @pytest.mark.parametrize("cpus,n,want", [(3, 10, [3, 3, 4]), (2, 1, [1]), (4, 3, [1, 1, 1])])
+    def test_slices_are_contiguous_and_in_order(self, monkeypatch, cpus, n, want):
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        parts = tensor_ops._split(lambda part: (list(part), _blas_threads()), range(n), 1 << 30)
+        assert [len(p) for p, _ in parts] == want
+        assert [i for p, _ in parts for i in p] == list(range(n))
+        assert {threads for _, threads in parts} == {1}
+
+    @needs_openblas
+    def test_scratch_is_made_on_the_calling_thread_once_per_slice(self, monkeypatch):
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        makers = []
+
+        def scratch():
+            makers.append(threading.current_thread())
+            return np.empty(4)
+
+        got = tensor_ops._split(lambda part, buf: (len(part), buf), range(9), 1 << 30, scratch)
+        assert makers == [threading.current_thread()] * 3
+        assert [n for n, _ in got] == [3, 3, 3]
+        assert len({id(buf) for _, buf in got}) == 3
+
+    @needs_openblas
+    def test_small_work_and_one_cpu_run_inline(self, monkeypatch):
+        me = threading.current_thread()
+        job = lambda part: threading.current_thread() is me  # noqa: E731
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
+        assert tensor_ops._split(job, range(8), 2 * tensor_ops._PART_BYTES - 1) == [True]
+        assert tensor_ops._split(job, range(8), 2 * tensor_ops._PART_BYTES) == [True, False]
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 1)
+        assert tensor_ops._split(job, range(8), 1 << 30) == [True]
+
+    @needs_openblas
+    def test_first_error_raised_after_every_slice_ran(self, monkeypatch):
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        before, ran = _blas_threads(), []
+
+        def job(part):
+            ran.append(part[0])
+            if part[0] > 0:
+                raise ValueError(f"slice {part[0]}")
+
+        with pytest.raises(ValueError, match="^slice 2$"):
+            tensor_ops._split(job, range(6), 1 << 30)
+        assert sorted(ran) == [0, 2, 4]
+        assert not [t for t in threading.enumerate() if t.name.startswith("rethined")]
+        assert _blas_threads() == before
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_kernels_give_the_same_bytes_in_any_number_of_slices(self, monkeypatch, parts, tmp_path):
+        from rethined.image_io import read_image, write_image
+
+        x = _input((3, 130, 2048), "f32", seed=6)
+        write_image(x, tmp_path / "want.ppm")
+        want = [gaussian_blur(x, 2.0, 3.0), read_image(tmp_path / "want.ppm")]
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: parts)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        assert_bit_equal(gaussian_blur(x, 2.0, 3.0), want[0])
+        write_image(x, tmp_path / "got.ppm")
+        assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
+        assert_bit_equal(read_image(tmp_path / "got.ppm"), want[1])
+        assert tensor_ops.all_finite(x) is True
+        for where in ((0, 0, 0), (2, 129, 2047), (1, 64, 5)):
+            bad = x.copy()
+            bad[where] = np.nan
+            assert tensor_ops.all_finite(bad) is False
