@@ -36,7 +36,6 @@ from .attention import (
 )
 from .upscale import (
     FrequencySplit,
-    compose_hr,
     frequency_split,
     sigma_for_factor,
 )

@@ -87,10 +87,11 @@ def _cmd_metrics(args) -> int:
     a = read_image(args.a)
     b = read_image(args.b)
     ffl, padded = focal_frequency_loss_padded(a, b)
+    db = psnr(a, b)
     result = {
         "l1": l1(a, b),
         "ssim": ssim(a, b),
-        "psnr": "inf" if psnr(a, b) == float("inf") else psnr(a, b),
+        "psnr": "inf" if db == float("inf") else db,
         "ffl": ffl,
     }
     if padded is not None:

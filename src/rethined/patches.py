@@ -4,8 +4,10 @@ One patch-grid type, PatchGrid, serves both resolutions: hr_patches cuts
 rectangular patches, img2col is its square LR form, and pixel_shuffle
 inverts either.  The HR composition does not build an HR PatchGrid:
 upscale._compose_hr cuts only the patches it reads, straight from the image,
-in the same channel-major layout.  block_any reduces a mask over blocks, for
-the patch mask here and the mask decimations of the pipeline.
+in the same channel-major layout.  block_any reduces a mask over blocks: the
+pipeline's HR mask to LR once per request, and that LR mask to the patch
+mask here, whose corrupted patches the masked attention map then carries
+to the HR composition.
 
 Patches are cut by one strided copy.  Rows of the result are channel-major
 flattened patches (all R pixels row-major, then G, then B): bit-identical to

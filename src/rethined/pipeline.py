@@ -211,8 +211,10 @@ def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
     """Anti-alias blur + bilinear decimation of the image, block-ANY of the mask.
 
     Returns (x_lr, m_lr, low): `low` is the float32 Gaussian low-pass of the
-    HR image at sigma_for_factor(r) per axis, which compose_hr reuses for the
-    high-frequency residual, and x_lr is `low` bilinearly resized to lr_size.
+    HR image at sigma_for_factor(r) per axis, which upscale._compose_hr
+    reuses for the high-frequency residual, and x_lr is `low` bilinearly
+    resized to lr_size.  m_lr is the request's one full-resolution mask
+    reduction: the masked map's corrupted patches all come from it.
     At r == 1 the taps are exactly [0, 1, 0], so low and x_lr equal the image:
     then all three are the caller's arrays (cast to float32 if they are not),
     and no blur runs.

@@ -7,7 +7,9 @@ low-frequency carrier comes from bilinearly upsampling the refined LR result.
 The attention map itself is never recomputed, so the quadratic attention cost
 stays at LR regardless of output resolution.  The HR low-pass is not
 recomputed either: the pipeline blurs the HR image once, decimates that
-low-pass to get the LR input, and hands it to compose_hr for the residual.
+low-pass to get the LR input, and hands it to _compose_hr for the residual.
+Nor are the corrupted patches: the masked map already lists them, so the
+composer does not reduce the HR mask over patches.
 
 The composition works patch-major and only where output can change: it cuts
 the residual of the patches the mix reads straight into one patch-major
@@ -16,7 +18,7 @@ makes one pass over the output, a cache-sized strip at a time (bilinear,
 high frequencies of the patches that can change, composite, clip).  No
 full-resolution residual, patch grid or high-frequency image is built.
 Each of the three steps is split across CPUs by tensor_ops._split: the cut
-by source patches, the matmul by row blocks of the weights and the pass by
+by clean patches, the matmul by row blocks of the weights and the pass by
 strips; one BLAS thread runs each row block.
 """
 
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionMap
-from .patches import block_any
-from .tensor_ops import DTYPE, _STRIP_BYTES, _bilinear_plan, _split, gaussian_blur, require_binary
+from .tensor_ops import DTYPE, _STRIP_BYTES, _bilinear_plan, _split, gaussian_blur
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -65,42 +66,6 @@ def frequency_split(x_hr: np.ndarray, r: float) -> FrequencySplit:
     return FrequencySplit(low, high, sigma)
 
 
-def compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarray,
-               amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
-               composite: bool = True) -> np.ndarray:
-    """Assemble the final HR result.
-
-    `low` is the Gaussian low-pass of `x_hr_masked` at sigma_for_factor of
-    each axis's HR/LR ratio, the one downsample_to_lr computes.  The
-    high-frequency residual x_hr_masked - low is taken in float32, mixed
-    with the attention map and added to the bilinearly upsampled refined LR
-    image; known pixels are then optionally overwritten with the originals
-    and the result clamped to [0, 1].  HR extents must be integer multiples
-    of the LR extents.  The LR image is upsampled in float32.
-    """
-    if x_hr_masked.ndim != 3 or x_hr_masked.shape[0] != 3:
-        raise ValueError(f"expected [3, H_HR, W_HR] image, got shape {x_hr_masked.shape}")
-    if low.shape != x_hr_masked.shape:
-        raise ValueError(f"low-pass shape {low.shape} does not match image {x_hr_masked.shape}")
-    if x_lr_refined.ndim != 3 or x_lr_refined.shape[0] != 3:
-        raise ValueError(f"expected [3, H, W] LR image, got shape {x_lr_refined.shape}")
-    _, h_hr, w_hr = x_hr_masked.shape
-    _, h, w = x_lr_refined.shape
-    if h_hr % h or w_hr % w:
-        raise ValueError(
-            f"HR extents {h_hr}x{w_hr} must be integer multiples of LR extents {h}x{w}"
-        )
-    if m_hr.shape != (1, h_hr, w_hr):
-        raise ValueError(f"mask shape {m_hr.shape} does not match image {x_hr_masked.shape}")
-    require_binary(m_hr)
-    if (amap.rows, amap.cols) != (h // patch_size, w // patch_size):
-        raise ValueError("attention grid does not match the LR patch grid")
-    if not amap.masked:
-        raise ValueError("token mixing requires a masked attention map")
-    return _compose_hr(x_hr_masked, low, x_lr_refined.astype(DTYPE, copy=False), amap, m_hr,
-                       patch_size, composite)
-
-
 def _runs(patches: np.ndarray, rows: np.ndarray, grid_rows: int, grid_cols: int) -> list:
     """Cut patch indices with their buffer rows into runs of patches that sit
     side by side in one grid row and in the buffer.
@@ -122,11 +87,24 @@ def _runs(patches: np.ndarray, rows: np.ndarray, grid_rows: int, grid_cols: int)
 def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarray,
                 amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
                 composite: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """compose_hr on inputs already validated, as run_pipeline's are: the
-    full-resolution mask check runs once per request, at the boundary.
-    `x_lr_refined` must be float32.  The result goes to `out` if given, a
-    C-contiguous float32 array of the image's shape; it may be `low`, which
-    is read only before `out` is written.
+    """Assemble the final HR result.
+
+    `low` is the Gaussian low-pass of `x_hr_masked` at sigma_for_factor of
+    each axis's HR/LR ratio, the one downsample_to_lr computes.  The
+    high-frequency residual x_hr_masked - low is taken in float32, mixed
+    with the attention map and added to the bilinearly upsampled refined LR
+    image; known pixels are then optionally overwritten with the originals
+    and the result clamped to [0, 1].
+
+    The inputs are the ones run_pipeline has checked at its boundary: HR
+    extents are integer multiples of the LR extents, `m_hr` is a binary
+    [1, H_HR, W_HR] mask and `x_lr_refined` is float32.  `amap` is the
+    masked map of `m_hr`'s patch mask, as npm_refine returns it, so
+    `amap.corrupt` lists, in ascending order, the patches that hold a
+    corrupted pixel; the composer takes the patches it writes from it and
+    does not read the mask again for them.  The result goes to `out` if
+    given, a C-contiguous float32 array of the image's shape; it may be
+    `low`, which is read only before `out` is written.
 
     Each output element gets the ops of the unfused form, bilinear + mixed
     high frequencies, composite, clip, so results are bit-identical to it.
@@ -145,50 +123,45 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
     def grid(img):
         return img.reshape(3, grid_rows, ph, grid_cols, pw)
 
-    if low is x_hr_masked:
-        # downsample_to_lr hands the image back as its own low-pass at r = 1:
-        # the residual is exactly zero, so nothing is cut, mixed or added
+    # Patches whose output can change: every one, or with composite only the
+    # corrupted ones; all other pixels become x_hr_masked.
+    written = amap.corrupt if composite else np.arange(n)
+    if low is x_hr_masked or not written.size:
+        # downsample_to_lr hands the image back as its own low-pass at r = 1,
+        # so the residual is exactly zero, or no patch reads it: nothing is
+        # cut, mixed or added
         adds = [[] for _ in range(grid_rows)]
     else:
         clean, corrupt = amap.clean, amap.corrupt
-        # Patches whose output can change: every one, or with composite only
-        # those holding a corrupted pixel; all other pixels become x_hr_masked.
-        if composite:
-            written = block_any(m_hr[0], ph, pw).reshape(-1) > 0
-        else:
-            written = np.ones(n, dtype=bool)
         # hf holds the residual of the clean patches, the matmul's value rows,
         # as one contiguous operand, then the mixed rows of the corrupted ones.
-        # Without mixed rows only the written clean patches need a residual.
-        sources = clean if corrupt.size else clean[written[clean]]
-        hf = np.empty((len(sources) + len(corrupt), 3, ph, pw), dtype=DTYPE)
+        hf = np.empty((n, 3, ph, pw), dtype=DTYPE)
         # the hf row that holds a written patch's high frequencies: a clean
         # patch's own residual, or a corrupted patch's mixed row
         hf_row = np.empty(n, dtype=np.intp)
-        hf_row[sources] = np.arange(len(sources))
-        hf_row[corrupt] = len(sources) + np.arange(len(corrupt))
-        patches = np.flatnonzero(written)
-        adds = _runs(patches, hf_row[patches], grid_rows, grid_cols)
+        hf_row[clean] = np.arange(len(clean))
+        hf_row[corrupt] = len(clean) + np.arange(len(corrupt))
+        adds = _runs(written, hf_row[written], grid_rows, grid_cols)
         # [3, patch y, buffer row, patch x]: a run of patches is one basic
         # slice of hf
         hf_t = hf.transpose(1, 2, 0, 3)
         x_grid, low_grid = grid(x_hr_masked), grid(low)
 
-        # 1. residual x - low of the source patches, cut straight into hf, in
+        # 1. residual x - low of the clean patches, cut straight into hf, in
         # image order (3x faster than in patch order at 2048), by slices of
-        # the source patches
+        # the clean patches
         def cut(part):
-            for pr, runs in enumerate(_runs(sources[part], np.asarray(part), grid_rows, grid_cols)):
+            for pr, runs in enumerate(_runs(clean[part], np.asarray(part), grid_rows, grid_cols)):
                 for pc, r0, k in runs:
                     np.subtract(x_grid[:, pr, :, pc:pc + k], low_grid[:, pr, :, pc:pc + k],
                                 out=hf_t[:, :, r0:r0 + k])
 
-        _split(cut, range(len(sources)), 3 * hf[:len(sources)].nbytes)
+        _split(cut, range(len(clean)), 3 * hf[:len(clean)].nbytes)
 
         # 2. one matmul for the mixed rows, into hf, by row blocks of the
         # weights
         if corrupt.size:
-            k, d = len(sources), 3 * ph * pw
+            k, d = len(clean), 3 * ph * pw
             values, mixed = hf[:k].reshape(k, d), hf[k:].reshape(len(corrupt), d)
 
             def mix(part):

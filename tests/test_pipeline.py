@@ -56,6 +56,23 @@ def small_setup(seed=0, lr=64, size=128, d_k=16):
     return config, model, image * (1 - mask), mask
 
 
+def mask_sized_calls(monkeypatch, original, config, model, image, mask):
+    """Run run_pipeline with `original` counted in every rethined module that
+    imports it; returns the size of the first argument of each call."""
+    sizes = []
+    fn_name = original.__name__
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rethined") and getattr(module, fn_name, None) is original:
+            monkeypatch.setattr(module, fn_name, counting)
+    run_pipeline(config, model, image, mask)
+    return sizes
+
+
 class TestRunPipeline:
     def test_zero_mask_passthrough(self):
         config, model, _, _ = small_setup(0)
@@ -121,17 +138,14 @@ class TestRunPipeline:
 
     def test_mask_checked_once_at_full_resolution(self, monkeypatch):
         config, model, image, mask = small_setup(9)
-        sizes = []
-        original = tensor_ops.require_binary
+        sizes = mask_sized_calls(monkeypatch, tensor_ops.require_binary, config, model, image, mask)
+        assert sizes.count(mask.size) == 1
 
-        def counting(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return original(x, *args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("rethined") and getattr(module, "require_binary", None) is original:
-                monkeypatch.setattr(module, "require_binary", counting)
-        run_pipeline(config, model, image, mask)
+    def test_mask_reduced_once_at_full_resolution(self, monkeypatch):
+        # r = 2: downsample_to_lr reduces the HR mask to LR, and the composer
+        # takes the corrupted patches from the masked map, not from the mask
+        config, model, image, mask = small_setup(9)
+        sizes = mask_sized_calls(monkeypatch, block_any, config, model, image, mask)
         assert sizes.count(mask.size) == 1
 
     @pytest.mark.parametrize("bad", [0.5, np.nan, -1.0])

@@ -6,15 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from rethined import upscale
-from rethined.attention import (AttentionMap, ProjectionWeights, attention_scores, mask_attention,
-                               token_mix)
+from rethined.attention import (AllPatchesCorruptedError, AttentionMap, ProjectionWeights,
+                                attention_scores, mask_attention, token_mix)
 from rethined.patches import PatchGrid, TokenMatrix, block_any, hr_patches, pixel_shuffle, tokenize_mask
 from rethined.pipeline import PipelineConfig, downsample_to_lr
 from rethined.tensor_ops import (_BilinearPlan, bilinear_resize, gaussian_blur, gaussian_kernel_1d,
                                  softmax_rows)
-from rethined.upscale import compose_hr, frequency_split, sigma_for_factor
+from rethined.upscale import frequency_split, sigma_for_factor
 
 F32 = np.float32
 
@@ -57,7 +59,7 @@ def bilinear_oracle(x, out_h, out_w):
 
 
 def low_pass(x_hr, x_lr):
-    """The HR low-pass downsample_to_lr hands to compose_hr."""
+    """The HR low-pass downsample_to_lr hands to the composer."""
     (_, h_hr, w_hr), (_, h, w) = x_hr.shape, x_lr.shape
     return gaussian_blur(x_hr, sigma_for_factor(h_hr // h), sigma_for_factor(w_hr // w))
 
@@ -74,6 +76,17 @@ def masked_map(corrupt, weights, rows, cols):
 def identity_masked_map(n, rows, cols):
     a = softmax_rows(np.zeros((n, n), F32))
     return mask_attention(AttentionMap(a, False, rows, cols), np.zeros(n, F32))
+
+
+def mask_map(m_hr, lr, p):
+    """The masked map of m_hr's patch mask, reduced as the pipeline reduces
+    it (HR to LR, then LR to patches), on uniform scores: the map the
+    composer takes its corrupted patches from."""
+    (_, h_hr, w_hr), (h, w) = m_hr.shape, lr
+    vec = tokenize_mask(block_any(m_hr[0], h_hr // h, w_hr // w)[None], p)
+    rows, cols = h // p, w // p
+    a = softmax_rows(np.zeros((rows * cols, rows * cols), F32))
+    return mask_attention(AttentionMap(a, False, rows, cols), vec)
 
 
 class TestFrequencySplit:
@@ -185,7 +198,7 @@ class TestHfTokenMix:
 
 
 class TestSharedLowPass:
-    """downsample_to_lr blurs once; x_lr and compose_hr's residual share it."""
+    """downsample_to_lr blurs once; x_lr and the composer's residual share it."""
 
     def test_x_lr_matches_blur_then_bilinear_oracle(self):
         config = PipelineConfig(lr_size=16, patch_size=8, d_k=8)
@@ -218,7 +231,7 @@ class TestComposeHr:
     def test_zero_mask_composite_is_passthrough(self):
         _, x_hr, x_lr, amap = self._inputs(0)
         mask = np.zeros((1, 32, 32), F32)
-        out = compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale._compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
         assert np.array_equal(out, x_hr)
 
     def test_zero_mask_no_composite_reconstruction_gap(self):
@@ -230,7 +243,8 @@ class TestComposeHr:
         for x in (x_hr, quantized, rng.random((3, 32, 64)).astype(F32)):
             _, h, w = x.shape
             low = low_pass(x, x_lr)
-            out = compose_hr(x, low, x_lr, amap, np.zeros((1, h, w), F32), 8, composite=False)
+            out = upscale._compose_hr(x, low, x_lr, amap, np.zeros((1, h, w), F32), 8,
+                                      composite=False)
             high = (x.astype(np.float64) - low.astype(np.float64)).astype(F32)
             if w == h:
                 assert np.array_equal(high, frequency_split(x, 2.0).high.astype(F32))
@@ -242,51 +256,32 @@ class TestComposeHr:
         x_hr = rng.random((3, 16, 16)).astype(F32)
         amap = identity_masked_map(4, 2, 2)
         mask = np.zeros((1, 16, 16), F32)
-        out = compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=False)
+        out = upscale._compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=False)
         assert np.abs(out - np.clip(x_lr + frequency_split(x_hr, 1.0).high.astype(F32),
                                     0, 1)).max() < 1e-3
 
     def test_known_pixel_fidelity(self):
-        rng, x_hr, x_lr, amap = self._inputs(3)
+        _, x_hr, x_lr, _ = self._inputs(3)
         mask = np.zeros((1, 32, 32), F32)
         mask[0, 8:24, 8:16] = 1
-        out = compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        amap = mask_map(mask, (16, 16), 8)
+        assert amap.corrupt.tolist() == [0, 2]
+        out = upscale._compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
         known = mask[0] == 0
         assert np.array_equal(out[:, known], x_hr[:, known])
 
     def test_output_clamped(self):
-        _, x_hr, x_lr, amap = self._inputs(4)
+        # every patch but the first corrupted, so three patches show the
+        # carrier of 3 x the LR image
+        _, x_hr, x_lr, _ = self._inputs(4)
         mask = np.ones((1, 32, 32), F32)
-        mask[0, 0, 0] = 0
-        out = compose_hr(x_hr, low_pass(x_hr, x_lr), 3.0 * x_lr, amap, mask, 8, composite=True)
-        assert out.max() <= 1.0
+        mask[0, :16, :16] = 0
+        amap = mask_map(mask, (16, 16), 8)
+        assert amap.corrupt.tolist() == [1, 2, 3]
+        out = upscale._compose_hr(x_hr, low_pass(x_hr, x_lr), 3.0 * x_lr, amap, mask, 8,
+                                  composite=True)
+        assert out.max() == 1.0
         assert out.min() >= 0.0
-
-    def test_fractional_ratio_rejected(self):
-        rng = np.random.default_rng(5)
-        x_hr = rng.random((3, 24, 24)).astype(F32)
-        x_lr = rng.random((3, 16, 16)).astype(F32)
-        amap = identity_masked_map(4, 2, 2)
-        with pytest.raises(ValueError):
-            compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, np.zeros((1, 24, 24), F32), 8)
-
-    def test_non_binary_mask_rejected(self):
-        _, x_hr, x_lr, amap = self._inputs(7)
-        mask = np.zeros((1, 32, 32), F32)
-        mask[0, 5, 9] = 0.5
-        with pytest.raises(ValueError, match="binary"):
-            compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8)
-
-    def test_unmasked_map_rejected(self):
-        _, x_hr, x_lr, amap = self._inputs(8)
-        unmasked = AttentionMap(amap.a, False, amap.rows, amap.cols)
-        with pytest.raises(ValueError, match="masked attention map"):
-            compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, unmasked, np.zeros((1, 32, 32), F32), 8)
-
-    def test_low_pass_shape_mismatch_rejected(self):
-        _, x_hr, x_lr, amap = self._inputs(6)
-        with pytest.raises(ValueError, match="low-pass shape"):
-            compose_hr(x_hr, x_hr[:, :16], x_lr, amap, np.zeros((1, 32, 32), F32), 8)
 
     @pytest.mark.parametrize("factor", [2, 4, 8])
     def test_resolution_agnostic_shapes(self, factor):
@@ -295,10 +290,11 @@ class TestComposeHr:
         h_hr = lr * factor
         x_hr = rng.random((3, h_hr, h_hr)).astype(F32)
         x_lr = rng.random((3, lr, lr)).astype(F32)
-        amap = identity_masked_map(4, 2, 2)
         mask = np.zeros((1, h_hr, h_hr), F32)
         mask[0, : h_hr // 2] = 1
-        out = compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        amap = mask_map(mask, (lr, lr), 8)
+        assert amap.corrupt.tolist() == [0, 1]
+        out = upscale._compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
         assert out.shape == (3, h_hr, h_hr)
 
     def test_anisotropic_ratio(self):
@@ -307,7 +303,7 @@ class TestComposeHr:
         x_lr = rng.random((3, 16, 16)).astype(F32)
         amap = identity_masked_map(4, 2, 2)
         mask = np.zeros((1, 32, 64), F32)
-        out = compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale._compose_hr(x_hr, low_pass(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
         assert np.array_equal(out, x_hr)
 
 
@@ -397,7 +393,7 @@ def compose_inputs(seed, lr=(16, 16), r=(4, 4), p=4, share=0.4, logit_scale=1.0,
 
 
 def compose_case(seed, **kwargs):
-    """compose_inputs with the scores masked, in compose_hr's argument order."""
+    """compose_inputs with the scores masked, in _compose_hr's argument order."""
     x, low, x_lr, scores, vec, m_hr, p = compose_inputs(seed, **kwargs)
     return x, low, x_lr, mask_attention(scores, vec), m_hr, p
 
@@ -482,7 +478,7 @@ class TestMaskedMapOracle:
     def test_composer_matches_reference(self, kind, composite):
         x, low, x_lr, scores, vec, m_hr, p = compose_inputs(**ORACLE_CASES[kind])
         amap = mask_attention(scores, vec)
-        got = compose_hr(x, low, x_lr, amap, m_hr, p, composite)
+        got = upscale._compose_hr(x, low, x_lr, amap, m_hr, p, composite)
         want = unfused_compose(x, low, x_lr, amap, m_hr, p, composite)
         if seed_reads_clean(amap):
             assert kind != "two-of-64"
@@ -547,7 +543,7 @@ class TestPatchMajorComposer:
         x, low, x_lr, amap, m_hr, p = case
         before = [a.copy() for a in (x, low, x_lr, amap.weights, m_hr)]
         want = unfused_compose(x, low, x_lr, amap, m_hr, p, composite)
-        assert_bytes_equal(compose_hr(x, low, x_lr, amap, m_hr, p, composite), want)
+        assert_bytes_equal(upscale._compose_hr(x, low, x_lr, amap, m_hr, p, composite), want)
         for arr, copy in zip((x, low, x_lr, amap.weights, m_hr), before):
             assert_bytes_equal(arr, copy)
         # run_pipeline's call writes the result over its low-pass
@@ -574,7 +570,6 @@ class TestPatchMajorComposer:
         want = upscale._compose_hr(x, x.copy(), x_lr, amap, m_hr, p, composite)
         monkeypatch.setattr(upscale, "_runs", lambda *a: pytest.fail("residual cut at r = 1"))
         assert_bytes_equal(upscale._compose_hr(x, x, x_lr, amap, m_hr, p, composite), want)
-        assert_bytes_equal(compose_hr(x, x, x_lr, amap, m_hr, p, composite), want)
 
     @pytest.mark.parametrize("composite", [True, False])
     def test_rectangular_patches(self, composite):
@@ -585,7 +580,7 @@ class TestPatchMajorComposer:
         x, _, _, amap, m_hr, p = case
         assert not m_hr.any() and not amap.corrupt.size
         self._check(case, True)
-        assert_bytes_equal(compose_hr(*case, True), np.clip(x, 0.0, 1.0))
+        assert_bytes_equal(upscale._compose_hr(*case, True), np.clip(x, 0.0, 1.0))
 
     @pytest.mark.parametrize("composite", [True, False])
     def test_all_columns_branch(self, composite):
@@ -630,6 +625,30 @@ class TestPatchMajorComposer:
         m_one[0, 1, 3] = 1
         self._check((x[:, :16, :16], low[:, :16, :16], x_lr[:, :4, :4], no_clean, m_one, p),
                     composite)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), rows=st.integers(1, 4), cols=st.integers(1, 4),
+           r_h=st.sampled_from([1, 2, 4]), r_w=st.sampled_from([1, 2, 4]),
+           p=st.sampled_from([2, 4]), share=st.floats(0.0, 1.0, exclude_max=True),
+           composite=st.booleans())
+    def test_random_cases_match_unfused(self, seed, rows, cols, r_h, r_w, p, share, composite):
+        # the corrupted patches the composer writes come from the map alone;
+        # on pipeline-shaped inputs that is the unfused form's per-pixel
+        # composite, with known pixels bit-exact
+        try:
+            x, low, x_lr, amap, m_hr, p = compose_case(seed, lr=(rows * p, cols * p), r=(r_h, r_w),
+                                                       p=p, share=share)
+        except AllPatchesCorruptedError:
+            reject()
+        got = upscale._compose_hr(x, low, x_lr, amap, m_hr, p, composite)
+        want = unfused_compose(x, low, x_lr, amap, m_hr, p, composite)
+        if seed_reads_clean(amap):
+            assert_bytes_equal(got, want)
+        else:
+            assert got.dtype == want.dtype and np.abs(got - want).max() <= 1e-6
+        if composite:
+            known = m_hr[0] == 0
+            assert got[:, known].tobytes() == x[:, known].tobytes()
 
     def test_float64_channels_last_image(self):
         x, low, x_lr, amap, m_hr, p = compose_case(11)
