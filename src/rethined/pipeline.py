@@ -1,10 +1,11 @@
 """End-to-end orchestration: configuration, the full model bundle, weight
 (de)serialization, and the HR -> LR -> HR inpainting chain.
 
-The chain: one anti-alias Gaussian blur of the HR image, bilinearly
-decimated to the LR working size; coarse completion; masked patch-attention
-refinement; then HR composition, which takes its high-frequency residual
-against that same blur and mixes it with the LR attention map.
+The chain: the LR input x_lr, the HR image anti-alias blurred and bilinearly
+decimated by one banded operator per axis; coarse completion; masked
+patch-attention refinement; then HR composition, which takes its
+high-frequency residual against up(x_lr), the same bilinear up-sampling its
+carrier uses, and mixes it with the LR attention map.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .coarse import (
     _he_uniform,
 )
 from .patches import block_any
-from .tensor_ops import DTYPE, _one_blas_thread, all_finite, bilinear_resize, gaussian_blur, require_binary
+from .tensor_ops import DTYPE, _downsample, _one_blas_thread, all_finite, bilinear_resize, require_binary
 from .upscale import _compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
@@ -210,14 +211,15 @@ def _validate_inputs(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
 def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray):
     """Anti-alias blur + bilinear decimation of the image, block-ANY of the mask.
 
-    Returns (x_lr, m_lr, low): `low` is the float32 Gaussian low-pass of the
-    HR image at sigma_for_factor(r) per axis, which upscale._compose_hr
-    reuses for the high-frequency residual, and x_lr is `low` bilinearly
-    resized to lr_size.  m_lr is the request's one full-resolution mask
-    reduction: the masked map's corrupted patches all come from it.
-    At r == 1 the taps are exactly [0, 1, 0], so low and x_lr equal the image:
-    then all three are the caller's arrays (cast to float32 if they are not),
-    and no blur runs.
+    Returns (x_lr, m_lr, up): x_lr is the HR image through the Gaussian at
+    sigma_for_factor(r) per axis and the bilinear resize to lr_size, as one
+    banded operator per axis (tensor_ops._downsample), and `up` is x_lr
+    bilinearly resized back to the HR extent, the carrier's up-sampling,
+    against which upscale._compose_hr takes the high-frequency residual.
+    m_lr is the request's one full-resolution mask reduction: the masked
+    map's corrupted patches all come from it.
+    At r == 1 x_lr is the image: then x_lr and `up` are the caller's array
+    (cast to float32 if it is not), and no operator runs.
     """
     _, h, w = image.shape
     lr = config.lr_size
@@ -225,10 +227,9 @@ def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
     if r_h == r_w == 1:
         x = image.astype(DTYPE, copy=False)
         return x, mask.astype(DTYPE, copy=False), x
-    low = gaussian_blur(image, sigma_for_factor(r_h), sigma_for_factor(r_w))
-    x_lr = bilinear_resize(low, lr, lr)
+    x_lr = _downsample(image, lr, lr, sigma_for_factor(r_h), sigma_for_factor(r_w))
     m_lr = block_any(mask[0], r_h, r_w)[None].astype(DTYPE)
-    return x_lr, m_lr, low
+    return x_lr, m_lr, bilinear_resize(x_lr, h, w)
 
 
 def _features_for_grid(config: PipelineConfig, features: np.ndarray) -> np.ndarray:
@@ -242,10 +243,10 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
                        image: np.ndarray, mask: np.ndarray):
     """Full inpainting chain returning (result, per-stage wall times in ms).
 
-    `coarse` covers downsample_to_lr, with the one HR blur, and the coarse
-    CNN; `refine` the LR attention pass; and `upscale` the HR residual,
-    mixing and composite, which reuse that blur's low-pass.  `total` also
-    covers the input checks.
+    `coarse` covers downsample_to_lr, with the banded blur-and-decimate and
+    the up-sampling of its result, and the coarse CNN; `refine` the LR
+    attention pass; and `upscale` the HR residual against that up-sampling,
+    mixing and composite.  `total` also covers the input checks.
 
     The whole chain runs with numpy's OpenBLAS held at one thread, and its
     full-resolution loops are split across the CPUs of the process affinity
@@ -257,7 +258,7 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
         _validate_inputs(config, image, mask)
 
         t0 = time.perf_counter()
-        x_lr, m_lr, low = downsample_to_lr(config, image, mask)
+        x_lr, m_lr, up = downsample_to_lr(config, image, mask)
         coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
         features = _features_for_grid(config, features)
         times["coarse"] = (time.perf_counter() - t0) * 1e3
@@ -269,10 +270,10 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
         times["refine"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        # the result overwrites the low-pass, which is dead once the residual
-        # is cut, unless the low-pass is the caller's image (r == 1)
-        out = _compose_hr(image, low, x_lr_hat, masked_map, mask, config.patch_size,
-                          config.composite, out=None if low is image else low)
+        # the result overwrites up(x_lr), which is dead once the residual is
+        # cut, unless it is the caller's image (r == 1)
+        out = _compose_hr(image, up, x_lr_hat, masked_map, mask, config.patch_size,
+                          config.composite, out=None if up is image else up)
         times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times

@@ -1,5 +1,6 @@
 """Dense tensor kernels: grouped 2-D convolution, batch normalization,
-activations, row softmax, bilinear resize and Gaussian filtering.
+activations, row softmax, bilinear resize, Gaussian filtering and the
+blur-and-decimate of the HR image to the LR input.
 
 Tensors are numpy float32 arrays laid out [C, H, W] (convolution weights are
 [C_out, C_in/groups, S, S]).  Every function here is pure: inputs are never
@@ -8,9 +9,9 @@ wider accumulators internally.
 
 The full-resolution loops that need scratch (both lerps of the bilinear
 resize, PPM quantisation, the compose pass of the HR composition, the
-finiteness check) run over strips of about _STRIP_BYTES, so their scratch
-stays cache-sized; results are bit-identical to the untiled forms.  The
-bilinear resize and the HR composition share one resize plan,
+finiteness and binary-mask checks) run over strips of about _STRIP_BYTES,
+so their scratch stays cache-sized; results are bit-identical to the untiled
+forms.  The bilinear resize and the HR composition share one resize plan,
 `_bilinear_plan`.
 
 `_one_blas_thread` holds numpy's OpenBLAS at one thread, and `_split` runs a
@@ -31,7 +32,11 @@ taps by a few float32 ulp of the input's largest magnitude (the tests bound
 it at 8; 2 measured at the radii of the HR path, 3.5 at radius 45), is
 bit-exact wherever a pixel's whole window is constant, and does not depend
 on the BLAS thread count.  A non-finite or overflowing input can
-turn a whole GEMM tile to NaN (0 * inf).
+turn a whole GEMM tile to NaN (0 * inf).  The request path does not run it:
+`_downsample` takes the HR image to the LR input as one banded operator per
+axis, the Gaussian and the bilinear sampling multiplied out in float64
+(`_lr_operator`), so only the LR rows and columns that are sampled are
+filtered.
 
 The LR core's kernels (the coarse CNN's depthwise and pointwise stages, the
 coherence filter) take their intermediates from `_scratch`, one store per
@@ -325,8 +330,25 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def require_binary(x: np.ndarray, what: str = "mask values") -> None:
     """Raise ValueError unless every element of `x` is 0 or 1 (NaN is
-    neither), by two counts: about half the time of np.isin on large masks."""
-    if np.count_nonzero(x == 0) + np.count_nonzero(x == 1) != np.size(x):
+    neither), by two counts per strip, in slices of strips split across
+    CPUs (see _split) that sum their counts."""
+    flat = np.asarray(x).reshape(-1)
+    # strips of 4 x _STRIP_BYTES: with 1 x, two slices' short numpy calls
+    # contend for the interpreter lock and a 2048^2 float32 mask took 3.5 ms
+    # split against 3.3 ms inline; with 4 x, 2.2 ms split
+    step = max(1, 4 * _STRIP_BYTES // flat.itemsize)
+
+    def count(starts, buf):
+        n = 0
+        for s in starts:
+            seg = flat[s:s + step]
+            hit = buf[:len(seg)]
+            n += np.count_nonzero(np.equal(seg, 0, out=hit)) + np.count_nonzero(np.equal(seg, 1, out=hit))
+        return n
+
+    counts = _split(count, range(0, flat.size, step), flat.nbytes,
+                    lambda: np.empty(min(step, flat.size), dtype=bool))
+    if sum(counts) != flat.size:
         raise ValueError(f"{what} must be binary {{0, 1}}")
 
 
@@ -435,7 +457,8 @@ def _bilinear_plan(x: np.ndarray, out_h: int, out_w: int) -> _BilinearPlan:
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resampling, align-corners-false, edge-replicated.
 
-    Resizing to the source size returns the input unchanged.
+    Resizing to the source size returns the input unchanged.  The H lerp
+    runs over strips of output rows, split across CPUs (see _split).
     """
     if x.ndim != 3:
         raise ValueError(f"expected [C, H, W] input, got shape {x.shape}")
@@ -445,10 +468,14 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     c = x.shape[0]
     out = np.empty((c, out_h, out_w), dtype=plan.lerp_w.dtype)
     step = _strip_rows(c * out_w * out.itemsize)
-    top = np.empty((c, min(step, out_h), out_w), dtype=out.dtype)
-    for r0 in range(0, out_h, step):
-        r1 = min(r0 + step, out_h)
-        plan.lerp_rows(r0, r1, out[:, r0:r1], top[:, :r1 - r0])
+
+    def lerp(starts, top):
+        for r0 in starts:
+            r1 = min(r0 + step, out_h)
+            plan.lerp_rows(r0, r1, out[:, r0:r1], top[:, :r1 - r0])
+
+    _split(lerp, range(0, out_h, step), out.nbytes,
+           lambda: np.empty((c, min(step, out_h), out_w), dtype=out.dtype))
     return out.astype(DTYPE, copy=False)
 
 
@@ -628,6 +655,85 @@ def gaussian_blur(x: np.ndarray, sigma: float, sigma_x: Optional[float] = None) 
     # H first: the W pass then runs in place, so no intermediate image exists
     out = _blur_axis(x.astype(DTYPE, copy=False), taps_y, axis=1)
     return _blur_axis(out, taps_x, axis=2, out=out)
+
+
+def _lr_operator(n: int, out_n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """A = S G along one axis of n samples, in float64 and banded form: G is
+    the reflect-padded Gaussian at `sigma` (gaussian_kernel_1d), S the
+    align-corners-false, edge-replicated bilinear sampling to out_n.
+
+    Returns (starts, band): row y of A is band[y] at columns starts[y] to
+    starts[y] + band.shape[1], and zero elsewhere.  The band is
+    min(n, 2r + 2) columns wide for tap radius r: it holds the Gaussian rows
+    of both samples that output y reads, reflections included.
+    """
+    taps = gaussian_kernel_1d(sigma)
+    radius = len(taps) // 2
+    width = min(n, 2 * radius + 2)
+    pos = (np.arange(out_n) + 0.5) * (n / out_n) - 0.5
+    first = np.floor(pos)
+    frac = pos - first
+    first = first.astype(np.intp)
+    lo, hi = np.clip(first, 0, n - 1), np.clip(first + 1, 0, n - 1)
+    starts = np.clip(lo - radius, 0, n - width)
+    # the taps of both samples of every output, reflected, as flat band indices
+    src = _reflect_indices(n, radius)[np.concatenate([lo, hi])[:, None] + np.arange(len(taps))]
+    flat = src + np.tile(np.arange(out_n) * width - starts, 2)[:, None]
+    weights = np.concatenate([1.0 - frac, frac])[:, None] * taps
+    band = np.bincount(flat.ravel(), weights.ravel(), out_n * width).reshape(out_n, width)
+    return starts, band
+
+
+# LR rows (or columns) per GEMM of _downsample: a fixed block keeps x_lr's
+# bytes independent of how many slices run.
+_LR_BLOCK = 8
+
+
+def _lr_blocks(n: int, out_n: int, sigma: float) -> list:
+    """_lr_operator(n, out_n, sigma) cut into blocks of _LR_BLOCK outputs:
+    (output slice, input slice, dense float32 block of A) each."""
+    starts, band = _lr_operator(n, out_n, sigma)
+    width = band.shape[1]
+    block = np.arange(out_n) // _LR_BLOCK
+    first = starts[::_LR_BLOCK]
+    last = starts[np.minimum(np.arange(_LR_BLOCK - 1, out_n + _LR_BLOCK - 1, _LR_BLOCK), out_n - 1)]
+    spans = last + width - first
+    dense = np.zeros((len(first), _LR_BLOCK, spans.max()), dtype=DTYPE)
+    cols = (starts - first[block])[:, None] + np.arange(width)
+    dense[block[:, None], np.arange(out_n)[:, None] % _LR_BLOCK, cols] = band
+    return [(slice(y0, min(y0 + _LR_BLOCK, out_n)), slice(s0, s0 + span),
+             dense[b, :min(_LR_BLOCK, out_n - y0), :span])
+            for b, (y0, s0, span) in enumerate(zip(range(0, out_n, _LR_BLOCK), first.tolist(),
+                                                   spans.tolist()))]
+
+
+def _downsample(x: np.ndarray, out_h: int, out_w: int, sigma_h: float, sigma_w: float) -> np.ndarray:
+    """bilinear_resize(gaussian_blur(x, sigma_h, sigma_w), out_h, out_w) as
+    one banded operator per axis: out[c] = A_h x[c] A_w^T, with each A = S G
+    built in float64 and applied in float32 (see _lr_operator).  No
+    full-resolution intermediate exists.
+
+    The H pass is one GEMM per block of _LR_BLOCK output rows and channel,
+    over the input rows the block reads, split across CPUs (see _split); the
+    W pass runs the same way on the [C, out_h, W] result, on the calling
+    thread.  The result is within a few float32 ulp of the blur-then-resize
+    form and does not depend on the number of slices.
+    """
+    c, h, w = x.shape
+    x = np.ascontiguousarray(x, dtype=DTYPE)
+    mid = np.empty((c, out_h, w), dtype=DTYPE)
+
+    def pass_h(part):
+        for ch, (rows, src, a) in part:
+            np.matmul(a, x[ch, src], out=mid[ch, rows])
+
+    _split(pass_h, [(ch, blk) for ch in range(c) for blk in _lr_blocks(h, out_h, sigma_h)],
+           x.nbytes)
+    out = np.empty((c, out_h, out_w), dtype=DTYPE)
+    flat, dst = mid.reshape(c * out_h, w), out.reshape(c * out_h, out_w)
+    for cols, src, a in _lr_blocks(w, out_w, sigma_w):
+        np.matmul(flat[:, src], a.T, out=dst[:, cols])
+    return out
 
 
 def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:

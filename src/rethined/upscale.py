@@ -1,14 +1,17 @@
-"""Attention upscaling transfer: Gaussian frequency decomposition of the HR
-image, high-frequency token mixing with the LR-learned attention map, and the
-final HR composition.
+"""Attention upscaling transfer: high-frequency token mixing with the
+LR-learned attention map and the final HR composition, plus the Gaussian
+frequency decomposition of an HR image (frequency_split).
 
 Only the high-frequency residual is mixed at high resolution; the
 low-frequency carrier comes from bilinearly upsampling the refined LR result.
 The attention map itself is never recomputed, so the quadratic attention cost
-stays at LR regardless of output resolution.  The HR low-pass is not
-recomputed either: the pipeline blurs the HR image once, decimates that
-low-pass to get the LR input, and hands it to _compose_hr for the residual.
-Nor are the corrupted patches: the masked map already lists them, so the
+stays at LR regardless of output resolution.  The residual is taken against
+the same up-sampler the carrier uses, as in Contextual Residual Aggregation
+(Yi et al., CVPR 2020): it is x - up(x_lr), where x_lr is the LR input, so a
+clean patch whose LR pixels the refinement leaves unchanged comes out as x.
+The pipeline computes up(x_lr) once, with the LR input, and hands it to
+_compose_hr as `low`.  No full-resolution Gaussian runs.  Nor are the
+corrupted patches recomputed: the masked map already lists them, so the
 composer does not reduce the HR mask over patches.
 
 The composition works patch-major and only where output can change: it cuts
@@ -89,12 +92,14 @@ def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarr
                 composite: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Assemble the final HR result.
 
-    `low` is the Gaussian low-pass of `x_hr_masked` at sigma_for_factor of
-    each axis's HR/LR ratio, the one downsample_to_lr computes.  The
-    high-frequency residual x_hr_masked - low is taken in float32, mixed
-    with the attention map and added to the bilinearly upsampled refined LR
-    image; known pixels are then optionally overwritten with the originals
-    and the result clamped to [0, 1].
+    `low` is up(x_lr) as downsample_to_lr returns it: the LR input of
+    `x_hr_masked` bilinearly resized to the HR extent, the up-sampling the
+    carrier applies to `x_lr_refined`.  The high-frequency residual
+    x_hr_masked - low is taken in float32, mixed with the attention map and
+    added to the bilinearly upsampled refined LR image; known pixels are
+    then optionally overwritten with the originals and the result clamped
+    to [0, 1].  So a patch that keeps its own residual comes out as
+    x_hr_masked + up(x_lr_refined) - up(x_lr), up to float32 rounding.
 
     The inputs are the ones run_pipeline has checked at its boundary: HR
     extents are integer multiples of the LR extents, `m_hr` is a binary

@@ -121,20 +121,17 @@ class TestRunPipeline:
         want = mask[0].reshape(64, r, 64, r).max(axis=(1, 3))[None]
         assert np.array_equal(m_lr, want.astype(F32))
 
-    def test_single_hr_blur(self, monkeypatch):
-        config, model, image, mask = small_setup(7)
+    def test_no_gaussian_blur(self, monkeypatch):
+        # x_lr comes from one banded operator per axis and the residual is
+        # taken against up(x_lr), so no request blurs the HR image: at r = 2
+        # nor at r = 1
         original = tensor_ops.gaussian_blur
-        calls = []
-
-        def counting(x, *args, **kwargs):
-            calls.append(x.shape)
-            return original(x, *args, **kwargs)
-
         for name, module in list(sys.modules.items()):
             if name.startswith("rethined") and getattr(module, "gaussian_blur", None) is original:
-                monkeypatch.setattr(module, "gaussian_blur", counting)
-        run_pipeline(config, model, image, mask)
-        assert calls == [image.shape]
+                monkeypatch.setattr(module, "gaussian_blur", lambda *a, **k: pytest.fail("blurred"))
+        for lr in (64, 128):
+            config, model, image, mask = small_setup(7, lr=lr)
+            assert run_pipeline(config, model, image, mask).shape == image.shape
 
     def test_mask_checked_once_at_full_resolution(self, monkeypatch):
         config, model, image, mask = small_setup(9)
@@ -298,7 +295,7 @@ class TestLrWorkspace:
         config = replace(config, composite=composite)
         before = image.copy()
         low_bytes, want = blur_path_pipeline(config, model, image.copy(), mask)
-        monkeypatch.setattr(pipeline, "gaussian_blur", lambda *a: pytest.fail("r = 1 blurred"))
+        monkeypatch.setattr(pipeline, "_downsample", lambda *a: pytest.fail("r = 1 downsampled"))
         out = run_pipeline(config, model, image, mask)
         assert np.array_equal(image, before)
         assert out.tobytes() == want.tobytes()

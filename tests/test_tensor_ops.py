@@ -768,3 +768,11 @@ class TestSplit:
             bad = x.copy()
             bad[where] = np.nan
             assert tensor_ops.all_finite(bad) is False
+        mask = (x[:1] > 0.5).astype(F32)
+        tensor_ops.require_binary(mask)
+        for where in ((0, 0, 0), (0, 129, 2047), (0, 64, 5)):
+            for value in (0.5, np.nan, -1.0):
+                bad = mask.copy()
+                bad[where] = value
+                with pytest.raises(ValueError, match="mask values must be binary"):
+                    tensor_ops.require_binary(bad)
