@@ -694,17 +694,15 @@ def _lr_blocks(n: int, out_n: int, sigma: float) -> list:
     (output slice, input slice, dense float32 block of A) each."""
     starts, band = _lr_operator(n, out_n, sigma)
     width = band.shape[1]
-    block = np.arange(out_n) // _LR_BLOCK
-    first = starts[::_LR_BLOCK]
-    last = starts[np.minimum(np.arange(_LR_BLOCK - 1, out_n + _LR_BLOCK - 1, _LR_BLOCK), out_n - 1)]
-    spans = last + width - first
-    dense = np.zeros((len(first), _LR_BLOCK, spans.max()), dtype=DTYPE)
-    cols = (starts - first[block])[:, None] + np.arange(width)
-    dense[block[:, None], np.arange(out_n)[:, None] % _LR_BLOCK, cols] = band
-    return [(slice(y0, min(y0 + _LR_BLOCK, out_n)), slice(s0, s0 + span),
-             dense[b, :min(_LR_BLOCK, out_n - y0), :span])
-            for b, (y0, s0, span) in enumerate(zip(range(0, out_n, _LR_BLOCK), first.tolist(),
-                                                   spans.tolist()))]
+    y0 = np.arange(0, out_n, _LR_BLOCK)
+    y1 = np.minimum(y0 + _LR_BLOCK, out_n)
+    s0, s1 = starts[y0], starts[y1 - 1] + width
+    dense = np.zeros((len(y0), _LR_BLOCK, (s1 - s0).max()), dtype=DTYPE)
+    y = np.arange(out_n)[:, None]
+    block = y // _LR_BLOCK
+    dense[block, y % _LR_BLOCK, starts[:, None] - s0[block] + np.arange(width)] = band
+    return [(slice(a, b), slice(c, d), dense[k, :b - a, :d - c])
+            for k, (a, b, c, d) in enumerate(zip(y0.tolist(), y1.tolist(), s0.tolist(), s1.tolist()))]
 
 
 def _downsample(x: np.ndarray, out_h: int, out_w: int, sigma_h: float, sigma_w: float) -> np.ndarray:
