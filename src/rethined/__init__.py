@@ -8,7 +8,6 @@ from .tensor_ops import (
     bilinear_resize,
     conv2d,
     gaussian_blur,
-    gaussian_kernel,
     relu,
     softmax_rows,
 )

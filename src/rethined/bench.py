@@ -33,10 +33,12 @@ def attention_flops(n: int, d_k: int, c: int) -> int:
     return 2 * n * n * d_k + 2 * n * (d_k + c) * d_k * 2
 
 
-def _gauss_taps(r: int) -> int:
+def _lr_band(n: int, r: int) -> int:
+    """Band width min(n, 2R + 2) of the LR operator along an axis of n HR
+    samples at factor r (tensor_ops._lr_operator), R its tap radius."""
     import math
 
-    return 2 * math.ceil(3.0 * sigma_for_factor(r)) + 1
+    return min(n, 2 * math.ceil(3.0 * sigma_for_factor(r)) + 2)
 
 
 def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, int]:
@@ -51,13 +53,12 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
     hr_px = 3 * h_hr * w_hr
     lr_px = 3 * lr * lr
 
-    # at r = 1 the image is its own low-pass: no blur runs and the residual
-    # is zero, so the HR mix does not run either
+    # at r = 1 the image is its own LR input: no operator runs and the
+    # residual is zero, so the HR mix does not run either
     r1 = r_h == r_w == 1
-    # one separable HR blur per request, run by downsample_to_lr under coarse;
-    # counted as direct taps (a multiply-add each), not as the GEMM band the
-    # blur runs, which spends (64 + 2r - 1) multiply-adds per output
-    blur_hr = 0 if r1 else 2 * (_gauss_taps(r_h) + _gauss_taps(r_w)) * hr_px
+    # x_lr = A_h x A_w^T, run by downsample_to_lr under coarse: the H pass
+    # takes lr x K_h multiply-adds per HR column, the W pass K_w per LR pixel
+    lr_op = 0 if r1 else 2 * 3 * lr * (_lr_band(h_hr, r_h) * w_hr + lr * _lr_band(w_hr, r_w))
     # coarse_forward evaluates blocks 0-2 only at the pixels they keep (1/2,
     # 1/4 and 1/8 of LR), block 3 at 1/8 and block 4 at 1/4 (after a 2x
     # upsample), and the final 1x1 at 1/4 before the 4x upsample
@@ -67,7 +68,7 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
         conv += 2 * c_in * 9 * size * size             # depthwise 3x3
         conv += 2 * c_in * c_out * size * size         # pointwise
     conv += 2 * BLOCK_PLAN[-1][1] * 3 * (lr // 4) ** 2  # final 1x1
-    coarse = blur_hr + conv + 8 * lr_px
+    coarse = lr_op + conv + 8 * lr_px
 
     masking = 3 * n * n
     mixing = 2 * n * n * 3 * p * p + 4 * 3 * lr_px

@@ -15,28 +15,20 @@ forms.  The bilinear resize and the HR composition share one resize plan,
 `_bilinear_plan`.
 
 `_one_blas_thread` holds numpy's OpenBLAS at one thread, and `_split` runs a
-full-resolution loop as contiguous slices of its strips, chunks or rows, one
+full-resolution loop as contiguous slices of its strips, blocks or rows, one
 slice per CPU of the process affinity, on short-lived threads and the
 caller.  While a chain (`run_pipeline`) or a split kernel runs, every BLAS
 call in the process uses one thread, so none wakes OpenBLAS's idle workers,
 which would spin on the CPU a slice needs.  Each slice gets whole strips or
-chunks and its own scratch, so results do not depend on the number of
+blocks and its own scratch, so results do not depend on the number of
 slices.  `run_pipeline`'s bytes do not depend on the BLAS thread count
 either; that is an empirical property of numpy's bundled OpenBLAS, which the
 tests check.  On other BLAS builds there is no hold and no split: every loop
 runs on the calling thread.
 
-The Gaussian blur is the exact truncated Gaussian, computed as a banded
-GEMM on first differences (`_blur_axis`).  It differs from the direct sum of
-taps by a few float32 ulp of the input's largest magnitude (the tests bound
-it at 8; 2 measured at the radii of the HR path, 3.5 at radius 45), is
-bit-exact wherever a pixel's whole window is constant, and does not depend
-on the BLAS thread count.  A non-finite or overflowing input can
-turn a whole GEMM tile to NaN (0 * inf).  The request path does not run it:
-`_downsample` takes the HR image to the LR input as one banded operator per
-axis, the Gaussian and the bilinear sampling multiplied out in float64
-(`_lr_operator`), so only the LR rows and columns that are sampled are
-filtered.
+`_downsample` applies A = S G per axis, a Gaussian and a bilinear sampling
+(`_lr_operator`), to take the HR image to the LR input; `gaussian_blur` is
+the same operator at the input's own size (S = I), applied in float64.
 
 The LR core's kernels (the coarse CNN's depthwise and pointwise stages, the
 coherence filter) take their intermediates from `_scratch`, one store per
@@ -55,25 +47,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float32
 
 # Bytes per array of one strip of a full-resolution pass.  The few arrays of
 # a strip (input, scratch, output) then share a core's L2.
 _STRIP_BYTES = 256 * 1024
-
-
-# Outputs per band GEMM tile of a blur pass, and bytes of one chunk of its
-# first differences; a pass holds one such chunk, and the W pass a second one
-# of GEMM results.  Tiles of 32-96 and chunks of 4-16 MiB timed alike at
-# 1024-4096 on 2 CPUs with OpenBLAS; larger tiles waste band multiplies,
-# smaller chunks add GEMM calls.
-_BAND_TILE = 64
-_CHUNK_BYTES = 8 * 1024 * 1024
-# Columns of W-pass GEMM results held before they are added to x: four
-# tiles, so a slice's result scratch is a few hundred KiB, not a chunk.
-_BAND_GROUP = 4 * _BAND_TILE
 
 
 def _strip_rows(row_bytes: int) -> int:
@@ -489,15 +469,6 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Discrete 2-D Gaussian of size k = 2*ceil(3*sigma) + 1, normalized to sum 1,
-    shaped [1, 1, k, k]."""
-    g = gaussian_kernel_1d(sigma)
-    k2 = np.outer(g, g)
-    k2 /= k2.sum()
-    return k2.astype(DTYPE)[None, None]
-
-
 def _reflect_indices(n: int, radius: int) -> np.ndarray:
     # mirror reflection without edge duplication, valid for any radius
     idx = np.arange(-radius, n + radius)
@@ -506,155 +477,6 @@ def _reflect_indices(n: int, radius: int) -> np.ndarray:
     period = 2 * (n - 1)
     idx = np.mod(idx, period)
     return np.where(idx >= n, period - idx, idx)
-
-
-def _diff_band(taps: np.ndarray, tile: int, dtype) -> np.ndarray:
-    """The (tile + 2r - 1) x tile Toeplitz band that maps the first
-    differences D_t = x_{t+1} - x_t of a tile's reflect-padded window to the
-    tile's low-pass minus x: column j holds c_s at row j + r + s, where
-    c_s = tail(s + 1) for s >= 0, c_s = -tail(-s) for s < 0 and
-    tail(m) = sum_{d >= m} k_d, summed in float64."""
-    radius = len(taps) // 2
-    tail = np.cumsum(taps[:radius:-1].astype(np.float64))[::-1]  # tail(1..r)
-    c = np.concatenate([-tail[::-1], tail]).astype(dtype)         # s = -r .. r-1
-    band = np.zeros((tile + 2 * radius - 1, tile), dtype=dtype)
-    cols = np.arange(tile)
-    for s in range(2 * radius):
-        band[cols + s, cols] = c[s]
-    return band
-
-
-def _reflect_diff(src: np.ndarray, reflect: np.ndarray, t0: int, t1: int,
-                  out: np.ndarray, axis: int) -> None:
-    """out = D_t for t in [t0, t1) along `axis` of 2-D `src`, where
-    D_t = src[reflect[t + 1]] - src[reflect[t]] are the first differences of
-    the reflect-padded axis.  Away from the edges these are differences of
-    neighbouring slices; only the 2r edge differences gather."""
-    radius = (len(reflect) - src.shape[axis]) // 2
-    inner = radius + src.shape[axis] - 1           # D_t is interior for radius <= t < inner
-
-    def cut(a, lo, hi):
-        return a[(slice(None),) * axis + (slice(lo, hi),)]
-
-    a, b = max(t0, radius), min(t1, inner)
-    if a < b:
-        np.subtract(cut(src, a - radius + 1, b - radius + 1), cut(src, a - radius, b - radius),
-                    out=cut(out, a - t0, b - t0))
-    for lo, hi in ((t0, min(t1, a)), (max(t0, inner), t1)):
-        if lo < hi:
-            np.subtract(np.take(src, reflect[lo + 1:hi + 1], axis=axis),
-                        np.take(src, reflect[lo:hi], axis=axis), out=cut(out, lo - t0, hi - t0))
-
-
-def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One separable pass of a [C, H, W] array along W (axis 2) or H (axis 1),
-    in first-difference form: low_i = x_i + sum_{s=-r}^{r-1} c_s D_{i+s}
-    over the differences D of the reflect-padded axis (see _diff_band).
-    Writes into and returns `out` (new if None; C-contiguous, of x's shape
-    and dtype), which may be `x` itself for the W pass only.
-
-    Each tile of _BAND_TILE outputs is one GEMM of its differences with the
-    same band.  Differences are built, and x added, one chunk of rows at a
-    time, one numpy call each; the scratch is a chunk of differences (and,
-    for the W pass, _BAND_GROUP columns of GEMM results) per slice of chunks
-    (see _split), and every slice gets whole chunks.  Taps must be symmetric
-    (Gaussian kernels are).
-
-    Where the whole window of a sample is constant its differences are all
-    0, so it passes through bit-exactly, which the frequency decomposition
-    depends on.  Elsewhere the result is within a few float32 ulp of the
-    direct sum of taps.  A non-finite or overflowing difference makes its
-    whole tile NaN (0 * inf in the GEMM).  Results do not depend on the
-    number of BLAS threads: chunks and tiles have fixed sizes.
-    """
-    if x.ndim != 3 or axis not in (1, 2):
-        raise ValueError(f"expected a [C, H, W] input and axis 1 or 2, got {x.shape}, {axis}")
-    x = np.ascontiguousarray(x)
-    if out is None:
-        out = np.empty_like(x)
-    c, h, w = x.shape
-    radius = len(taps) // 2
-    band = _diff_band(taps, _BAND_TILE, x.dtype)
-    size = x.itemsize
-    if axis == 2:
-        reflect = _reflect_indices(w, radius)
-        rows, dst = x.reshape(c * h, w), out.reshape(c * h, w)
-        n_diff = w + 2 * radius - 1
-        chunk = max(1, _CHUNK_BYTES // (n_diff * size))
-        k = band.shape[0]
-
-        def pass_w(starts, bufs):
-            diff, prod = bufs
-            for r0 in starts:
-                src, o = rows[r0:r0 + chunk], dst[r0:r0 + chunk]
-                d = diff[:len(src)]
-                _reflect_diff(src, reflect, 0, n_diff, d, axis=1)
-                # d holds all that the GEMMs read, so each group of columns
-                # can be added to x in place once its tiles are done
-                for a in range(0, w, _BAND_GROUP):
-                    res = prod[:len(src), :min(w - a, _BAND_GROUP)]
-                    full, rem = divmod(res.shape[1], _BAND_TILE)
-                    if full:
-                        tiles = (full, len(d), _BAND_TILE), (_BAND_TILE * size, res.strides[0], size)
-                        windows = as_strided(d[:, a:], (full, len(d), k),
-                                             (_BAND_TILE * size, d.strides[0], size))
-                        np.matmul(windows, band, out=as_strided(res, *tiles))
-                    if rem:
-                        t = full * _BAND_TILE
-                        np.matmul(d[:, a + t:], band[:rem + 2 * radius - 1, :rem], out=res[:, t:])
-                    np.add(src[:, a:a + res.shape[1]], res, out=o[:, a:a + res.shape[1]])
-
-        n = min(chunk, c * h)
-        _split(pass_w, range(0, c * h, chunk), 2 * x.nbytes,
-               lambda: (np.empty((n, n_diff), dtype=x.dtype),
-                        np.empty((n, min(w, _BAND_GROUP)), dtype=x.dtype)))
-        return out
-    reflect = _reflect_indices(h, radius)
-    chunk = max(_BAND_TILE, _CHUNK_BYTES // (w * size) // _BAND_TILE * _BAND_TILE)
-    bt = np.ascontiguousarray(band.T)
-
-    def pass_h(chunks, diff):
-        for ch, r0 in chunks:
-            src = x[ch]
-            r1 = min(r0 + chunk, h)
-            n_d = r1 - r0 + 2 * radius - 1
-            d, o = diff[:n_d], out[ch, r0:r1]
-            _reflect_diff(src, reflect, r0, r0 + n_d, d, axis=0)
-            full, rem = divmod(r1 - r0, _BAND_TILE)
-            if full:
-                k = bt.shape[1]
-                np.matmul(bt, as_strided(d, (full, k, w), (_BAND_TILE * d.strides[0], d.strides[0], size)),
-                          out=o[:full * _BAND_TILE].reshape(full, _BAND_TILE, w))
-            if rem:
-                a = full * _BAND_TILE
-                np.matmul(bt[:rem, :rem + 2 * radius - 1], d[a:], out=o[a:])
-            o += src[r0:r1]
-
-    _split(pass_h, [(ch, r0) for ch in range(c) for r0 in range(0, h, chunk)], 2 * x.nbytes,
-           lambda: np.empty((min(chunk, h) + 2 * radius - 1, w), dtype=x.dtype))
-    return out
-
-
-def gaussian_blur(x: np.ndarray, sigma: float, sigma_x: Optional[float] = None) -> np.ndarray:
-    """Separable Gaussian smoothing with reflect padding.
-
-    `sigma` applies along H; `sigma_x` (defaults to `sigma`) along W.  Each
-    pass is a banded GEMM on first differences (see _blur_axis).  The result
-    is within 8 float32 ulp of the input's largest magnitude of the direct
-    sum of taps, and bit-exact at every pixel whose whole (2r+1)^2 window is
-    constant, so constant images pass through unchanged.  A non-finite or
-    overflowing input can turn whole tiles of the result to NaN (0 * inf).
-    """
-    if x.ndim != 3:
-        raise ValueError(f"expected [C, H, W] input, got shape {x.shape}")
-    if sigma <= 0 or (sigma_x is not None and sigma_x <= 0):
-        raise ValueError("sigma must be positive")
-    taps_y = gaussian_kernel_1d(sigma).astype(DTYPE)
-    taps_x = taps_y if sigma_x is None or sigma_x == sigma else gaussian_kernel_1d(sigma_x).astype(DTYPE)
-    # H first: the W pass then runs in place, so no intermediate image exists
-    out = _blur_axis(x.astype(DTYPE, copy=False), taps_y, axis=1)
-    return _blur_axis(out, taps_x, axis=2, out=out)
 
 
 def _lr_operator(n: int, out_n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -689,15 +511,15 @@ def _lr_operator(n: int, out_n: int, sigma: float) -> tuple[np.ndarray, np.ndarr
 _LR_BLOCK = 8
 
 
-def _lr_blocks(n: int, out_n: int, sigma: float) -> list:
+def _lr_blocks(n: int, out_n: int, sigma: float, dtype=DTYPE) -> list:
     """_lr_operator(n, out_n, sigma) cut into blocks of _LR_BLOCK outputs:
-    (output slice, input slice, dense float32 block of A) each."""
+    (output slice, input slice, dense block of A in `dtype`) each."""
     starts, band = _lr_operator(n, out_n, sigma)
     width = band.shape[1]
     y0 = np.arange(0, out_n, _LR_BLOCK)
     y1 = np.minimum(y0 + _LR_BLOCK, out_n)
     s0, s1 = starts[y0], starts[y1 - 1] + width
-    dense = np.zeros((len(y0), _LR_BLOCK, (s1 - s0).max()), dtype=DTYPE)
+    dense = np.zeros((len(y0), _LR_BLOCK, (s1 - s0).max()), dtype=dtype)
     y = np.arange(out_n)[:, None]
     block = y // _LR_BLOCK
     dense[block, y % _LR_BLOCK, starts[:, None] - s0[block] + np.arange(width)] = band
@@ -705,17 +527,18 @@ def _lr_blocks(n: int, out_n: int, sigma: float) -> list:
             for k, (a, b, c, d) in enumerate(zip(y0.tolist(), y1.tolist(), s0.tolist(), s1.tolist()))]
 
 
-def _downsample(x: np.ndarray, out_h: int, out_w: int, sigma_h: float, sigma_w: float) -> np.ndarray:
+def _downsample(x: np.ndarray, out_h: int, out_w: int, sigma_h: float, sigma_w: float,
+                dtype=DTYPE) -> np.ndarray:
     """bilinear_resize(gaussian_blur(x, sigma_h, sigma_w), out_h, out_w) as
     one banded operator per axis: out[c] = A_h x[c] A_w^T, with each A = S G
-    built in float64 and applied in float32 (see _lr_operator).  No
-    full-resolution intermediate exists.
+    built in float64 and applied in `dtype` (see _lr_operator).  Each pass
+    is rounded to float32.  No full-resolution intermediate exists.
 
     The H pass is one GEMM per block of _LR_BLOCK output rows and channel,
     over the input rows the block reads, split across CPUs (see _split); the
     W pass runs the same way on the [C, out_h, W] result, on the calling
-    thread.  The result is within a few float32 ulp of the blur-then-resize
-    form and does not depend on the number of slices.
+    thread.  In float32 the result is within a few float32 ulp of the
+    blur-then-resize form.  It does not depend on the number of slices.
     """
     c, h, w = x.shape
     x = np.ascontiguousarray(x, dtype=DTYPE)
@@ -725,13 +548,34 @@ def _downsample(x: np.ndarray, out_h: int, out_w: int, sigma_h: float, sigma_w: 
         for ch, (rows, src, a) in part:
             np.matmul(a, x[ch, src], out=mid[ch, rows])
 
-    _split(pass_h, [(ch, blk) for ch in range(c) for blk in _lr_blocks(h, out_h, sigma_h)],
+    _split(pass_h, [(ch, blk) for ch in range(c) for blk in _lr_blocks(h, out_h, sigma_h, dtype)],
            x.nbytes)
     out = np.empty((c, out_h, out_w), dtype=DTYPE)
     flat, dst = mid.reshape(c * out_h, w), out.reshape(c * out_h, out_w)
-    for cols, src, a in _lr_blocks(w, out_w, sigma_w):
+    for cols, src, a in _lr_blocks(w, out_w, sigma_w, dtype):
         np.matmul(flat[:, src], a.T, out=dst[:, cols])
     return out
+
+
+def gaussian_blur(x: np.ndarray, sigma: float, sigma_x: Optional[float] = None) -> np.ndarray:
+    """Separable Gaussian smoothing with reflect padding, as float32.
+
+    `sigma` applies along H; `sigma_x` (defaults to `sigma`) along W.  This
+    is _downsample at the input's own size, where S is the identity and each
+    axis is the reflect-padded Gaussian G alone, applied in float64.  Rows
+    of G sum to 1 within ~1e-16, so every pixel whose whole (2r+1)^2 window
+    is constant passes through bit-exactly, and constant images unchanged;
+    elsewhere the result is within 1 float32 ulp of the input's
+    largest magnitude of the direct sum of taps.  A non-finite input spreads
+    over the 8-row and 8-column operator blocks (_LR_BLOCK) that read it
+    (0 * inf).
+    """
+    if x.ndim != 3:
+        raise ValueError(f"expected [C, H, W] input, got shape {x.shape}")
+    if sigma <= 0 or (sigma_x is not None and sigma_x <= 0):
+        raise ValueError("sigma must be positive")
+    _, h, w = x.shape
+    return _downsample(x, h, w, sigma, sigma if sigma_x is None else sigma_x, np.float64)
 
 
 def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:

@@ -165,7 +165,7 @@ class TestRunPipeline:
         run_pipeline(replace(config, composite=False), model, image, mask)
 
     def test_concurrent_requests_match_serial(self):
-        # r = 8 at 512: both blur passes run over several chunks and the
+        # r = 8 at 512: the LR operator's H pass runs over many blocks and the
         # bilinear and composition over many strips, in every caller at once
         config, model, image, mask = small_setup(10, lr=64, size=512)
         want = run_pipeline(config, model, image, mask)
@@ -667,12 +667,12 @@ class TestBenchHarness:
 
     @pytest.mark.parametrize("config,h,w,want", [
         (PipelineConfig(), 2048, 2048,
-         {"coarse": 2090926080, "attention": 159383552, "masking": 3145728,
-          "mixing": 405012480, "upscale": 25895632896, "total": 28554100736}),
+         {"coarse": 175964160, "attention": 159383552, "masking": 3145728,
+          "mixing": 405012480, "upscale": 25895632896, "total": 26639138816}),
         (PipelineConfig(lr_size=64, patch_size=8, d_k=16), 256, 128,
-         {"coarse": 7999488, "attention": 327680, "masking": 12288,
-          "mixing": 1720320, "upscale": 13565952, "total": 23625728}),
-        # r = 1: neither the HR blur nor the HR mix runs, so neither counts
+         {"coarse": 3084288, "attention": 327680, "masking": 12288,
+          "mixing": 1720320, "upscale": 13565952, "total": 18710528}),
+        # r = 1: neither the LR operator nor the HR mix runs, so neither counts
         (PipelineConfig(), 256, 256,
          {"coarse": 27328512, "attention": 159383552, "masking": 3145728,
           "mixing": 405012480, "upscale": 1966080, "total": 596836352}),
@@ -681,12 +681,14 @@ class TestBenchHarness:
         assert flop_estimates(config, h, w) == want
 
     def test_flops_count_hr_blur_once(self, monkeypatch):
+        # the HR image is blurred once, by the LR operator A = S G per axis
         config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
         est = flop_estimates(config, 256, 128)
-        monkeypatch.setattr(bench, "_gauss_taps", lambda r: 0)
+        monkeypatch.setattr(bench, "_lr_band", lambda n, r: 0)
         no_blur = flop_estimates(config, 256, 128)
-        taps = sum(tensor_ops.gaussian_kernel_1d(sigma_for_factor(r)).size for r in (4, 2))
-        blur = 2 * taps * 3 * 256 * 128  # a multiply-add per tap, both passes
+        k_h, k_w = (tensor_ops._lr_operator(n, 64, sigma_for_factor(n // 64))[1].shape[1]
+                    for n in (256, 128))
+        blur = 2 * 3 * 64 * (k_h * 128 + 64 * k_w)  # a multiply-add per band entry, both passes
         assert est["total"] - no_blur["total"] == blur
         assert est["coarse"] - no_blur["coarse"] == blur
 
