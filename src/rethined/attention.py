@@ -161,8 +161,8 @@ def token_mix(amap: AttentionMap, values: PatchGrid) -> PatchGrid:
     ones, in one matmul `weights @ values[clean]`.  Corrupted value patches
     are never read.
 
-    The patches may be of any extent on the map's grid: LR values in the
-    refinement, HR high frequencies in the upscale.
+    The patches may be of any extent on the map's grid.  The refinement
+    mixes its LR values here; the HR composer runs the same matmul itself.
     """
     if not amap.masked:
         raise ValueError("token mixing requires a masked attention map")

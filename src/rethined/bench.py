@@ -17,7 +17,7 @@ import numpy as np
 from .coarse import BLOCK_PLAN, FEATURE_CHANNELS
 from .masks import MaskSpec, generate_mask
 from .pipeline import InpaintingModel, PipelineConfig, run_pipeline_timed
-from .tensor_ops import DTYPE
+from .tensor_ops import DTYPE, _lr_band_width
 from .upscale import sigma_for_factor
 
 STAGES = ("coarse", "refine", "upscale", "total")
@@ -34,11 +34,9 @@ def attention_flops(n: int, d_k: int, c: int) -> int:
 
 
 def _lr_band(n: int, r: int) -> int:
-    """Band width min(n, 2R + 2) of the LR operator along an axis of n HR
-    samples at factor r (tensor_ops._lr_operator), R its tap radius."""
-    import math
-
-    return min(n, 2 * math.ceil(3.0 * sigma_for_factor(r)) + 2)
+    """Band width of the LR operator along an axis of n HR samples at
+    factor r."""
+    return _lr_band_width(n, sigma_for_factor(r))
 
 
 def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, int]:

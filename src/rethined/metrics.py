@@ -9,6 +9,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .tensor_ops import gaussian_kernel_1d
+
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_C1 = 0.01 ** 2
@@ -23,10 +25,8 @@ def l1(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _ssim_taps() -> np.ndarray:
-    r = SSIM_WINDOW // 2
-    t = np.arange(-r, r + 1, dtype=np.float64)
-    g = np.exp(-(t * t) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
-    return g / g.sum()
+    """The window's 1-D taps: radius ceil(3 * SSIM_SIGMA) gives SSIM_WINDOW."""
+    return gaussian_kernel_1d(SSIM_SIGMA)
 
 
 def _ssim_window() -> np.ndarray:

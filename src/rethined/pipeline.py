@@ -5,7 +5,8 @@ The chain: the LR input x_lr, the HR image anti-alias blurred and bilinearly
 decimated by one banded operator per axis; coarse completion; masked
 patch-attention refinement; then HR composition, which takes its
 high-frequency residual against up(x_lr), the same bilinear up-sampling its
-carrier uses, and mixes it with the LR attention map.
+carrier uses, and mixes it with the LR attention map.  up(x_lr) reaches the
+composer as a resize plan, never as a full-resolution image.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .coarse import (
     _he_uniform,
 )
 from .patches import block_any
-from .tensor_ops import DTYPE, _downsample, _one_blas_thread, all_finite, bilinear_resize, require_binary
+from .tensor_ops import (DTYPE, _bilinear_plan, _downsample, _one_blas_thread, all_finite,
+                         bilinear_resize, require_binary)
 from .upscale import _compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
@@ -213,23 +215,24 @@ def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
 
     Returns (x_lr, m_lr, up): x_lr is the HR image through the Gaussian at
     sigma_for_factor(r) per axis and the bilinear resize to lr_size, as one
-    banded operator per axis (tensor_ops._downsample), and `up` is x_lr
-    bilinearly resized back to the HR extent, the carrier's up-sampling,
-    against which upscale._compose_hr takes the high-frequency residual.
+    banded operator per axis (tensor_ops._downsample), and `up` is the
+    resize plan of x_lr back to the HR extent (tensor_ops._bilinear_plan),
+    the carrier's up-sampling, against which upscale._compose_hr takes the
+    high-frequency residual a strip of rows at a time.
     m_lr is the request's one full-resolution mask reduction: the masked
     map's corrupted patches all come from it.
-    At r == 1 x_lr is the image: then x_lr and `up` are the caller's array
-    (cast to float32 if it is not), and no operator runs.
+    At r == 1 x_lr is the image (cast to float32 if it is not), and no
+    operator runs; the composer then reads no residual.
     """
     _, h, w = image.shape
     lr = config.lr_size
     r_h, r_w = h // lr, w // lr
     if r_h == r_w == 1:
         x = image.astype(DTYPE, copy=False)
-        return x, mask.astype(DTYPE, copy=False), x
+        return x, mask.astype(DTYPE, copy=False), _bilinear_plan(x, h, w)
     x_lr = _downsample(image, lr, lr, sigma_for_factor(r_h), sigma_for_factor(r_w))
     m_lr = block_any(mask[0], r_h, r_w)[None].astype(DTYPE)
-    return x_lr, m_lr, bilinear_resize(x_lr, h, w)
+    return x_lr, m_lr, _bilinear_plan(x_lr, h, w)
 
 
 def _features_for_grid(config: PipelineConfig, features: np.ndarray) -> np.ndarray:
@@ -244,7 +247,7 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
     """Full inpainting chain returning (result, per-stage wall times in ms).
 
     `coarse` covers downsample_to_lr, with the banded blur-and-decimate and
-    the up-sampling of its result, and the coarse CNN; `refine` the LR
+    the plan of its up-sampling, and the coarse CNN; `refine` the LR
     attention pass; and `upscale` the HR residual against that up-sampling,
     mixing and composite.  `total` also covers the input checks.
 
@@ -270,10 +273,7 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
         times["refine"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        # the result overwrites up(x_lr), which is dead once the residual is
-        # cut, unless it is the caller's image (r == 1)
-        out = _compose_hr(image, up, x_lr_hat, masked_map, mask, config.patch_size,
-                          config.composite, out=None if up is image else up)
+        out = _compose_hr(image, up, x_lr_hat, masked_map, mask, config.patch_size, config.composite)
         times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times

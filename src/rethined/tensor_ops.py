@@ -8,11 +8,11 @@ mutated and results are deterministic for fixed inputs.  Reductions may use
 wider accumulators internally.
 
 The full-resolution loops that need scratch (both lerps of the bilinear
-resize, PPM quantisation, the compose pass of the HR composition, the
+resize, PPM quantisation, the two passes of the HR composition, the
 finiteness and binary-mask checks) run over strips of about _STRIP_BYTES,
 so their scratch stays cache-sized; results are bit-identical to the untiled
-forms.  The bilinear resize and the HR composition share one resize plan,
-`_bilinear_plan`.
+forms.  The bilinear resize and both up-samplings of the HR composition,
+up(x_lr) and its carrier, lerp rows of one resize plan, `_bilinear_plan`.
 
 `_one_blas_thread` holds numpy's OpenBLAS at one thread, and `_split` runs a
 full-resolution loop as contiguous slices of its strips, blocks or rows, one
@@ -27,8 +27,9 @@ tests check.  On other BLAS builds there is no hold and no split: every loop
 runs on the calling thread.
 
 `_downsample` applies A = S G per axis, a Gaussian and a bilinear sampling
-(`_lr_operator`), to take the HR image to the LR input; `gaussian_blur` is
-the same operator at the input's own size (S = I), applied in float64.
+(`_lr_operator`, in bands of `_lr_band_width` columns), to take the HR
+image to the LR input; `gaussian_blur` is the same operator at the input's
+own size (S = I), applied in float64.
 
 The LR core's kernels (the coarse CNN's depthwise and pointwise stages, the
 coherence filter) take their intermediates from `_scratch`, one store per
@@ -479,6 +480,11 @@ def _reflect_indices(n: int, radius: int) -> np.ndarray:
     return np.where(idx >= n, period - idx, idx)
 
 
+def _lr_band_width(n: int, sigma: float) -> int:
+    """Band width of _lr_operator: min(n, 2R + 2) for tap radius R."""
+    return min(n, len(gaussian_kernel_1d(sigma)) + 1)
+
+
 def _lr_operator(n: int, out_n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """A = S G along one axis of n samples, in float64 and banded form: G is
     the reflect-padded Gaussian at `sigma` (gaussian_kernel_1d), S the
@@ -486,12 +492,12 @@ def _lr_operator(n: int, out_n: int, sigma: float) -> tuple[np.ndarray, np.ndarr
 
     Returns (starts, band): row y of A is band[y] at columns starts[y] to
     starts[y] + band.shape[1], and zero elsewhere.  The band is
-    min(n, 2r + 2) columns wide for tap radius r: it holds the Gaussian rows
-    of both samples that output y reads, reflections included.
+    _lr_band_width(n, sigma) columns wide: it holds the Gaussian rows of
+    both samples that output y reads, reflections included.
     """
     taps = gaussian_kernel_1d(sigma)
     radius = len(taps) // 2
-    width = min(n, 2 * radius + 2)
+    width = _lr_band_width(n, sigma)
     pos = (np.arange(out_n) + 0.5) * (n / out_n) - 0.5
     first = np.floor(pos)
     frac = pos - first

@@ -9,20 +9,20 @@ stays at LR regardless of output resolution.  The residual is taken against
 the same up-sampler the carrier uses, as in Contextual Residual Aggregation
 (Yi et al., CVPR 2020): it is x - up(x_lr), where x_lr is the LR input, so a
 clean patch whose LR pixels the refinement leaves unchanged comes out as x.
-The pipeline computes up(x_lr) once, with the LR input, and hands it to
-_compose_hr as `low`.  No full-resolution Gaussian runs.  Nor are the
-corrupted patches recomputed: the masked map already lists them, so the
+The pipeline hands _compose_hr the resize plan of up(x_lr), not the image:
+no full-resolution up(x_lr), Gaussian or residual image is built.  Nor are
+the corrupted patches recomputed: the masked map already lists them, so the
 composer does not reduce the HR mask over patches.
 
-The composition works patch-major and only where output can change: it cuts
-the residual of the patches the mix reads straight into one patch-major
-buffer, runs one matmul for the mixed rows into the same buffer, and then
-makes one pass over the output, a cache-sized strip at a time (bilinear,
-high frequencies of the patches that can change, composite, clip).  No
-full-resolution residual, patch grid or high-frequency image is built.
-Each of the three steps is split across CPUs by tensor_ops._split: the cut
-by clean patches, the matmul by row blocks of the weights and the pass by
-strips; one BLAS thread runs each row block.
+The composition works patch-major and only where output can change, in two
+passes over the same strips of whole image rows, each cache-sized.  The cut
+pass lerps a strip's rows of up(x_lr) and cuts the residual of the clean
+patches, which the mix reads, straight into one patch-major buffer; one
+matmul writes the mixed rows of the corrupted patches into another; the
+compose pass then lerps the carrier and adds the high frequencies of the
+patches that can change, composites and clips.  Each of the three steps is
+split across CPUs by tensor_ops._split: the passes by strips and the matmul
+by row blocks of the weights; one BLAS thread runs each row block.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionMap
-from .tensor_ops import DTYPE, _STRIP_BYTES, _bilinear_plan, _split, gaussian_blur
+from .tensor_ops import DTYPE, _BilinearPlan, _bilinear_plan, _split, _strip_rows, gaussian_blur
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -69,140 +69,133 @@ def frequency_split(x_hr: np.ndarray, r: float) -> FrequencySplit:
     return FrequencySplit(low, high, sigma)
 
 
-def _runs(patches: np.ndarray, rows: np.ndarray, grid_rows: int, grid_cols: int) -> list:
-    """Cut patch indices with their buffer rows into runs of patches that sit
-    side by side in one grid row and in the buffer.
-
-    Returns, for each grid row, a list of (first grid column, first buffer
-    row, length) tuples.
+def _runs(patches: np.ndarray, grid_rows: int, grid_cols: int) -> list:
+    """Cut ascending patch indices into runs of patches that sit side by side
+    in one grid row: for each grid row, a list of (first grid column, first
+    position in `patches`, which is the row in a buffer of them, length).
     """
     brk = np.ones(len(patches), dtype=bool)
-    brk[1:] = (np.diff(patches) != 1) | (patches[1:] % grid_cols == 0) | (np.diff(rows) != 1)
+    brk[1:] = (np.diff(patches) != 1) | (patches[1:] % grid_cols == 0)
     starts = np.flatnonzero(brk)
     first = patches[starts]
     by_row = [[] for _ in range(grid_rows)]
-    for pr, pc, r0, k in zip((first // grid_cols).tolist(), (first % grid_cols).tolist(),
-                             rows[starts].tolist(), np.diff(starts, append=len(patches)).tolist()):
-        by_row[pr].append((pc, r0, k))
+    for pr, pc, i, k in zip((first // grid_cols).tolist(), (first % grid_cols).tolist(),
+                            starts.tolist(), np.diff(starts, append=len(patches)).tolist()):
+        by_row[pr].append((pc, i, k))
     return by_row
 
 
-def _compose_hr(x_hr_masked: np.ndarray, low: np.ndarray, x_lr_refined: np.ndarray,
+def _compose_hr(x_hr_masked: np.ndarray, up: _BilinearPlan, x_lr_refined: np.ndarray,
                 amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
-                composite: bool, out: np.ndarray | None = None) -> np.ndarray:
+                composite: bool) -> np.ndarray:
     """Assemble the final HR result.
 
-    `low` is up(x_lr) as downsample_to_lr returns it: the LR input of
-    `x_hr_masked` bilinearly resized to the HR extent, the up-sampling the
-    carrier applies to `x_lr_refined`.  The high-frequency residual
-    x_hr_masked - low is taken in float32, mixed with the attention map and
-    added to the bilinearly upsampled refined LR image; known pixels are
-    then optionally overwritten with the originals and the result clamped
-    to [0, 1].  So a patch that keeps its own residual comes out as
-    x_hr_masked + up(x_lr_refined) - up(x_lr), up to float32 rounding.
+    `up` is the resize plan of up(x_lr) as downsample_to_lr returns it: the
+    LR input of `x_hr_masked` bilinearly resized to the HR extent, the
+    up-sampling the carrier applies to `x_lr_refined`.  The high-frequency
+    residual x_hr_masked - up(x_lr) is taken in float32, mixed with the
+    attention map and added to the bilinearly upsampled refined LR image;
+    known pixels are then optionally overwritten with the originals and the
+    result clamped to [0, 1].  So a patch that keeps its own residual comes
+    out as x_hr_masked + up(x_lr_refined) - up(x_lr), up to float32 rounding.
 
     The inputs are the ones run_pipeline has checked at its boundary: HR
     extents are integer multiples of the LR extents, `m_hr` is a binary
     [1, H_HR, W_HR] mask and `x_lr_refined` is float32.  `amap` is the
     masked map of `m_hr`'s patch mask, as npm_refine returns it, so
     `amap.corrupt` lists, in ascending order, the patches that hold a
-    corrupted pixel; the composer takes the patches it writes from it and
-    does not read the mask again for them.  The result goes to `out` if
-    given, a C-contiguous float32 array of the image's shape; it may be
-    `low`, which is read only before `out` is written.
+    corrupted pixel, so the composer does not read the mask for them.
 
     Each output element gets the ops of the unfused form, bilinear + mixed
     high frequencies, composite, clip, so results are bit-identical to it.
-    When `low` is `x_hr_masked` itself, as downsample_to_lr returns it at
-    r = 1, the residual is exactly zero and only the strip pass runs; a
-    -0.0 carrier value then stays -0.0, where the unfused form's + 0.0
-    makes it +0.0.
+    When the HR extent is the LR one (r = 1), the image is its own LR input
+    and the residual is exactly zero: `up` is not read and only the compose
+    pass runs; a -0.0 carrier value then stays -0.0, where the unfused
+    form's + 0.0 makes it +0.0.
     """
     _, h_hr, w_hr = x_hr_masked.shape
     _, h, w = x_lr_refined.shape
     ph, pw = patch_size * (h_hr // h), patch_size * (w_hr // w)
-    n, grid_rows, grid_cols = amap.count, amap.rows, amap.cols
+    grid_rows, grid_cols = amap.rows, amap.cols
+    clean, corrupt = amap.clean, amap.corrupt
+    # both passes walk the same strips of whole image rows, of about
+    # _STRIP_BYTES per channel, so a strip's scratch stays cache-sized
+    step = _strip_rows(w_hr * np.dtype(DTYPE).itemsize)
+    strips = [(y0, min(y0 + step, h_hr)) for y0 in range(0, h_hr, step)]
+    cap = min(step, h_hr)
 
-    # [3, grid row, patch y, grid col, patch x] views make a run of patches
-    # one basic slice of an image
-    def grid(img):
-        return img.reshape(3, grid_rows, ph, grid_cols, pw)
+    def crossed(y0, y1):
+        """(grid row, patch rows, strip rows) of each row of patches that the
+        strip of image rows y0:y1 crosses; the rows as slices."""
+        for pr in range(y0 // ph, (y1 - 1) // ph + 1):
+            a, b = max(y0 - pr * ph, 0), min(y1 - pr * ph, ph)
+            yield pr, slice(a, b), slice(pr * ph + a - y0, pr * ph + b - y0)
 
-    # Patches whose output can change: every one, or with composite only the
-    # corrupted ones; all other pixels become x_hr_masked.
-    written = amap.corrupt if composite else np.arange(n)
-    if low is x_hr_masked or not written.size:
-        # downsample_to_lr hands the image back as its own low-pass at r = 1,
-        # so the residual is exactly zero, or no patch reads it: nothing is
-        # cut, mixed or added
-        adds = [[] for _ in range(grid_rows)]
-    else:
-        clean, corrupt = amap.clean, amap.corrupt
-        # hf holds the residual of the clean patches, the matmul's value rows,
-        # as one contiguous operand, then the mixed rows of the corrupted ones.
-        hf = np.empty((n, 3, ph, pw), dtype=DTYPE)
-        # the hf row that holds a written patch's high frequencies: a clean
-        # patch's own residual, or a corrupted patch's mixed row
-        hf_row = np.empty(n, dtype=np.intp)
-        hf_row[clean] = np.arange(len(clean))
-        hf_row[corrupt] = len(clean) + np.arange(len(corrupt))
-        adds = _runs(written, hf_row[written], grid_rows, grid_cols)
-        # [3, patch y, buffer row, patch x]: a run of patches is one basic
-        # slice of hf
-        hf_t = hf.transpose(1, 2, 0, 3)
-        x_grid, low_grid = grid(x_hr_masked), grid(low)
+    # (buffer as [3, patch y, buffer row, patch x], runs of its patches) of
+    # the high frequencies the compose pass adds: those of every patch, or
+    # with composite of the corrupted ones; all other pixels are x_hr_masked
+    adds = []
+    if (h_hr, w_hr) != (h, w) and (corrupt.size or not composite):
+        # values holds the residual of the clean patches, the matmul's value
+        # rows, as one contiguous operand, and mixed the rows of the
+        # corrupted ones: a run of patches is one basic slice of either
+        values = np.empty((len(clean), 3, ph, pw), dtype=DTYPE)
+        values_t = values.transpose(1, 2, 0, 3)
+        clean_runs = _runs(clean, grid_rows, grid_cols)
+        x_grid = x_hr_masked.reshape(3, grid_rows, ph, grid_cols, pw)
 
-        # 1. residual x - low of the clean patches, cut straight into hf, in
-        # image order (3x faster than in patch order at 2048), by slices of
-        # the clean patches
-        def cut(part):
-            for pr, runs in enumerate(_runs(clean[part], np.asarray(part), grid_rows, grid_cols)):
-                for pc, r0, k in runs:
-                    np.subtract(x_grid[:, pr, :, pc:pc + k], low_grid[:, pr, :, pc:pc + k],
-                                out=hf_t[:, :, r0:r0 + k])
+        # 1. residual x - up(x_lr) of the clean patches, cut straight into
+        # values: each strip that holds one lerps its rows of up(x_lr)
+        def cut(part, bufs):
+            for y0, y1 in part:
+                bands = [band for band in crossed(y0, y1) if clean_runs[band[0]]]
+                if not bands:
+                    continue
+                low, top = (buf[:, :y1 - y0] for buf in bufs)
+                up.lerp_rows(y0, y1, low, top)
+                low_grid = low.reshape(3, y1 - y0, grid_cols, pw)
+                for pr, rows, strip in bands:
+                    for pc, i, k in clean_runs[pr]:
+                        np.subtract(x_grid[:, pr, rows, pc:pc + k], low_grid[:, strip, pc:pc + k],
+                                    out=values_t[:, rows, i:i + k])
 
-        _split(cut, range(len(clean)), 3 * hf[:len(clean)].nbytes)
+        _split(cut, strips, 3 * values.nbytes,
+               lambda: (np.empty((3, cap, w_hr), dtype=DTYPE), np.empty((3, cap, w_hr), dtype=DTYPE)))
+        if not composite:
+            adds.append((values_t, clean_runs))
 
-        # 2. one matmul for the mixed rows, into hf, by row blocks of the
-        # weights
+        # 2. one matmul for the mixed rows, by row blocks of the weights
         if corrupt.size:
-            k, d = len(clean), 3 * ph * pw
-            values, mixed = hf[:k].reshape(k, d), hf[k:].reshape(len(corrupt), d)
+            d = 3 * ph * pw
+            mixed = np.empty((len(corrupt), 3, ph, pw), dtype=DTYPE)
+            flat_values, flat_mixed = values.reshape(len(clean), d), mixed.reshape(len(corrupt), d)
 
             def mix(part):
                 rows = slice(part.start, part.stop)
-                np.matmul(amap.weights[rows], values, out=mixed[rows])
+                np.matmul(amap.weights[rows], flat_values, out=flat_mixed[rows])
 
             _split(mix, range(len(corrupt)), values.nbytes + mixed.nbytes)
+            adds.append((mixed.transpose(1, 2, 0, 3), _runs(corrupt, grid_rows, grid_cols)))
+            if composite:
+                # no clean patch is written, so the residual is dead once mixed
+                del values, values_t, flat_values
 
     # 3. bilinear carrier, high frequencies of the written patches,
-    # composite and clip, one strip at a time: a run of whole patch rows of
-    # about _STRIP_BYTES per channel, or part of one patch row when patches
-    # are large, so the strip's scratch stays cache-sized
-    row_bytes = w_hr * np.dtype(DTYPE).itemsize
-    per = _STRIP_BYTES // (ph * row_bytes)
-    if per:
-        strips = [(p, min(p + per, grid_rows), 0, ph) for p in range(0, grid_rows, per)]
-    else:
-        parts = -(-ph * row_bytes // _STRIP_BYTES)
-        strips = [(p, p + 1, ph * j // parts, ph * (j + 1) // parts)
-                  for p in range(grid_rows) for j in range(parts)]
+    # composite and clip, one strip at a time
     carrier = _bilinear_plan(x_lr_refined, h_hr, w_hr)
-    if out is None:
-        out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
-    out_grid = grid(out)
-    cap = max((p1 - p0 - 1) * ph + b - a for p0, p1, a, b in strips)
+    out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
 
     def compose(part, bufs):
         top, keep = bufs
-        for p0, p1, a, b in part:
-            y0, y1 = p0 * ph + a, (p1 - 1) * ph + b
+        for y0, y1 in part:
             seg = out[:, y0:y1]
             carrier.lerp_rows(y0, y1, seg, top[:, :y1 - y0])
-            for pr in range(p0, p1):
-                for pc, r0, k in adds[pr]:
-                    dst = out_grid[:, pr, a:b, pc:pc + k]
-                    dst += hf_t[:, a:b, r0:r0 + k]
+            seg_grid = seg.reshape(3, y1 - y0, grid_cols, pw)
+            for pr, rows, strip in crossed(y0, y1):
+                for buf_t, runs in adds:
+                    for pc, i, k in runs[pr]:
+                        dst = seg_grid[:, strip, pc:pc + k]
+                        dst += buf_t[:, rows, i:i + k]
             if composite:
                 known = keep[:y1 - y0]
                 np.equal(m_hr[0, y0:y1], 0, out=known)

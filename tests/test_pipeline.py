@@ -133,6 +133,23 @@ class TestRunPipeline:
             config, model, image, mask = small_setup(7, lr=lr)
             assert run_pipeline(config, model, image, mask).shape == image.shape
 
+    @pytest.mark.parametrize("lr,size", [(64, 128), (64, 512)], ids=["r2", "r8"])
+    def test_up_sampling_is_a_plan(self, monkeypatch, lr, size):
+        # downsample_to_lr hands the composer the plan of up(x_lr), whose
+        # rows are bilinear_resize's bytes, and no request writes up(x_lr)
+        # out as an image
+        config, model, image, mask = small_setup(8, lr=lr, size=size)
+        x_lr, _, up = downsample_to_lr(config, image, mask)
+        assert isinstance(up, tensor_ops._BilinearPlan)
+        rows, top = np.empty_like(image), np.empty_like(image)
+        up.lerp_rows(0, size, rows, top)
+        assert rows.tobytes() == bilinear_resize(x_lr, size, size).tobytes()
+        want = run_pipeline(config, model, image, mask)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rethined") and getattr(module, "bilinear_resize", None) is bilinear_resize:
+                monkeypatch.setattr(module, "bilinear_resize", lambda *a, **k: pytest.fail("resized"))
+        assert run_pipeline(config, model, image, mask).tobytes() == want.tobytes()
+
     def test_mask_checked_once_at_full_resolution(self, monkeypatch):
         config, model, image, mask = small_setup(9)
         sizes = mask_sized_calls(monkeypatch, tensor_ops.require_binary, config, model, image, mask)
@@ -259,17 +276,18 @@ def lr256_setup(seeds):
 
 def blur_path_pipeline(config, model, image, mask):
     """run_pipeline as it ran before r = 1 skipped the blur: blur, bilinear
-    decimation and block-ANY at factor 1, composed into the low-pass, with
-    BLAS held at one thread as run_pipeline holds it."""
+    decimation and block-ANY at factor 1, with the composer handed the plan
+    of up(x_lr), and BLAS held at one thread as run_pipeline holds it."""
     lr, p = config.lr_size, config.patch_size
+    _, h, w = image.shape
     with tensor_ops._one_blas_thread():
         low = gaussian_blur(image, sigma_for_factor(1), sigma_for_factor(1))
         x_lr = bilinear_resize(low, lr, lr)
         m_lr = block_any(mask[0], 1, 1)[None].astype(F32)
         coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
         x_hat, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr, p, config.d_k)
-        low_bytes = low.tobytes()
-        return low_bytes, _compose_hr(image, low, x_hat, amap, mask, p, config.composite, out=low)
+        up = tensor_ops._bilinear_plan(x_lr, h, w)
+        return low.tobytes(), _compose_hr(image, up, x_hat, amap, mask, p, config.composite)
 
 
 def test_total_covers_the_input_checks(monkeypatch):
