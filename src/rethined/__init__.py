@@ -11,7 +11,7 @@ from .tensor_ops import (
     relu,
     softmax_rows,
 )
-from .spectral import ComplexGrid, fft1d, fft2d, focal_frequency_loss, ifft2d
+from .spectral import ComplexGrid, fft2d, focal_frequency_loss
 from .coarse import CoarseModel, RepBlock, coarse_forward, fuse_block, fuse_model
 from .patches import (
     PatchGrid,

@@ -20,7 +20,7 @@ from .pipeline import (
     run_pipeline,
     save_model,
 )
-from .spectral import focal_frequency_loss_padded
+from .spectral import focal_frequency_loss
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -35,8 +35,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _build(args, composite: bool = True):
     if args.weights is not None:
         model = load_model(args.weights)
-        config = config_for_model(model, lr_size=args.lr, composite=composite,
-                                  seed=args.seed)
+        config = config_for_model(model, lr_size=args.lr, composite=composite)
         if config.patch_size != args.patch or config.d_k != args.dk:
             # weight shapes win over flags; keep the run honest about it
             print(json.dumps({"note": "patch/dk taken from weights",
@@ -44,8 +43,8 @@ def _build(args, composite: bool = True):
                   file=sys.stderr)
         return config, model
     config = PipelineConfig(lr_size=args.lr, patch_size=args.patch, d_k=args.dk,
-                            composite=composite, seed=args.seed)
-    return config, random_model(config)
+                            composite=composite)
+    return config, random_model(config, seed=args.seed)
 
 
 def _cmd_inpaint(args) -> int:
@@ -86,17 +85,13 @@ def _cmd_genmask(args) -> int:
 def _cmd_metrics(args) -> int:
     a = read_image(args.a)
     b = read_image(args.b)
-    ffl, padded = focal_frequency_loss_padded(a, b)
     db = psnr(a, b)
-    result = {
+    print(json.dumps({
         "l1": l1(a, b),
         "ssim": ssim(a, b),
         "psnr": "inf" if db == float("inf") else db,
-        "ffl": ffl,
-    }
-    if padded is not None:
-        result["ffl_padding"] = [int(x) for x in padded]
-    print(json.dumps(result))
+        "ffl": focal_frequency_loss(a, b),
+    }))
     return 0
 
 

@@ -50,7 +50,6 @@ class PipelineConfig:
     patch_size: int = 8
     d_k: int = 64
     composite: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr_size < ENCODER_FACTOR or self.lr_size % ENCODER_FACTOR:
@@ -79,9 +78,9 @@ class InpaintingModel:
         return self.coarse.fused
 
 
-def random_model(config: PipelineConfig, seed: int | None = None) -> InpaintingModel:
+def random_model(config: PipelineConfig, seed: int = 0) -> InpaintingModel:
     """Deterministic He-uniform initialized model for untrained runs."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     coarse = random_coarse_model(rng)
     p2 = 3 * config.patch_size * config.patch_size
     token_width = config.d_k + FEATURE_CHANNELS
@@ -143,8 +142,12 @@ def _tensor(tensors: dict, name: str, want: tuple | None = None) -> np.ndarray:
 
 
 def model_from_tensors(tensors: dict) -> InpaintingModel:
-    """Build a model from named tensors, checking every shape the chain
-    relies on against BLOCK_PLAN, 3P^2 and d_k + FEATURE_CHANNELS."""
+    """Build a model from named tensors, checking that every value is finite
+    and every shape the chain relies on matches BLOCK_PLAN, 3P^2 and
+    d_k + FEATURE_CHANNELS."""
+    for name, t in tensors.items():
+        if not np.isfinite(t).all():
+            raise WeightFormatError(f"tensor '{name}' holds a NaN or infinite value")
     blocks = []
     for i, (c_in, c_out, stride, _skip) in enumerate(BLOCK_PLAN):
         main = ConvSpec(_tensor(tensors, f"blocks.{i}.main.weight", (c_in, 1, 3, 3)),
@@ -180,13 +183,12 @@ def load_model(path) -> InpaintingModel:
 
 
 def config_for_model(model: InpaintingModel, lr_size: int = 256,
-                     composite: bool = True, seed: int = 0) -> PipelineConfig:
+                     composite: bool = True) -> PipelineConfig:
     """Derive patch size and d_k from the weight shapes, which
     model_from_tensors checked."""
     p2, d_k = model.npm.embed.shape
     patch = math.isqrt(p2 // 3)
-    return PipelineConfig(lr_size=lr_size, patch_size=patch, d_k=d_k,
-                          composite=composite, seed=seed)
+    return PipelineConfig(lr_size=lr_size, patch_size=patch, d_k=d_k, composite=composite)
 
 
 # --- the chain ------------------------------------------------------------------

@@ -150,6 +150,21 @@ class TestWeightContainer:
         with pytest.raises(WeightFormatError):
             model_from_tensors(tensors)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["blocks.0.main.weight", "final.bias", "npm.embed",
+                                      "blocks.2.point.bn.sigma"])
+    def test_model_non_finite_tensor_rejected(self, tmp_path, name, bad):
+        # checked before the model is built: a BN sigma fails here, not in
+        # BatchNormParams
+        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
+        tensors = model_to_tensors(random_model(config, seed=1))
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[0] = bad
+        path = tmp_path / "w.rthd"
+        save_tensors(tensors, path)
+        with pytest.raises(WeightFormatError, match=name.replace(".", r"\.")):
+            load_model(path)
+
 
 class TestPpmPgm:
     def test_image_round_trip_bit_exact(self, tmp_path):

@@ -30,6 +30,7 @@ from rethined.image_io import read_image, read_mask, write_image, write_mask
 from rethined.masks import MaskSpec, generate_mask
 from rethined.coarse import coarse_forward
 from rethined.patches import block_any
+from rethined.spectral import focal_frequency_loss
 from rethined.tensor_ops import bilinear_resize, gaussian_blur
 from rethined.upscale import _compose_hr, sigma_for_factor
 from rethined.pipeline import (
@@ -587,6 +588,29 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["l1"] == 0.0
         assert out["psnr"] == "inf"
+        # 40x24 is no power of two: the loss is taken on the images as read
+        a = (rng.integers(0, 256, (3, 40, 24)) / 255.0).astype(F32)
+        b = (rng.integers(0, 256, (3, 40, 24)) / 255.0).astype(F32)
+        write_image(a, pa)
+        write_image(b, pb)
+        rc = cli_main(["metrics", "--a", str(pa), "--b", str(pb)])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "ffl_padding" not in out
+        assert out["ffl"] == focal_frequency_loss(read_image(pa), read_image(pb))
+
+    def test_inpaint_seed_reaches_model(self, tmp_path, capsys):
+        img_path, mask_path = self._write_inputs(tmp_path)
+        out_path = tmp_path / "out.ppm"
+        cli_main(["inpaint", "--image", str(img_path), "--mask", str(mask_path),
+                  "--out", str(out_path), "--lr", "64", "--dk", "16", "--seed", "3"])
+        capsys.readouterr()
+        config = PipelineConfig(lr_size=64, d_k=16)
+        image, mask = read_image(img_path), read_mask(mask_path)
+        want_path = tmp_path / "want.ppm"
+        write_image(run_pipeline(config, random_model(config, seed=3),
+                                 image * (1.0 - mask), mask), want_path)
+        assert out_path.read_bytes() == want_path.read_bytes()
 
     def test_bench_command(self, tmp_path, capsys):
         report = tmp_path / "bench.csv"
