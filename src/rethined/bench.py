@@ -33,12 +33,6 @@ def attention_flops(n: int, d_k: int, c: int) -> int:
     return 2 * n * n * d_k + 2 * n * (d_k + c) * d_k * 2
 
 
-def _lr_band(n: int, r: int) -> int:
-    """Band width of the LR operator along an axis of n HR samples at
-    factor r."""
-    return _lr_band_width(n, sigma_for_factor(r))
-
-
 def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, int]:
     """Rough per-stage FLOP counts; the attention entry is attention_flops,
     the dense upper bound."""
@@ -56,7 +50,8 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
     r1 = r_h == r_w == 1
     # x_lr = A_h x A_w^T, run by downsample_to_lr under coarse: the H pass
     # takes lr x K_h multiply-adds per HR column, the W pass K_w per LR pixel
-    lr_op = 0 if r1 else 2 * 3 * lr * (_lr_band(h_hr, r_h) * w_hr + lr * _lr_band(w_hr, r_w))
+    lr_op = 0 if r1 else 2 * 3 * lr * (_lr_band_width(h_hr, sigma_for_factor(r_h)) * w_hr
+                                       + lr * _lr_band_width(w_hr, sigma_for_factor(r_w)))
     # coarse_forward evaluates blocks 0-2 only at the pixels they keep (1/2,
     # 1/4 and 1/8 of LR), block 3 at 1/8 and block 4 at 1/4 (after a 2x
     # upsample), and the final 1x1 at 1/4 before the 4x upsample

@@ -251,22 +251,6 @@ def fuse_model(model: CoarseModel) -> CoarseModel:
     return replace(model, blocks=tuple(fuse_block(b) for b in model.blocks), fused=True)
 
 
-def parameter_count(model: CoarseModel) -> int:
-    total = 0
-    for block in model.blocks:
-        for spec in (block.main, block.point):
-            total += spec.weights.size
-            if spec.bias is not None:
-                total += spec.bias.size
-        for bn in (block.main_bn, block.point_bn, block.skip_bn):
-            if bn is not None:
-                total += bn.mu.size * 4
-    total += model.final.weights.size
-    if model.final.bias is not None:
-        total += model.final.bias.size
-    return total
-
-
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(DTYPE)

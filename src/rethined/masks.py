@@ -15,6 +15,12 @@ import numpy as np
 from .tensor_ops import DTYPE
 
 
+BRUSH_RADIUS = (8, 40)      # at 256x256, scaled by min(H, W)/256
+WALK_LENGTH = (4, 12)       # segments per stroke
+ANGLE_JITTER = 0.8          # radians a segment turns at most
+MAX_ATTEMPTS = 64
+
+
 class MaskCoverageError(RuntimeError):
     """Raised when no attempt reaches the target coverage band."""
 
@@ -23,11 +29,7 @@ class MaskCoverageError(RuntimeError):
 class MaskSpec:
     seed: int = 0
     num_strokes: Tuple[int, int] = (1, 6)
-    brush_radius: Tuple[int, int] = (8, 40)      # at 256x256, scaled by min(H, W)/256
-    walk_length: Tuple[int, int] = (4, 12)
-    angle_jitter: float = 0.8
     target_coverage: Tuple[float, float] = (0.30, 0.50)
-    max_attempts: int = 64
 
 
 def mask_coverage(mask: np.ndarray) -> float:
@@ -47,17 +49,16 @@ def _stamp_disc(grid: np.ndarray, cy: float, cx: float, radius: int) -> None:
     grid[y0:y1, x0:x1] |= disc
 
 
-def _draw_stroke(grid: np.ndarray, rng: np.random.Generator, spec: MaskSpec,
-                 rmin: int, rmax: int) -> None:
+def _draw_stroke(grid: np.ndarray, rng: np.random.Generator, rmin: int, rmax: int) -> None:
     h, w = grid.shape
     radius = int(rng.integers(rmin, rmax + 1))
     y = rng.uniform(0, h)
     x = rng.uniform(0, w)
     theta = rng.uniform(0, 2 * np.pi)
-    segments = int(rng.integers(spec.walk_length[0], spec.walk_length[1] + 1))
+    segments = int(rng.integers(WALK_LENGTH[0], WALK_LENGTH[1] + 1))
     _stamp_disc(grid, y, x, radius)
     for _ in range(segments):
-        theta += rng.uniform(-spec.angle_jitter, spec.angle_jitter)
+        theta += rng.uniform(-ANGLE_JITTER, ANGLE_JITTER)
         length = rng.uniform(1.0, 2.0) * radius
         steps = max(int(length / max(radius * 0.5, 1.0)), 1)
         dy = np.sin(theta) * length / steps
@@ -77,17 +78,17 @@ def generate_mask(spec: MaskSpec, h: int, w: int) -> np.ndarray:
         raise ValueError("seed must be a non-negative integer")
     lo, hi = spec.target_coverage
     scale = min(h, w) / 256.0
-    rmin = max(int(round(spec.brush_radius[0] * scale)), 2)
-    rmax = max(int(round(spec.brush_radius[1] * scale)), rmin)
+    rmin = max(int(round(BRUSH_RADIUS[0] * scale)), 2)
+    rmax = max(int(round(BRUSH_RADIUS[1] * scale)), rmin)
 
-    for attempt in range(spec.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng([spec.seed, attempt])
         grid = np.zeros((h, w), dtype=bool)
         planned = int(rng.integers(spec.num_strokes[0], spec.num_strokes[1] + 1))
         drawn = 0
         overshoot = False
         while True:
-            _draw_stroke(grid, rng, spec, rmin, rmax)
+            _draw_stroke(grid, rng, rmin, rmax)
             drawn += 1
             cov = grid.mean()
             if cov > hi:
@@ -101,5 +102,5 @@ def generate_mask(spec: MaskSpec, h: int, w: int) -> np.ndarray:
             return grid[None].astype(DTYPE)
     raise MaskCoverageError(
         f"could not reach coverage [{lo}, {hi}] at {h}x{w} within "
-        f"{spec.max_attempts} attempts (seed {spec.seed})"
+        f"{MAX_ATTEMPTS} attempts (seed {spec.seed})"
     )

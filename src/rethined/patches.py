@@ -3,7 +3,7 @@
 One patch-grid type, PatchGrid, serves both resolutions: hr_patches cuts
 rectangular patches, img2col is its square LR form, and pixel_shuffle
 inverts either.  The HR composition does not build an HR PatchGrid:
-upscale._compose_hr cuts only the patches it reads, straight from the image,
+upscale.compose_hr cuts only the patches it reads, straight from the image,
 in the same channel-major layout.  block_any reduces a mask over blocks: the
 pipeline's HR mask to LR once per request, and that LR mask to the patch
 mask here, whose corrupted patches the masked attention map then carries
@@ -58,10 +58,6 @@ class TokenMatrix:
     rows: int
     cols: int
     d_k: int
-
-    @property
-    def count(self) -> int:
-        return self.x.shape[0]
 
 
 def img2col(image: np.ndarray, patch_size: int) -> PatchGrid:

@@ -34,7 +34,7 @@ from .coarse import (
 from .patches import block_any
 from .tensor_ops import (DTYPE, _bilinear_plan, _downsample, _one_blas_thread, all_finite,
                          bilinear_resize, require_binary)
-from .upscale import _compose_hr, sigma_for_factor
+from .upscale import compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
 
@@ -197,7 +197,12 @@ class NonFiniteInputError(ValueError):
     """Raised when an input image holds a NaN or infinite pixel."""
 
 
-def _validate_inputs(config: PipelineConfig, image: np.ndarray, mask: np.ndarray):
+def _validate_inputs(config: PipelineConfig, model: InpaintingModel, image: np.ndarray,
+                     mask: np.ndarray):
+    want = (3 * config.patch_size ** 2, config.d_k)
+    if model.npm.embed.shape != want:
+        raise ValueError(f"model embedding shape {model.npm.embed.shape} != config's (3P^2, d_k) "
+                         f"= {want} for patch_size={config.patch_size}, d_k={config.d_k}")
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
     _, h, w = image.shape
@@ -219,7 +224,7 @@ def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
     sigma_for_factor(r) per axis and the bilinear resize to lr_size, as one
     banded operator per axis (tensor_ops._downsample), and `up` is the
     resize plan of x_lr back to the HR extent (tensor_ops._bilinear_plan),
-    the carrier's up-sampling, against which upscale._compose_hr takes the
+    the carrier's up-sampling, against which upscale.compose_hr takes the
     high-frequency residual a strip of rows at a time.
     m_lr is the request's one full-resolution mask reduction: the masked
     map's corrupted patches all come from it.
@@ -260,7 +265,7 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
     times: dict[str, float] = {}
     t_all = time.perf_counter()
     with _one_blas_thread():
-        _validate_inputs(config, image, mask)
+        _validate_inputs(config, model, image, mask)
 
         t0 = time.perf_counter()
         x_lr, m_lr, up = downsample_to_lr(config, image, mask)
@@ -275,7 +280,7 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
         times["refine"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        out = _compose_hr(image, up, x_lr_hat, masked_map, mask, config.patch_size, config.composite)
+        out = compose_hr(image, up, x_lr_hat, masked_map, mask, config.patch_size, config.composite)
         times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times

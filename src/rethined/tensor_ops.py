@@ -7,12 +7,12 @@ Tensors are numpy float32 arrays laid out [C, H, W] (convolution weights are
 mutated and results are deterministic for fixed inputs.  Reductions may use
 wider accumulators internally.
 
-The full-resolution loops that need scratch (both lerps of the bilinear
-resize, PPM quantisation, the two passes of the HR composition, the
-finiteness and binary-mask checks) run over strips of about _STRIP_BYTES,
-so their scratch stays cache-sized; results are bit-identical to the untiled
-forms.  The bilinear resize and both up-samplings of the HR composition,
-up(x_lr) and its carrier, lerp rows of one resize plan, `_bilinear_plan`.
+The full-resolution loops that need scratch (the W lerp of a resize plan,
+PPM quantisation, the two passes of the HR composition, the finiteness and
+binary-mask checks) run over strips of about _STRIP_BYTES, so their scratch
+stays cache-sized; results are bit-identical to the untiled forms.  The
+bilinear resize and both up-samplings of the HR composition, up(x_lr) and
+its carrier, lerp rows of one resize plan, `_bilinear_plan`.
 
 `_one_blas_thread` holds numpy's OpenBLAS at one thread, and `_split` runs a
 full-resolution loop as contiguous slices of its strips, blocks or rows, one
@@ -27,9 +27,9 @@ tests check.  On other BLAS builds there is no hold and no split: every loop
 runs on the calling thread.
 
 `_downsample` applies A = S G per axis, a Gaussian and a bilinear sampling
-(`_lr_operator`, in bands of `_lr_band_width` columns), to take the HR
-image to the LR input; `gaussian_blur` is the same operator at the input's
-own size (S = I), applied in float64.
+(`_lr_blocks`), to take the HR image to the LR input; `gaussian_blur` is the
+same operator at the input's own size (S = I), applied in float64.  S and
+the resize plans place their samples by one rule, `_sample_taps`.
 
 The LR core's kernels (the coarse CNN's depthwise and pointwise stages, the
 coherence filter) take their intermediates from `_scratch`, one store per
@@ -393,6 +393,16 @@ class _BilinearPlan(NamedTuple):
             seg += top
 
 
+def _sample_taps(n: int, out_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two samples of n that each of out_n outputs reads and the weight
+    of the second, in float64: align-corners-false positions
+    (y + 0.5) * n / out_n - 0.5, edge-replicated."""
+    pos = (np.arange(out_n) + 0.5) * (n / out_n) - 0.5
+    first = np.floor(pos)
+    lo = first.astype(np.intp)
+    return np.clip(lo, 0, n - 1), np.clip(lo + 1, 0, n - 1), pos - first
+
+
 def _bilinear_plan(x: np.ndarray, out_h: int, out_w: int) -> _BilinearPlan:
     """Plan a resize of [C, H, W] `x` to out_h x out_w (align-corners-false,
     edge-replicated).  lerp_w is float32 at the source size and of dtype
@@ -402,16 +412,9 @@ def _bilinear_plan(x: np.ndarray, out_h: int, out_w: int) -> _BilinearPlan:
         rows = np.arange(h)
         return _BilinearPlan(x.astype(DTYPE, copy=False), rows, rows, None)
     x = x.astype(np.result_type(x.dtype, DTYPE), copy=False)
-    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    y0f = np.floor(ys)
-    x0f = np.floor(xs)
-    fy = (ys - y0f).astype(DTYPE)
-    fx = (xs - x0f).astype(DTYPE)
-    y0 = np.clip(y0f.astype(np.int64), 0, h - 1)
-    y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
-    x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
-    x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
+    y0, y1, fy = _sample_taps(h, out_h)
+    x0, x1, fx = _sample_taps(w, out_w)
+    fx = fx.astype(DTYPE)
     # Separable: the W lerp of a source row is the same for every output row
     # that reads it, so it runs once per source row that is read, and the H
     # lerp combines those rows.  The ops and their order per output pixel
@@ -432,31 +435,21 @@ def _bilinear_plan(x: np.ndarray, out_h: int, out_w: int) -> _BilinearPlan:
             seg -= a
             seg *= fx
             seg += a
-    return _BilinearPlan(lerp_w, inv[:out_h], inv[out_h:], fy)
+    return _BilinearPlan(lerp_w, inv[:out_h], inv[out_h:], fy.astype(DTYPE))
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resampling, align-corners-false, edge-replicated.
 
-    Resizing to the source size returns the input unchanged.  The H lerp
-    runs over strips of output rows, split across CPUs (see _split).
+    Resizing to the source size returns the input unchanged.
     """
     if x.ndim != 3:
         raise ValueError(f"expected [C, H, W] input, got shape {x.shape}")
     if out_h < 1 or out_w < 1:
         raise ValueError("output extents must be >= 1")
     plan = _bilinear_plan(x, out_h, out_w)
-    c = x.shape[0]
-    out = np.empty((c, out_h, out_w), dtype=plan.lerp_w.dtype)
-    step = _strip_rows(c * out_w * out.itemsize)
-
-    def lerp(starts, top):
-        for r0 in starts:
-            r1 = min(r0 + step, out_h)
-            plan.lerp_rows(r0, r1, out[:, r0:r1], top[:, :r1 - r0])
-
-    _split(lerp, range(0, out_h, step), out.nbytes,
-           lambda: np.empty((c, min(step, out_h), out_w), dtype=out.dtype))
+    out = np.empty((x.shape[0], out_h, out_w), dtype=plan.lerp_w.dtype)
+    plan.lerp_rows(0, out_h, out, np.empty_like(out))
     return out.astype(DTYPE, copy=False)
 
 
@@ -481,35 +474,9 @@ def _reflect_indices(n: int, radius: int) -> np.ndarray:
 
 
 def _lr_band_width(n: int, sigma: float) -> int:
-    """Band width of _lr_operator: min(n, 2R + 2) for tap radius R."""
+    """Columns of a row of A = S G (_lr_blocks), min(n, 2R + 2) for tap radius
+    R: the Gaussian rows of both samples the row reads, reflections included."""
     return min(n, len(gaussian_kernel_1d(sigma)) + 1)
-
-
-def _lr_operator(n: int, out_n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """A = S G along one axis of n samples, in float64 and banded form: G is
-    the reflect-padded Gaussian at `sigma` (gaussian_kernel_1d), S the
-    align-corners-false, edge-replicated bilinear sampling to out_n.
-
-    Returns (starts, band): row y of A is band[y] at columns starts[y] to
-    starts[y] + band.shape[1], and zero elsewhere.  The band is
-    _lr_band_width(n, sigma) columns wide: it holds the Gaussian rows of
-    both samples that output y reads, reflections included.
-    """
-    taps = gaussian_kernel_1d(sigma)
-    radius = len(taps) // 2
-    width = _lr_band_width(n, sigma)
-    pos = (np.arange(out_n) + 0.5) * (n / out_n) - 0.5
-    first = np.floor(pos)
-    frac = pos - first
-    first = first.astype(np.intp)
-    lo, hi = np.clip(first, 0, n - 1), np.clip(first + 1, 0, n - 1)
-    starts = np.clip(lo - radius, 0, n - width)
-    # the taps of both samples of every output, reflected, as flat band indices
-    src = _reflect_indices(n, radius)[np.concatenate([lo, hi])[:, None] + np.arange(len(taps))]
-    flat = src + np.tile(np.arange(out_n) * width - starts, 2)[:, None]
-    weights = np.concatenate([1.0 - frac, frac])[:, None] * taps
-    band = np.bincount(flat.ravel(), weights.ravel(), out_n * width).reshape(out_n, width)
-    return starts, band
 
 
 # LR rows (or columns) per GEMM of _downsample: a fixed block keeps x_lr's
@@ -518,17 +485,30 @@ _LR_BLOCK = 8
 
 
 def _lr_blocks(n: int, out_n: int, sigma: float, dtype=DTYPE) -> list:
-    """_lr_operator(n, out_n, sigma) cut into blocks of _LR_BLOCK outputs:
-    (output slice, input slice, dense block of A in `dtype`) each."""
-    starts, band = _lr_operator(n, out_n, sigma)
-    width = band.shape[1]
+    """A = S G along one axis of n samples, built in float64, in blocks of
+    _LR_BLOCK outputs: (output slice, input slice, dense block of A in
+    `dtype`) each.  G is the reflect-padded Gaussian at `sigma`, S the
+    bilinear sampling to out_n (_sample_taps).  A block's input slice spans
+    the bands (_lr_band_width) of its rows; an entry sums the weighted taps
+    of an output's first sample, then of its second, in tap order.
+    """
+    taps = gaussian_kernel_1d(sigma)
+    radius = len(taps) // 2
+    width = _lr_band_width(n, sigma)
+    lo, hi, frac = _sample_taps(n, out_n)
+    starts = np.clip(lo - radius, 0, n - width)
     y0 = np.arange(0, out_n, _LR_BLOCK)
     y1 = np.minimum(y0 + _LR_BLOCK, out_n)
     s0, s1 = starts[y0], starts[y1 - 1] + width
-    dense = np.zeros((len(y0), _LR_BLOCK, (s1 - s0).max()), dtype=dtype)
-    y = np.arange(out_n)[:, None]
-    block = y // _LR_BLOCK
-    dense[block, y % _LR_BLOCK, starts[:, None] - s0[block] + np.arange(width)] = band
+    cols = (s1 - s0).max()
+    # the taps of both samples of every output, reflected, as flat indices
+    # into [block, row, column], where output y is row y of all blocks
+    y = np.arange(out_n)
+    src = _reflect_indices(n, radius)[np.concatenate([lo, hi])[:, None] + np.arange(len(taps))]
+    flat = src + np.tile(y * cols - s0[y // _LR_BLOCK], 2)[:, None]
+    weights = np.concatenate([1.0 - frac, frac])[:, None] * taps
+    dense = np.bincount(flat.ravel(), weights.ravel(), len(y0) * _LR_BLOCK * cols)
+    dense = dense.reshape(len(y0), _LR_BLOCK, cols).astype(dtype, copy=False)
     return [(slice(a, b), slice(c, d), dense[k, :b - a, :d - c])
             for k, (a, b, c, d) in enumerate(zip(y0.tolist(), y1.tolist(), s0.tolist(), s1.tolist()))]
 
@@ -537,7 +517,7 @@ def _downsample(x: np.ndarray, out_h: int, out_w: int, sigma_h: float, sigma_w: 
                 dtype=DTYPE) -> np.ndarray:
     """bilinear_resize(gaussian_blur(x, sigma_h, sigma_w), out_h, out_w) as
     one banded operator per axis: out[c] = A_h x[c] A_w^T, with each A = S G
-    built in float64 and applied in `dtype` (see _lr_operator).  Each pass
+    built in float64 and applied in `dtype` (see _lr_blocks).  Each pass
     is rounded to float32.  No full-resolution intermediate exists.
 
     The H pass is one GEMM per block of _LR_BLOCK output rows and channel,

@@ -9,7 +9,7 @@ stays at LR regardless of output resolution.  The residual is taken against
 the same up-sampler the carrier uses, as in Contextual Residual Aggregation
 (Yi et al., CVPR 2020): it is x - up(x_lr), where x_lr is the LR input, so a
 clean patch whose LR pixels the refinement leaves unchanged comes out as x.
-The pipeline hands _compose_hr the resize plan of up(x_lr), not the image:
+The pipeline hands compose_hr the resize plan of up(x_lr), not the image:
 no full-resolution up(x_lr), Gaussian or residual image is built.  Nor are
 the corrupted patches recomputed: the masked map already lists them, so the
 composer does not reduce the HR mask over patches.
@@ -85,9 +85,9 @@ def _runs(patches: np.ndarray, grid_rows: int, grid_cols: int) -> list:
     return by_row
 
 
-def _compose_hr(x_hr_masked: np.ndarray, up: _BilinearPlan, x_lr_refined: np.ndarray,
-                amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
-                composite: bool) -> np.ndarray:
+def compose_hr(x_hr_masked: np.ndarray, up: _BilinearPlan, x_lr_refined: np.ndarray,
+               amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
+               composite: bool) -> np.ndarray:
     """Assemble the final HR result.
 
     `up` is the resize plan of up(x_lr) as downsample_to_lr returns it: the

@@ -21,7 +21,7 @@ from rethined.pipeline import (
     run_pipeline,
     save_model,
 )
-from rethined.weights_io import WeightFormatError, load_tensors, save_tensors
+from rethined.weights_io import MAGIC, MAX_DIMS, VERSION, WeightFormatError, load_tensors, save_tensors
 
 F32 = np.float32
 
@@ -81,6 +81,24 @@ class TestWeightContainer:
         save_tensors({"x": np.zeros((4, 4), F32)}, path)
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(WeightFormatError):
+            load_tensors(path)
+
+    def test_too_many_dims_rejected(self, tmp_path):
+        path = tmp_path / "w.rthd"
+        ndim = MAX_DIMS + 1
+        path.write_bytes(MAGIC + np.array([VERSION, 1, 1], "<u4").tobytes() + b"x"
+                         + np.array([ndim] + [1] * ndim, "<u4").tobytes() + bytes(4))
+        with pytest.raises(WeightFormatError, match=f"'x' declares {ndim} dims"):
+            load_tensors(path)
+
+    # offsets inside the count, a name length, a name, an ndim and a dim of
+    # the container of one tensor "ab" of shape (2, 3)
+    @pytest.mark.parametrize("cut", [10, 13, 17, 21, 27])
+    def test_cut_inside_header_field_rejected(self, tmp_path, cut):
+        path = tmp_path / "w.rthd"
+        save_tensors({"ab": np.zeros((2, 3), F32)}, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(WeightFormatError, match="truncated container"):
             load_tensors(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
@@ -263,6 +281,20 @@ class TestPpmPgm:
         with pytest.raises(ImageFormatError):
             read_image(path)
 
+    @pytest.mark.parametrize("header,message", [
+        (b"P6\n2 2", "truncated header"),
+        (b"P6\n2 x 255\n", "unexpected byte b'x' in header"),
+        (b"P6\n2 2\n255", "missing whitespace after maxval"),
+        (b"P6\n2 2\n255#\n", "missing whitespace after maxval"),
+        (b"P6\n0 2\n255\n", "invalid extents 0x2"),
+        (b"P6\n2 0\n255\n", "invalid extents 2x0"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(header)
+        with pytest.raises(ImageFormatError, match=message):
+            read_image(path)
+
     def test_header_comments_ok(self, tmp_path):
         path = tmp_path / "img.ppm"
         path.write_bytes(b"P6\n# a comment\n2 1 # inline\n255\n" + bytes(6))
@@ -276,6 +308,12 @@ class TestPpmPgm:
         write_mask(mask, path)
         back = read_mask(path)
         assert np.array_equal(back, mask)
+
+    def test_mask_truncated_pixels_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
+        with pytest.raises(ImageFormatError, match="expected 4 mask bytes, found 3"):
+            read_mask(path)
 
     def test_mask_nonbinary_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.pgm"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rethined.masks import MaskSpec, generate_mask, mask_coverage
+from rethined.masks import MaskCoverageError, MaskSpec, generate_mask, mask_coverage
 from rethined.metrics import SSIM_C1, SSIM_C2, l1, psnr, ssim
 from rethined.metrics import _filter_valid, _ssim_taps, _ssim_window
 
@@ -34,6 +34,11 @@ class TestGenerateMask:
     def test_small_extent_rejected(self):
         with pytest.raises(ValueError):
             generate_mask(MaskSpec(seed=0), 32, 128)
+
+    def test_unreachable_coverage_raises(self):
+        # the smallest brush stroke covers more than 0.2% of 64x64
+        with pytest.raises(MaskCoverageError, match=r"coverage \[0\.001, 0\.002\] at 64x64"):
+            generate_mask(MaskSpec(seed=0, target_coverage=(0.001, 0.002)), 64, 64)
 
     def test_coverage_band_other_sizes(self):
         for seed, (h, w) in enumerate([(64, 64), (128, 256), (320, 192)]):

@@ -32,10 +32,11 @@ from rethined.coarse import coarse_forward
 from rethined.patches import block_any
 from rethined.spectral import focal_frequency_loss
 from rethined.tensor_ops import bilinear_resize, gaussian_blur
-from rethined.upscale import _compose_hr, sigma_for_factor
+from rethined.upscale import compose_hr, sigma_for_factor
 from rethined.pipeline import (
     NonFiniteInputError,
     PipelineConfig,
+    config_for_model,
     downsample_to_lr,
     fuse_pipeline_model,
     random_model,
@@ -244,6 +245,15 @@ class TestRunPipeline:
         with pytest.raises(NonFiniteInputError):
             run_pipeline(config, model, image, mask)
 
+    @pytest.mark.parametrize("patch,d_k", [(16, 16), (8, 32)])
+    def test_config_not_matching_model_rejected(self, patch, d_k, monkeypatch):
+        # the model embeds 3 * 8^2 = 192 pixels into d_k = 16
+        _, model, image, mask = small_setup(8)
+        config = PipelineConfig(lr_size=64, patch_size=patch, d_k=d_k)
+        monkeypatch.setattr(pipeline, "downsample_to_lr", lambda *a, **k: pytest.fail("a stage ran"))
+        with pytest.raises(ValueError, match=rf"\(192, 16\).*\({3 * patch * patch}, {d_k}\)"):
+            run_pipeline(config, model, image, mask)
+
     # 1024-wide rows give 64-row strips, so the last pixel sits in the last
     # of 16 strips of the last channel
     @pytest.mark.parametrize("where", [(0, 0, 0), (2, -1, -1)], ids=["first", "last"])
@@ -288,7 +298,7 @@ def blur_path_pipeline(config, model, image, mask):
         coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
         x_hat, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr, p, config.d_k)
         up = tensor_ops._bilinear_plan(x_lr, h, w)
-        return low.tobytes(), _compose_hr(image, up, x_hat, amap, mask, p, config.composite)
+        return low.tobytes(), compose_hr(image, up, x_hat, amap, mask, p, config.composite)
 
 
 def test_total_covers_the_input_checks(monkeypatch):
@@ -433,8 +443,8 @@ class TestOneBlasThread:
     def test_count_restored_after_return_and_error(self, two_threads, tmp_path, monkeypatch):
         config, model, image, mask = small_setup(12, lr=64, size=256)
         seen = []
-        compose = pipeline._compose_hr
-        monkeypatch.setattr(pipeline, "_compose_hr",
+        compose = pipeline.compose_hr
+        monkeypatch.setattr(pipeline, "compose_hr",
                             lambda *a, **k: seen.append(_blas_threads()) or compose(*a, **k))
         out = run_pipeline(config, model, image, mask)
         assert seen == [1] and _blas_threads() == two_threads
@@ -612,6 +622,24 @@ class TestCli:
                                  image * (1.0 - mask), mask), want_path)
         assert out_path.read_bytes() == want_path.read_bytes()
 
+    def test_inpaint_takes_patch_and_dk_from_weights(self, tmp_path, capsys):
+        # the container is P = 8, d_k = 16; the flags keep the default --dk 64
+        img_path, mask_path = self._write_inputs(tmp_path)
+        model = random_model(PipelineConfig(lr_size=64, patch_size=8, d_k=16), seed=4)
+        w_path, out_path = tmp_path / "w.rthd", tmp_path / "out.ppm"
+        save_model(model, w_path)
+        rc = cli_main(["inpaint", "--image", str(img_path), "--mask", str(mask_path),
+                       "--out", str(out_path), "--lr", "64", "--weights", str(w_path)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"note": "patch/dk taken from weights", "patch": 8, "dk": 16}
+        assert json.loads(captured.out)["random_weights"] is False
+        image, mask = read_image(img_path), read_mask(mask_path)
+        want_path = tmp_path / "want.ppm"
+        write_image(run_pipeline(config_for_model(model, lr_size=64), model,
+                                 image * (1.0 - mask), mask), want_path)
+        assert out_path.read_bytes() == want_path.read_bytes()
+
     def test_bench_command(self, tmp_path, capsys):
         report = tmp_path / "bench.csv"
         rc = cli_main(["bench", "--res", "128", "--report", str(report),
@@ -726,10 +754,9 @@ class TestBenchHarness:
         # the HR image is blurred once, by the LR operator A = S G per axis
         config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
         est = flop_estimates(config, 256, 128)
-        monkeypatch.setattr(bench, "_lr_band", lambda n, r: 0)
+        monkeypatch.setattr(bench, "_lr_band_width", lambda n, sigma: 0)
         no_blur = flop_estimates(config, 256, 128)
-        k_h, k_w = (tensor_ops._lr_operator(n, 64, sigma_for_factor(n // 64))[1].shape[1]
-                    for n in (256, 128))
+        k_h, k_w = (tensor_ops._lr_band_width(n, sigma_for_factor(n // 64)) for n in (256, 128))
         blur = 2 * 3 * 64 * (k_h * 128 + 64 * k_w)  # a multiply-add per band entry, both passes
         assert est["total"] - no_blur["total"] == blur
         assert est["coarse"] - no_blur["coarse"] == blur

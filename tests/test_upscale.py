@@ -15,7 +15,7 @@ from rethined.attention import (AllPatchesCorruptedError, AttentionMap, Projecti
 from rethined.patches import PatchGrid, TokenMatrix, block_any, hr_patches, pixel_shuffle, tokenize_mask
 from rethined.pipeline import PipelineConfig, downsample_to_lr
 from rethined import tensor_ops
-from rethined.tensor_ops import (_BilinearPlan, _bilinear_plan, _downsample, _lr_operator,
+from rethined.tensor_ops import (_BilinearPlan, _bilinear_plan, _downsample, _lr_blocks,
                                  bilinear_resize, gaussian_kernel_1d, softmax_rows)
 from rethined.upscale import frequency_split, sigma_for_factor
 
@@ -238,14 +238,13 @@ class TestSharedLowPass:
                                                (1024, 256, sigma_for_factor(4)), (20, 2, 3.0),
                                                (7, 3, 1.0), (5, 5, 0.8)])
     def test_operator_rows_sum_to_one(self, n, out_n, sigma):
-        # A = S G in float64: its rows sum to 1, and the band holds all of
+        # A = S G in float64: its rows sum to 1, and the blocks hold all of
         # each row of the oracles' product (G is the oracle blur of the
         # identity along H; sigma 1e-9 has the taps [0, 1, 0])
-        starts, band = _lr_operator(n, out_n, sigma)
-        assert np.abs(band.sum(axis=1) - 1.0).max() < 1e-12
         dense = np.zeros((out_n, n))
-        for y, (s0, row) in enumerate(zip(starts, band)):
-            dense[y, s0:s0 + len(row)] = row
+        for rows, cols, a in _lr_blocks(n, out_n, sigma, np.float64):
+            dense[rows, cols] = a
+        assert np.abs(dense.sum(axis=1) - 1.0).max() < 1e-12
         g = separable_blur_oracle(np.eye(n)[None], sigma, 1e-9)
         assert np.abs(dense - bilinear_oracle(g, out_n, n)[0]).max() < 1e-12
 
@@ -279,7 +278,7 @@ class TestComposeHr:
     def test_zero_mask_composite_is_passthrough(self):
         _, x_hr, x_lr, amap = self._inputs(0)
         mask = np.zeros((1, 32, 32), F32)
-        out = upscale._compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale.compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
         assert np.array_equal(out, x_hr)
 
     def test_zero_mask_no_composite_reconstruction_gap(self):
@@ -293,13 +292,13 @@ class TestComposeHr:
             _, h, w = x.shape
             own = lr_input(x, 16, 16)
             up = _bilinear_plan(own, h, w)
-            out = upscale._compose_hr(x, up, x_lr, amap, np.zeros((1, h, w), F32), 8,
-                                      composite=False)
+            out = upscale.compose_hr(x, up, x_lr, amap, np.zeros((1, h, w), F32), 8,
+                                     composite=False)
             low = bilinear_resize(own, h, w)
             high = (x.astype(np.float64) - low.astype(np.float64)).astype(F32)
             assert np.array_equal(out, np.clip(bilinear_resize(x_lr, h, w) + high, 0, 1))
-            out = upscale._compose_hr(x, up, own, amap, np.zeros((1, h, w), F32), 8,
-                                      composite=False)
+            out = upscale.compose_hr(x, up, own, amap, np.zeros((1, h, w), F32), 8,
+                                     composite=False)
             assert np.abs(out - x).max() <= 1e-6
 
     def test_r1_degenerate_resolution(self):
@@ -308,7 +307,7 @@ class TestComposeHr:
         x_hr = rng.random((3, 16, 16)).astype(F32)
         amap = identity_masked_map(4, 2, 2)
         mask = np.zeros((1, 16, 16), F32)
-        out = upscale._compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=False)
+        out = upscale.compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=False)
         assert np.abs(out - np.clip(x_lr + frequency_split(x_hr, 1.0).high.astype(F32),
                                     0, 1)).max() < 1e-3
 
@@ -318,7 +317,7 @@ class TestComposeHr:
         mask[0, 8:24, 8:16] = 1
         amap = mask_map(mask, (16, 16), 8)
         assert amap.corrupt.tolist() == [0, 2]
-        out = upscale._compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale.compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
         known = mask[0] == 0
         assert np.array_equal(out[:, known], x_hr[:, known])
 
@@ -330,8 +329,8 @@ class TestComposeHr:
         mask[0, :16, :16] = 0
         amap = mask_map(mask, (16, 16), 8)
         assert amap.corrupt.tolist() == [1, 2, 3]
-        out = upscale._compose_hr(x_hr, up_plan(x_hr, x_lr), 3.0 * x_lr, amap, mask, 8,
-                                  composite=True)
+        out = upscale.compose_hr(x_hr, up_plan(x_hr, x_lr), 3.0 * x_lr, amap, mask, 8,
+                                 composite=True)
         assert out.max() == 1.0
         assert out.min() >= 0.0
 
@@ -346,7 +345,7 @@ class TestComposeHr:
         mask[0, : h_hr // 2] = 1
         amap = mask_map(mask, (lr, lr), 8)
         assert amap.corrupt.tolist() == [0, 1]
-        out = upscale._compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale.compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
         assert out.shape == (3, h_hr, h_hr)
 
     def test_anisotropic_ratio(self):
@@ -355,7 +354,7 @@ class TestComposeHr:
         x_lr = rng.random((3, 16, 16)).astype(F32)
         amap = identity_masked_map(4, 2, 2)
         mask = np.zeros((1, 32, 64), F32)
-        out = upscale._compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale.compose_hr(x_hr, up_plan(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
         assert np.array_equal(out, x_hr)
 
 
@@ -452,10 +451,10 @@ def compose_case(seed, **kwargs):
 
 
 def composed(case, composite):
-    """_compose_hr on a case, handed the plan of up(LR input) as
+    """compose_hr on a case, handed the plan of up(LR input) as
     run_pipeline hands it."""
     x, x_in, *rest = case
-    return upscale._compose_hr(x, _bilinear_plan(x_in, *x.shape[1:]), *rest, composite)
+    return upscale.compose_hr(x, _bilinear_plan(x_in, *x.shape[1:]), *rest, composite)
 
 
 def unfused_case(case, composite):
@@ -603,7 +602,7 @@ class TestMixPlan:
 
 
 class TestPatchMajorComposer:
-    """_compose_hr equals the unfused composition byte for byte."""
+    """compose_hr equals the unfused composition byte for byte."""
 
     def _check(self, case, composite=True):
         x, x_in, x_lr, amap, m_hr, p = case
@@ -750,7 +749,7 @@ class TestPatchMajorComposer:
         for composite in (True, False):
             calls["up"].clear()
             calls["carrier"].clear()
-            upscale._compose_hr(x, up, *case[2:], composite)
+            upscale.compose_hr(x, up, *case[2:], composite)
             assert calls["carrier"] == walk
             assert calls["up"] == [(y0, y1) for y0, y1 in walk if y0 < 16 or (y0 < 48 and y1 > 32)]
 
@@ -765,7 +764,7 @@ class TestPatchMajorComposer:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            out = upscale._compose_hr(x, up, x_lr, amap, m_hr, p, True)
+            out = upscale.compose_hr(x, up, x_lr, amap, m_hr, p, True)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -784,7 +783,7 @@ class TestPatchMajorComposer:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                out = upscale._compose_hr(x, up, x_lr, amap, m_hr, p, composite)
+                out = upscale.compose_hr(x, up, x_lr, amap, m_hr, p, composite)
                 peaks[composite] = (tracemalloc.get_traced_memory()[1] - base) / out.nbytes
             finally:
                 tracemalloc.stop()
