@@ -44,6 +44,7 @@ from .pipeline import (
     InpaintingModel,
     NonFiniteInputError,
     PipelineConfig,
+    PixelRangeError,
     fuse_pipeline_model,
     load_model,
     random_model,

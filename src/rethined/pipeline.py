@@ -3,10 +3,11 @@
 
 The chain: the LR input x_lr, the HR image anti-alias blurred and bilinearly
 decimated by one banded operator per axis; coarse completion; masked
-patch-attention refinement; then HR composition, which takes its
-high-frequency residual against up(x_lr), the same bilinear up-sampling its
-carrier uses, and mixes it with the LR attention map.  up(x_lr) reaches the
-composer as a resize plan, never as a full-resolution image.
+patch-attention refinement; then HR composition, which mixes the image's
+clean patches with the LR attention map and adds to each written patch the
+bilinear up-sampling of an LR difference, its window of the refined x_lr
+minus the same mix of the LR input's windows.  No up-sampling runs at full
+resolution and no resize plan is built.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .coarse import (
     _he_uniform,
 )
 from .patches import block_any
-from .tensor_ops import (DTYPE, _bilinear_plan, _downsample, _one_blas_thread, all_finite,
-                         bilinear_resize, require_binary)
+from .tensor_ops import (DTYPE, _downsample, _one_blas_thread, bilinear_resize, require_binary,
+                         value_range)
 from .upscale import compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
@@ -197,6 +198,11 @@ class NonFiniteInputError(ValueError):
     """Raised when an input image holds a NaN or infinite pixel."""
 
 
+class PixelRangeError(ValueError):
+    """Raised when an input image holds a pixel outside [0, 1], such as an
+    image in 0-255, whose known pixels the clipped output could not keep."""
+
+
 def _validate_inputs(config: PipelineConfig, model: InpaintingModel, image: np.ndarray,
                      mask: np.ndarray):
     want = (3 * config.patch_size ** 2, config.d_k)
@@ -213,19 +219,20 @@ def _validate_inputs(config: PipelineConfig, model: InpaintingModel, image: np.n
             f"image {h}x{w} must be an integer multiple of lr_size {config.lr_size}"
         )
     require_binary(mask)
-    if not all_finite(image):
+    lo, hi = value_range(image)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFiniteInputError("image pixels must be finite (no NaN or Inf)")
+    if lo < 0.0 or hi > 1.0:
+        raise PixelRangeError(f"image pixels must lie in [0, 1], got {lo:g}..{hi:g}")
 
 
 def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray):
     """Anti-alias blur + bilinear decimation of the image, block-ANY of the mask.
 
-    Returns (x_lr, m_lr, up): x_lr is the HR image through the Gaussian at
+    Returns (x_lr, m_lr): x_lr is the HR image through the Gaussian at
     sigma_for_factor(r) per axis and the bilinear resize to lr_size, as one
-    banded operator per axis (tensor_ops._downsample), and `up` is the
-    resize plan of x_lr back to the HR extent (tensor_ops._bilinear_plan),
-    the carrier's up-sampling, against which upscale.compose_hr takes the
-    high-frequency residual a strip of rows at a time.
+    banded operator per axis (tensor_ops._downsample); upscale.compose_hr
+    takes its windows to the HR extent, so nothing is up-sampled here.
     m_lr is the request's one full-resolution mask reduction: the masked
     map's corrupted patches all come from it.
     At r == 1 x_lr is the image (cast to float32 if it is not), and no
@@ -235,11 +242,9 @@ def downsample_to_lr(config: PipelineConfig, image: np.ndarray, mask: np.ndarray
     lr = config.lr_size
     r_h, r_w = h // lr, w // lr
     if r_h == r_w == 1:
-        x = image.astype(DTYPE, copy=False)
-        return x, mask.astype(DTYPE, copy=False), _bilinear_plan(x, h, w)
+        return image.astype(DTYPE, copy=False), mask.astype(DTYPE, copy=False)
     x_lr = _downsample(image, lr, lr, sigma_for_factor(r_h), sigma_for_factor(r_w))
-    m_lr = block_any(mask[0], r_h, r_w)[None].astype(DTYPE)
-    return x_lr, m_lr, _bilinear_plan(x_lr, h, w)
+    return x_lr, block_any(mask[0], r_h, r_w)[None].astype(DTYPE)
 
 
 def _features_for_grid(config: PipelineConfig, features: np.ndarray) -> np.ndarray:
@@ -253,10 +258,10 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
                        image: np.ndarray, mask: np.ndarray):
     """Full inpainting chain returning (result, per-stage wall times in ms).
 
-    `coarse` covers downsample_to_lr, with the banded blur-and-decimate and
-    the plan of its up-sampling, and the coarse CNN; `refine` the LR
-    attention pass; and `upscale` the HR residual against that up-sampling,
-    mixing and composite.  `total` also covers the input checks.
+    `coarse` covers downsample_to_lr, the banded blur-and-decimate, and the
+    coarse CNN; `refine` the LR attention pass; and `upscale` the HR mix,
+    its up-sampled LR correction and composite.  `total` also covers the
+    input checks.
 
     The whole chain runs with numpy's OpenBLAS held at one thread, and its
     full-resolution loops are split across the CPUs of the process affinity
@@ -268,7 +273,7 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
         _validate_inputs(config, model, image, mask)
 
         t0 = time.perf_counter()
-        x_lr, m_lr, up = downsample_to_lr(config, image, mask)
+        x_lr, m_lr = downsample_to_lr(config, image, mask)
         coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
         features = _features_for_grid(config, features)
         times["coarse"] = (time.perf_counter() - t0) * 1e3
@@ -276,11 +281,12 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
         t0 = time.perf_counter()
         x_lr_hat, masked_map = npm_refine(coarse, x_lr, features, model.npm,
                                           m_lr, config.patch_size, config.d_k)
-        del coarse, features, x_lr, m_lr  # the composition's arrays can reuse their memory
+        del coarse, features, m_lr  # the composition's arrays can reuse their memory
         times["refine"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        out = compose_hr(image, up, x_lr_hat, masked_map, mask, config.patch_size, config.composite)
+        out = compose_hr(image, x_lr, x_lr_hat, masked_map, mask, config.patch_size,
+                         config.composite)
         times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times

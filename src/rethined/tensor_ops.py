@@ -7,12 +7,12 @@ Tensors are numpy float32 arrays laid out [C, H, W] (convolution weights are
 mutated and results are deterministic for fixed inputs.  Reductions may use
 wider accumulators internally.
 
-The full-resolution loops that need scratch (the W lerp of a resize plan,
-PPM quantisation, the two passes of the HR composition, the finiteness and
-binary-mask checks) run over strips of about _STRIP_BYTES, so their scratch
-stays cache-sized; results are bit-identical to the untiled forms.  The
-bilinear resize and both up-samplings of the HR composition, up(x_lr) and
-its carrier, lerp rows of one resize plan, `_bilinear_plan`.
+The full-resolution loops that need scratch (PPM quantisation, the compose
+pass of the HR composition, the binary-mask check) run over strips of about
+_STRIP_BYTES, so their scratch stays cache-sized; results are bit-identical
+to the untiled forms.  No request up-samples a full-resolution image:
+upscale.compose_hr applies the bilinear up-sampling to LR windows of its
+patches, and `bilinear_resize` only resizes the coarse features.
 
 `_one_blas_thread` holds numpy's OpenBLAS at one thread, and `_split` runs a
 full-resolution loop as contiguous slices of its strips, blocks or rows, one
@@ -28,8 +28,9 @@ runs on the calling thread.
 
 `_downsample` applies A = S G per axis, a Gaussian and a bilinear sampling
 (`_lr_blocks`), to take the HR image to the LR input; `gaussian_blur` is the
-same operator at the input's own size (S = I), applied in float64.  S and
-the resize plans place their samples by one rule, `_sample_taps`.
+same operator at the input's own size (S = I), applied in float64.  S,
+`bilinear_resize` and the composer's patch up-sampler place their samples
+by one rule, `_sample_taps`.
 
 The LR core's kernels (the coarse CNN's depthwise and pointwise stages, the
 coherence filter) take their intermediates from `_scratch`, one store per
@@ -45,7 +46,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -333,24 +334,25 @@ def require_binary(x: np.ndarray, what: str = "mask values") -> None:
         raise ValueError(f"{what} must be binary {{0, 1}}")
 
 
-def all_finite(x: np.ndarray) -> bool:
-    """np.isfinite(x).all() for a [C, H, W] array, checked strip by strip
-    into a strip-sized buffer instead of one boolean array of x's size; each
-    slice of strips (see _split) stops at its first non-finite one."""
+def value_range(x: np.ndarray) -> tuple[float, float]:
+    """(min, max) of a [C, H, W] array, both NaN if it holds a NaN, checked
+    strip by strip in slices of strips split across CPUs (see _split); a
+    slice stops at its first NaN."""
     c, h, w = x.shape
     step = _strip_rows(w * x.itemsize)
 
-    def check(strips, buf):
+    def bounds(strips):
+        lo, hi = math.inf, -math.inf
         for ch, r0 in strips:
             seg = x[ch, r0:r0 + step]
-            finite = buf[:len(seg)]
-            np.isfinite(seg, out=finite)
-            if not finite.all():
-                return False
-        return True
+            low = float(seg.min())
+            if math.isnan(low):
+                return low, low
+            lo, hi = min(lo, low), max(hi, float(seg.max()))
+        return lo, hi
 
-    return all(_split(check, [(ch, r0) for ch in range(c) for r0 in range(0, h, step)], x.nbytes,
-                      lambda: np.empty((min(step, h), w), dtype=bool)))
+    found = _split(bounds, [(ch, r0) for ch in range(c) for r0 in range(0, h, step)], x.nbytes)
+    return float(np.min([f[0] for f in found])), float(np.max([f[1] for f in found]))
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -366,33 +368,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e.astype(DTYPE)
 
 
-class _BilinearPlan(NamedTuple):
-    """Index/weight plan of one bilinear resize.
-
-    `lerp_w` holds the W lerp of every source row that is read; output row y
-    is the H lerp of its rows i0[y] and i1[y] by fy[y].  At the source size
-    the plan is the identity: fy is None and rows are copied.
-    """
-
-    lerp_w: np.ndarray
-    i0: np.ndarray
-    i1: np.ndarray
-    fy: Optional[np.ndarray]
-
-    def lerp_rows(self, r0: int, r1: int, seg: np.ndarray, top: np.ndarray) -> None:
-        """Write output rows r0:r1 of every channel into `seg` ([C, r1 - r0, W]);
-        `top` is scratch of seg's shape.  Allocates nothing."""
-        for c in range(len(seg)):
-            # mode="clip" (indices are in range) lets take fill `out` unbuffered
-            np.take(self.lerp_w[c], self.i1[r0:r1], axis=0, out=seg[c], mode="clip")
-            if self.fy is not None:
-                np.take(self.lerp_w[c], self.i0[r0:r1], axis=0, out=top[c], mode="clip")
-        if self.fy is not None:
-            seg -= top
-            seg *= self.fy[r0:r1, None]
-            seg += top
-
-
 def _sample_taps(n: int, out_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two samples of n that each of out_n outputs reads and the weight
     of the second, in float64: align-corners-false positions
@@ -403,53 +378,36 @@ def _sample_taps(n: int, out_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.clip(lo, 0, n - 1), np.clip(lo + 1, 0, n - 1), pos - first
 
 
-def _bilinear_plan(x: np.ndarray, out_h: int, out_w: int) -> _BilinearPlan:
-    """Plan a resize of [C, H, W] `x` to out_h x out_w (align-corners-false,
-    edge-replicated).  lerp_w is float32 at the source size and of dtype
-    np.result_type(x, float32) otherwise."""
-    c, h, w = x.shape
-    if out_h == h and out_w == w:
-        rows = np.arange(h)
-        return _BilinearPlan(x.astype(DTYPE, copy=False), rows, rows, None)
-    x = x.astype(np.result_type(x.dtype, DTYPE), copy=False)
-    y0, y1, fy = _sample_taps(h, out_h)
-    x0, x1, fx = _sample_taps(w, out_w)
-    fx = fx.astype(DTYPE)
-    # Separable: the W lerp of a source row is the same for every output row
-    # that reads it, so it runs once per source row that is read, and the H
-    # lerp combines those rows.  The ops and their order per output pixel
-    # are those of the 2-D form (W first, then H), so results are bit-equal.
-    rows, inv = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    lerp_w = np.empty((c, len(rows), out_w), dtype=x.dtype)
-    step = _strip_rows(max(w, out_w) * x.itemsize)
-    src_buf = np.empty((min(step, len(rows)), w), dtype=x.dtype)
-    a_buf = np.empty((len(src_buf), out_w), dtype=x.dtype)
-    for ch in range(c):
-        for r0 in range(0, len(rows), step):
-            r1 = min(r0 + step, len(rows))
-            src, a, seg = src_buf[:r1 - r0], a_buf[:r1 - r0], lerp_w[ch, r0:r1]
-            np.take(x[ch], rows[r0:r1], axis=0, out=src, mode="clip")
-            np.take(src, x0, axis=1, out=a, mode="clip")
-            np.take(src, x1, axis=1, out=seg, mode="clip")
-            # lerp form keeps constant regions exact: a + t*(b - a) == a when a == b
-            seg -= a
-            seg *= fx
-            seg += a
-    return _BilinearPlan(lerp_w, inv[:out_h], inv[out_h:], fy.astype(DTYPE))
-
-
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resampling, align-corners-false, edge-replicated.
 
-    Resizing to the source size returns the input unchanged.
+    Resizing to the source size returns a float32 copy of the input.
     """
     if x.ndim != 3:
         raise ValueError(f"expected [C, H, W] input, got shape {x.shape}")
     if out_h < 1 or out_w < 1:
         raise ValueError("output extents must be >= 1")
-    plan = _bilinear_plan(x, out_h, out_w)
-    out = np.empty((x.shape[0], out_h, out_w), dtype=plan.lerp_w.dtype)
-    plan.lerp_rows(0, out_h, out, np.empty_like(out))
+    _, h, w = x.shape
+    if (out_h, out_w) == (h, w):
+        return x.astype(DTYPE)
+    x = x.astype(np.result_type(x.dtype, DTYPE), copy=False)
+    y0, y1, fy = _sample_taps(h, out_h)
+    x0, x1, fx = _sample_taps(w, out_w)
+    # Separable: the W lerp of a source row is the same for every output row
+    # that reads it, so it runs once per source row that is read, and the H
+    # lerp combines those rows.  The ops and their order per output pixel
+    # are those of the 2-D form (W first, then H), so results are bit-equal;
+    # the lerp form keeps constant regions exact: a + t*(b - a) == a when a == b.
+    rows, inv = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    src = x[:, rows]
+    left, lerp_w = np.take(src, x0, axis=2), np.take(src, x1, axis=2)
+    lerp_w -= left
+    lerp_w *= fx.astype(DTYPE)
+    lerp_w += left
+    out, top = np.take(lerp_w, inv[out_h:], axis=1), np.take(lerp_w, inv[:out_h], axis=1)
+    out -= top
+    out *= fy.astype(DTYPE)[:, None]
+    out += top
     return out.astype(DTYPE, copy=False)
 
 

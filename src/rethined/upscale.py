@@ -9,20 +9,22 @@ stays at LR regardless of output resolution.  The residual is taken against
 the same up-sampler the carrier uses, as in Contextual Residual Aggregation
 (Yi et al., CVPR 2020): it is x - up(x_lr), where x_lr is the LR input, so a
 clean patch whose LR pixels the refinement leaves unchanged comes out as x.
-The pipeline hands compose_hr the resize plan of up(x_lr), not the image:
-no full-resolution up(x_lr), Gaussian or residual image is built.  Nor are
-the corrupted patches recomputed: the masked map already lists them, so the
-composer does not reduce the HR mask over patches.
+Up-sampling is linear and, at an integer factor, local to a patch's LR
+window, so compose_hr mixes x itself and up-samples one LR difference per
+written patch instead: no full-resolution up(x_lr), carrier, Gaussian or
+residual image is built, and no resize plan.  Nor are the corrupted patches
+recomputed: the masked map already lists them, so the composer does not
+reduce the HR mask over patches.
 
-The composition works patch-major and only where output can change, in two
-passes over the same strips of whole image rows, each cache-sized.  The cut
-pass lerps a strip's rows of up(x_lr) and cuts the residual of the clean
-patches, which the mix reads, straight into one patch-major buffer; one
-matmul writes the mixed rows of the corrupted patches into another; the
-compose pass then lerps the carrier and adds the high frequencies of the
-patches that can change, composites and clips.  Each of the three steps is
-split across CPUs by tensor_ops._split: the passes by strips and the matmul
-by row blocks of the weights; one BLAS thread runs each row block.
+The composition works patch-major and only where output can change.  A
+gather copies x at the clean patches, which the mix reads, into one
+patch-major buffer; one matmul writes the mixed rows of the corrupted
+patches into another; the compose pass then walks cache-sized strips of
+whole image rows and writes each written patch's rows as the bilinear
+up-sampling of its LR difference plus its mixed rows (or x), composites and
+clips.  Each of the three steps is split across CPUs by tensor_ops._split:
+the gather by rows of patches, the compose pass by strips and the matmul by
+row blocks of the weights; one BLAS thread runs each row block.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import AttentionMap
-from .tensor_ops import DTYPE, _BilinearPlan, _bilinear_plan, _split, _strip_rows, gaussian_blur
+from .tensor_ops import DTYPE, _sample_taps, _split, _strip_rows, gaussian_blur
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -85,19 +88,37 @@ def _runs(patches: np.ndarray, grid_rows: int, grid_cols: int) -> list:
     return by_row
 
 
-def compose_hr(x_hr_masked: np.ndarray, up: _BilinearPlan, x_lr_refined: np.ndarray,
+def _patch_upsampler(p: int, r: int) -> np.ndarray:
+    """B along one axis, (p r) x (p + 2) in float32: the bilinear up-sampling
+    by an integer r of one patch's p LR samples and the edge-padded
+    neighbour on each side, which its outer rows read.  Every patch reads
+    its window the same way, so B is rows r : r + p r of the up-sampling of
+    p + 2 samples (tensor_ops._sample_taps), which its edge clip never
+    reaches."""
+    lo, hi, frac = (t[r:r + p * r] for t in _sample_taps(p + 2, (p + 2) * r))
+    b = np.zeros((p * r, p + 2))
+    y = np.arange(p * r)
+    b[y, lo], b[y, hi] = 1.0 - frac, frac
+    return b.astype(DTYPE)
+
+
+def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarray,
                amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
                composite: bool) -> np.ndarray:
     """Assemble the final HR result.
 
-    `up` is the resize plan of up(x_lr) as downsample_to_lr returns it: the
-    LR input of `x_hr_masked` bilinearly resized to the HR extent, the
-    up-sampling the carrier applies to `x_lr_refined`.  The high-frequency
-    residual x_hr_masked - up(x_lr) is taken in float32, mixed with the
-    attention map and added to the bilinearly upsampled refined LR image;
-    known pixels are then optionally overwritten with the originals and the
-    result clamped to [0, 1].  So a patch that keeps its own residual comes
-    out as x_hr_masked + up(x_lr_refined) - up(x_lr), up to float32 rounding.
+    `x_lr` is the LR input of `x_hr_masked` as downsample_to_lr returns it.
+    A written patch i comes out as up(x_lr_refined)_i + sum_j w_ij (x_j -
+    up(x_lr)_j), the refined LR image's bilinear up-sampling plus the mixed
+    high-frequency residual, with j over the clean patches (a clean patch
+    keeps itself, w = e_j).  Up-sampling is linear, and at an integer factor
+    patch i's HR pixels read only its (P+2) x (P+2) window L_i of the
+    edge-padded LR image, through the same B = b_h (x) b_w for every patch;
+    so the composer writes sum_j w_ij x_j + B (L^_i - sum_j w_ij L_j), and
+    no full-resolution up-sampling exists.  Known pixels are then optionally
+    overwritten with the originals and the result clamped to [0, 1].  A
+    clean patch with composite off comes out as x + B (L^ - L), so exactly
+    x where the refinement leaves its window unchanged.
 
     The inputs are the ones run_pipeline has checked at its boundary: HR
     extents are integer multiples of the LR extents, `m_hr` is a binary
@@ -106,102 +127,115 @@ def compose_hr(x_hr_masked: np.ndarray, up: _BilinearPlan, x_lr_refined: np.ndar
     `amap.corrupt` lists, in ascending order, the patches that hold a
     corrupted pixel, so the composer does not read the mask for them.
 
-    Each output element gets the ops of the unfused form, bilinear + mixed
-    high frequencies, composite, clip, so results are bit-identical to it.
+    The result is within float32 rounding of the up-sample-then-mix form
+    (tests/test_upscale.py states the bound), with known pixels bit-exact.
     When the HR extent is the LR one (r = 1), the image is its own LR input
-    and the residual is exactly zero: `up` is not read and only the compose
-    pass runs; a -0.0 carrier value then stays -0.0, where the unfused
-    form's + 0.0 makes it +0.0.
+    and the residual is zero: the output is x_lr_refined, composited and
+    clipped, and `x_lr` is not read.
     """
     _, h_hr, w_hr = x_hr_masked.shape
     _, h, w = x_lr_refined.shape
-    ph, pw = patch_size * (h_hr // h), patch_size * (w_hr // w)
-    grid_rows, grid_cols = amap.rows, amap.cols
+    if (h_hr, w_hr) == (h, w):
+        out = x_lr_refined.astype(DTYPE)
+        if composite:
+            np.copyto(out, x_hr_masked, where=m_hr == 0)
+        return np.clip(out, 0.0, 1.0, out=out)
+    p, q = patch_size, patch_size + 2
+    ph, pw = p * (h_hr // h), p * (w_hr // w)
+    b_h, b_w = _patch_upsampler(p, h_hr // h), _patch_upsampler(p, w_hr // w)
     clean, corrupt = amap.clean, amap.corrupt
-    # both passes walk the same strips of whole image rows, of about
-    # _STRIP_BYTES per channel, so a strip's scratch stays cache-sized
-    step = _strip_rows(w_hr * np.dtype(DTYPE).itemsize)
-    strips = [(y0, min(y0 + step, h_hr)) for y0 in range(0, h_hr, step)]
-    cap = min(step, h_hr)
+    clean_runs = _runs(clean, amap.rows, amap.cols)
 
-    def crossed(y0, y1):
-        """(grid row, patch rows, strip rows) of each row of patches that the
-        strip of image rows y0:y1 crosses; the rows as slices."""
-        for pr in range(y0 // ph, (y1 - 1) // ph + 1):
-            a, b = max(y0 - pr * ph, 0), min(y1 - pr * ph, ph)
-            yield pr, slice(a, b), slice(pr * ph + a - y0, pr * ph + b - y0)
+    def windows(img, patches):
+        """The windows L of `patches` in img, edge-padded by one pixel, as
+        [len(patches), 3 q^2]."""
+        padded = np.pad(img, ((0, 0), (1, 1), (1, 1)), mode="edge")
+        win = sliding_window_view(padded, (q, q), axis=(1, 2))[:, ::p, ::p].transpose(1, 2, 0, 3, 4)
+        return win[patches // amap.cols, patches % amap.cols].reshape(len(patches), 3 * q * q)
 
-    # (buffer as [3, patch y, buffer row, patch x], runs of its patches) of
-    # the high frequencies the compose pass adds: those of every patch, or
-    # with composite of the corrupted ones; all other pixels are x_hr_masked
-    adds = []
-    if (h_hr, w_hr) != (h, w) and (corrupt.size or not composite):
-        # values holds the residual of the clean patches, the matmul's value
-        # rows, as one contiguous operand, and mixed the rows of the
-        # corrupted ones: a run of patches is one basic slice of either
+    def correction(lr_diff):
+        """LR differences D [n, 3 q^2] through b_w, as [3, q, n pw]: the
+        columns of patch i are i pw : (i + 1) pw, and b_h of patch rows
+        times them is B D_i on those rows."""
+        d = lr_diff.reshape(-1, 3, q, q).transpose(1, 2, 0, 3)
+        return np.matmul(d, b_w.T).reshape(3, q, -1)
+
+    # (runs of a buffer's patches, their correction, their mixed rows as
+    # [3, patch y, buffer row, patch x], or None where the patch is x itself)
+    writes = [(clean_runs, None if composite else
+               correction(windows(x_lr_refined, clean) - windows(x_lr, clean)), None)]
+    if corrupt.size:
+        # values holds x - m at the clean patches, the matmul's value rows, as
+        # one contiguous operand, and mixed the rows of the corrupted ones: a
+        # run of patches is one basic slice of either.  m, each clean patch's
+        # LR mean per channel, comes off its window L too; B maps it to
+        # itself, so it cancels, and the float32 matmul rounds at the
+        # texture's scale, not at x's (on perfbench's hr1024-object inputs,
+        # 5.8e-7 from a float64 reference, and 1.6e-6 mixing x itself)
+        m = x_lr.reshape(3, amap.rows, p, amap.cols, p).mean(axis=(2, 4), dtype=np.float64)
+        m = m.astype(DTYPE).reshape(3, -1)[:, clean]
         values = np.empty((len(clean), 3, ph, pw), dtype=DTYPE)
         values_t = values.transpose(1, 2, 0, 3)
-        clean_runs = _runs(clean, grid_rows, grid_cols)
-        x_grid = x_hr_masked.reshape(3, grid_rows, ph, grid_cols, pw)
 
-        # 1. residual x - up(x_lr) of the clean patches, cut straight into
-        # values: each strip that holds one lerps its rows of up(x_lr)
-        def cut(part, bufs):
-            for y0, y1 in part:
-                bands = [band for band in crossed(y0, y1) if clean_runs[band[0]]]
-                if not bands:
-                    continue
-                low, top = (buf[:, :y1 - y0] for buf in bufs)
-                up.lerp_rows(y0, y1, low, top)
-                low_grid = low.reshape(3, y1 - y0, grid_cols, pw)
-                for pr, rows, strip in bands:
-                    for pc, i, k in clean_runs[pr]:
-                        np.subtract(x_grid[:, pr, rows, pc:pc + k], low_grid[:, strip, pc:pc + k],
-                                    out=values_t[:, rows, i:i + k])
+        # 1. x - m at the clean patches, by rows of patches
+        def gather(part):
+            for pr in part:
+                for pc, i, k in clean_runs[pr]:
+                    src = x_hr_masked[:, pr * ph:(pr + 1) * ph, pc * pw:(pc + k) * pw]
+                    np.subtract(src.reshape(3, ph, k, pw), m[:, None, i:i + k, None],
+                                out=values_t[:, :, i:i + k])
 
-        _split(cut, strips, 3 * values.nbytes,
-               lambda: (np.empty((3, cap, w_hr), dtype=DTYPE), np.empty((3, cap, w_hr), dtype=DTYPE)))
-        if not composite:
-            adds.append((values_t, clean_runs))
+        _split(gather, range(amap.rows), 2 * values.nbytes)
 
         # 2. one matmul for the mixed rows, by row blocks of the weights
-        if corrupt.size:
-            d = 3 * ph * pw
-            mixed = np.empty((len(corrupt), 3, ph, pw), dtype=DTYPE)
-            flat_values, flat_mixed = values.reshape(len(clean), d), mixed.reshape(len(corrupt), d)
+        d = 3 * ph * pw
+        mixed = np.empty((len(corrupt), 3, ph, pw), dtype=DTYPE)
+        flat_values, flat_mixed = values.reshape(len(clean), d), mixed.reshape(len(corrupt), d)
 
-            def mix(part):
-                rows = slice(part.start, part.stop)
-                np.matmul(amap.weights[rows], flat_values, out=flat_mixed[rows])
+        def mix(part):
+            rows = slice(part.start, part.stop)
+            np.matmul(amap.weights[rows], flat_values, out=flat_mixed[rows])
 
-            _split(mix, range(len(corrupt)), values.nbytes + mixed.nbytes)
-            adds.append((mixed.transpose(1, 2, 0, 3), _runs(corrupt, grid_rows, grid_cols)))
-            if composite:
-                # no clean patch is written, so the residual is dead once mixed
-                del values, values_t, flat_values
+        _split(mix, range(len(corrupt)), values.nbytes + mixed.nbytes)
+        del values, values_t, flat_values  # the compose pass reads x itself
+        lr_clean = windows(x_lr, clean) - m.T.repeat(q * q, axis=1)
+        lr_diff = windows(x_lr_refined, corrupt) - amap.weights @ lr_clean
+        writes.append((_runs(corrupt, amap.rows, amap.cols), correction(lr_diff),
+                       mixed.transpose(1, 2, 0, 3)))
 
-    # 3. bilinear carrier, high frequencies of the written patches,
-    # composite and clip, one strip at a time
-    carrier = _bilinear_plan(x_lr_refined, h_hr, w_hr)
+    # 3. the written patches, (mixed or x) + B D, composite and clip, one
+    # strip of whole image rows, of about _STRIP_BYTES per channel, at a time
+    step = _strip_rows(w_hr * np.dtype(DTYPE).itemsize)
     out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
 
-    def compose(part, bufs):
-        top, keep = bufs
-        for y0, y1 in part:
-            seg = out[:, y0:y1]
-            carrier.lerp_rows(y0, y1, seg, top[:, :y1 - y0])
-            seg_grid = seg.reshape(3, y1 - y0, grid_cols, pw)
-            for pr, rows, strip in crossed(y0, y1):
-                for buf_t, runs in adds:
+    def compose(part, keep):
+        for y0 in part:
+            y1 = min(y0 + step, h_hr)
+            seg, xs, ms = out[:, y0:y1], x_hr_masked[:, y0:y1], m_hr[0, y0:y1]
+            # each row of patches the strip crosses: its grid row, patch rows
+            # and strip rows
+            for pr in range(y0 // ph, (y1 - 1) // ph + 1):
+                a, b = max(y0 - pr * ph, 0), min(y1 - pr * ph, ph)
+                rows, strip = slice(a, b), slice(pr * ph + a - y0, pr * ph + b - y0)
+                for runs, corr, mixed_t in writes:
                     for pc, i, k in runs[pr]:
-                        dst = seg_grid[:, strip, pc:pc + k]
-                        dst += buf_t[:, rows, i:i + k]
-            if composite:
-                known = keep[:y1 - y0]
-                np.equal(m_hr[0, y0:y1], 0, out=known)
-                np.copyto(seg, x_hr_masked[:, y0:y1], where=known)
+                        cols = slice(pc * pw, (pc + k) * pw)
+                        dst, x_run = seg[:, strip, cols], xs[:, strip, cols]
+                        if corr is None:  # a clean run, with composite
+                            np.copyto(dst, x_run)
+                            continue
+                        np.matmul(b_h[rows], corr[:, :, i * pw:(i + k) * pw], out=dst)
+                        if mixed_t is None:
+                            dst += x_run
+                        else:
+                            dst_grid = dst.reshape(3, b - a, k, pw)
+                            dst_grid += mixed_t[:, rows, i:i + k]
+                        if composite:
+                            known = keep[:b - a, :k * pw]
+                            np.equal(ms[strip, cols], 0, out=known)
+                            np.copyto(dst, x_run, where=known)
             np.clip(seg, 0.0, 1.0, out=seg)
 
-    _split(compose, strips, 3 * out.nbytes,
-           lambda: (np.empty((3, cap, w_hr), dtype=DTYPE), np.empty((cap, w_hr), dtype=bool)))
+    _split(compose, range(0, h_hr, step), 3 * out.nbytes,
+           lambda: np.empty((min(step, h_hr), w_hr), dtype=bool))
     return out

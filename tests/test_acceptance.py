@@ -212,7 +212,7 @@ def test_05_known_pixel_contract():
 
 
 def _attention_stage_median(config, model, image, mask, runs=30):
-    x_lr, m_lr, _ = downsample_to_lr(config, image, mask)
+    x_lr, m_lr = downsample_to_lr(config, image, mask)
     coarse, feats = coarse_forward(model.coarse, x_lr, m_lr)
     feats = _features_for_grid(config, feats)
     seq = img2col(coarse, config.patch_size)
@@ -277,7 +277,7 @@ def test_07_patch_count_and_flops():
             image, mask = synthetic_inputs(config, 512, seed=701)
             time_by_p[p] = _attention_stage_median(config, model, image, mask)
             # patch count observed on a real masked attention map
-            x_lr, m_lr, _ = downsample_to_lr(config, image, mask)
+            x_lr, m_lr = downsample_to_lr(config, image, mask)
             coarse, feats = coarse_forward(model.coarse, x_lr, m_lr)
             feats = _features_for_grid(config, feats)
             tokens = embed_and_condition(img2col(coarse, p), feats, model.npm.embed)

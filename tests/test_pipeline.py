@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rethined
 from rethined import bench, pipeline, tensor_ops
 from rethined.attention import AttentionMap, npm_refine
 from rethined.bench import (
@@ -118,7 +119,7 @@ class TestRunPipeline:
 
     def test_mask_downsample_is_block_any(self):
         config, model, image, mask = small_setup(6)
-        _, m_lr, _ = downsample_to_lr(config, image, mask)
+        _, m_lr = downsample_to_lr(config, image, mask)
         r = 2
         want = mask[0].reshape(64, r, 64, r).max(axis=(1, 3))[None]
         assert np.array_equal(m_lr, want.astype(F32))
@@ -135,22 +136,25 @@ class TestRunPipeline:
             config, model, image, mask = small_setup(7, lr=lr)
             assert run_pipeline(config, model, image, mask).shape == image.shape
 
+    @pytest.mark.parametrize("composite", [True, False])
     @pytest.mark.parametrize("lr,size", [(64, 128), (64, 512)], ids=["r2", "r8"])
-    def test_up_sampling_is_a_plan(self, monkeypatch, lr, size):
-        # downsample_to_lr hands the composer the plan of up(x_lr), whose
-        # rows are bilinear_resize's bytes, and no request writes up(x_lr)
-        # out as an image
+    def test_no_resize_on_the_request_path(self, monkeypatch, lr, size, composite):
+        # the composer up-samples LR windows of its patches, so no request
+        # resizes an image: with bilinear_resize failing in every module a
+        # request still gives the same valid image
         config, model, image, mask = small_setup(8, lr=lr, size=size)
-        x_lr, _, up = downsample_to_lr(config, image, mask)
-        assert isinstance(up, tensor_ops._BilinearPlan)
-        rows, top = np.empty_like(image), np.empty_like(image)
-        up.lerp_rows(0, size, rows, top)
-        assert rows.tobytes() == bilinear_resize(x_lr, size, size).tobytes()
+        config = replace(config, composite=composite)
         want = run_pipeline(config, model, image, mask)
         for name, module in list(sys.modules.items()):
             if name.startswith("rethined") and getattr(module, "bilinear_resize", None) is bilinear_resize:
                 monkeypatch.setattr(module, "bilinear_resize", lambda *a, **k: pytest.fail("resized"))
-        assert run_pipeline(config, model, image, mask).tobytes() == want.tobytes()
+        out = run_pipeline(config, model, image, mask)
+        assert out.tobytes() == want.tobytes()
+        assert out.shape == image.shape and out.dtype == F32
+        assert np.isfinite(out).all() and out.min() >= 0.0 and out.max() <= 1.0
+        if composite:
+            known = mask[0] == 0
+            assert out[:, known].tobytes() == image[:, known].tobytes()
 
     def test_mask_checked_once_at_full_resolution(self, monkeypatch):
         config, model, image, mask = small_setup(9)
@@ -245,6 +249,33 @@ class TestRunPipeline:
         with pytest.raises(NonFiniteInputError):
             run_pipeline(config, model, image, mask)
 
+    # 1024-wide rows give 64-row strips; 1 + 2^-23 is the float32 after 1
+    @pytest.mark.parametrize("where,value", [
+        ((slice(None),) * 3, 255.0),            # the whole image in 0-255
+        ((0, 0, 0), -1e-7), ((2, -1, -1), 1.0 + 2 ** -23),
+    ], ids=["0-255", "first-below-0", "last-above-1"])
+    def test_out_of_range_pixel_rejected(self, where, value, monkeypatch):
+        # such an image used to run, and its known pixels came out clipped
+        config, model, image, mask = small_setup(8, size=1024)
+        if value == 255.0:
+            image *= np.float32(255.0)
+        else:
+            image[where] = value
+        monkeypatch.setattr(pipeline, "downsample_to_lr", lambda *a, **k: pytest.fail("a stage ran"))
+        with pytest.raises(rethined.PixelRangeError, match=r"^image pixels must lie in \[0, 1\]"):
+            run_pipeline(config, model, image, mask)
+        image[where] = np.nan
+        with pytest.raises(NonFiniteInputError):
+            run_pipeline(config, model, image, mask)
+
+    def test_pixels_at_0_and_1_accepted(self):
+        config, model, image, mask = small_setup(8)
+        image[:, :8] = 0.0
+        image[:, -8:] = 1.0
+        out = run_pipeline(config, model, image, mask)
+        known = mask[0] == 0
+        assert out[:, known].tobytes() == image[:, known].tobytes()
+
     @pytest.mark.parametrize("patch,d_k", [(16, 16), (8, 32)])
     def test_config_not_matching_model_rejected(self, patch, d_k, monkeypatch):
         # the model embeds 3 * 8^2 = 192 pixels into d_k = 16
@@ -287,18 +318,16 @@ def lr256_setup(seeds):
 
 def blur_path_pipeline(config, model, image, mask):
     """run_pipeline as it ran before r = 1 skipped the blur: blur, bilinear
-    decimation and block-ANY at factor 1, with the composer handed the plan
-    of up(x_lr), and BLAS held at one thread as run_pipeline holds it."""
+    decimation and block-ANY at factor 1, with the composer handed x_lr,
+    and BLAS held at one thread as run_pipeline holds it."""
     lr, p = config.lr_size, config.patch_size
-    _, h, w = image.shape
     with tensor_ops._one_blas_thread():
         low = gaussian_blur(image, sigma_for_factor(1), sigma_for_factor(1))
         x_lr = bilinear_resize(low, lr, lr)
         m_lr = block_any(mask[0], 1, 1)[None].astype(F32)
         coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
         x_hat, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr, p, config.d_k)
-        up = tensor_ops._bilinear_plan(x_lr, h, w)
-        return low.tobytes(), compose_hr(image, up, x_hat, amap, mask, p, config.composite)
+        return low.tobytes(), compose_hr(image, x_lr, x_hat, amap, mask, p, config.composite)
 
 
 def test_total_covers_the_input_checks(monkeypatch):
@@ -350,7 +379,7 @@ class TestLrWorkspace:
 
     def test_results_do_not_share_workspace(self):
         config, model, [(image, mask)] = lr256_setup([7])
-        x_lr, m_lr, _ = downsample_to_lr(config, image, mask)
+        x_lr, m_lr = downsample_to_lr(config, image, mask)
         coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
         refined, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr,
                                    config.patch_size, config.d_k)

@@ -778,11 +778,13 @@ class TestSplit:
         write_image(x, tmp_path / "got.ppm")
         assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
         assert_bit_equal(read_image(tmp_path / "got.ppm"), want[1])
-        assert tensor_ops.all_finite(x) is True
+        assert tensor_ops.value_range(x) == (float(x.min()), float(x.max()))
         for where in ((0, 0, 0), (2, 129, 2047), (1, 64, 5)):
             bad = x.copy()
             bad[where] = np.nan
-            assert tensor_ops.all_finite(bad) is False
+            assert np.isnan(tensor_ops.value_range(bad)).all()
+            bad[where] = -np.inf
+            assert tensor_ops.value_range(bad) == (-np.inf, float(x.max()))
         mask = (x[:1] > 0.5).astype(F32)
         tensor_ops.require_binary(mask)
         for where in ((0, 0, 0), (0, 129, 2047), (0, 64, 5)):
