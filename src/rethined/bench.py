@@ -65,8 +65,12 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
 
     masking = 3 * n * n
     mixing = 2 * n * n * 3 * p * p + 4 * 3 * lr_px
-    d_hr = 3 * (p * r_h) * (p * r_w)
-    upscale = (0 if r1 else 2 * n * n * d_hr) + 8 * hr_px + 2 * hr_px
+    # compose_hr, dense bounds: the mix of x (n^2 rows x 3 ph pw), the LR
+    # differences' GEMM (n^2 rows x 3 q^2) and B D, b_w then b_h on each
+    # q x q window, 2 q (1 + q / ph) per pixel; then the add, composite and clip
+    ph, q = p * r_h, p + 2
+    lr_correction = 2 * n * n * 3 * q * q + 2 * q * hr_px + 2 * q * q * 3 * (h_hr // ph) * w_hr
+    upscale = (0 if r1 else 2 * n * n * 3 * ph * (p * r_w) + lr_correction) + 2 * hr_px
     att = attention_flops(n, d_k, c)
     return {
         "coarse": coarse,

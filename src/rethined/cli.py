@@ -62,7 +62,6 @@ def _cmd_inpaint(args) -> int:
         "d_k": config.d_k,
         "n_patches": config.n_patches,
         "composite": config.composite,
-        "renormalized_attention": True,
         "random_weights": args.weights is None,
     }))
     return 0

@@ -7,12 +7,12 @@ Tensors are numpy float32 arrays laid out [C, H, W] (convolution weights are
 mutated and results are deterministic for fixed inputs.  Reductions may use
 wider accumulators internally.
 
-The full-resolution loops that need scratch (PPM quantisation, the compose
-pass of the HR composition, the binary-mask check) run over strips of about
-_STRIP_BYTES, so their scratch stays cache-sized; results are bit-identical
-to the untiled forms.  No request up-samples a full-resolution image:
-upscale.compose_hr applies the bilinear up-sampling to LR windows of its
-patches, and `bilinear_resize` only resizes the coarse features.
+The full-resolution loops that need scratch (PPM quantisation, the
+binary-mask check) run over strips of about _STRIP_BYTES, so their scratch
+stays cache-sized; results are bit-identical to the untiled forms.  No
+request up-samples a full-resolution image: upscale.compose_hr applies the
+bilinear up-sampling to LR windows of its patches, and `bilinear_resize`
+only resizes the coarse features.
 
 `_one_blas_thread` holds numpy's OpenBLAS at one thread, and `_split` runs a
 full-resolution loop as contiguous slices of its strips, blocks or rows, one
@@ -393,18 +393,14 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x = x.astype(np.result_type(x.dtype, DTYPE), copy=False)
     y0, y1, fy = _sample_taps(h, out_h)
     x0, x1, fx = _sample_taps(w, out_w)
-    # Separable: the W lerp of a source row is the same for every output row
-    # that reads it, so it runs once per source row that is read, and the H
-    # lerp combines those rows.  The ops and their order per output pixel
-    # are those of the 2-D form (W first, then H), so results are bit-equal;
-    # the lerp form keeps constant regions exact: a + t*(b - a) == a when a == b.
-    rows, inv = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    src = x[:, rows]
-    left, lerp_w = np.take(src, x0, axis=2), np.take(src, x1, axis=2)
+    # Separable, W lerp then H lerp, with the ops and their order per output
+    # pixel of the 2-D form, so results are bit-equal to it; the lerp form
+    # keeps constant regions exact: a + t*(b - a) == a when a == b.
+    left, lerp_w = np.take(x, x0, axis=2), np.take(x, x1, axis=2)
     lerp_w -= left
     lerp_w *= fx.astype(DTYPE)
     lerp_w += left
-    out, top = np.take(lerp_w, inv[out_h:], axis=1), np.take(lerp_w, inv[:out_h], axis=1)
+    out, top = np.take(lerp_w, y1, axis=1), np.take(lerp_w, y0, axis=1)
     out -= top
     out *= fy.astype(DTYPE)[:, None]
     out += top

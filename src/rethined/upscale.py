@@ -12,19 +12,19 @@ clean patch whose LR pixels the refinement leaves unchanged comes out as x.
 Up-sampling is linear and, at an integer factor, local to a patch's LR
 window, so compose_hr mixes x itself and up-samples one LR difference per
 written patch instead: no full-resolution up(x_lr), carrier, Gaussian or
-residual image is built, and no resize plan.  Nor are the corrupted patches
-recomputed: the masked map already lists them, so the composer does not
-reduce the HR mask over patches.
+residual image is built.  Nor are the corrupted patches recomputed: the
+masked map already lists them, so the composer does not reduce the HR mask
+over patches.
 
-The composition works patch-major and only where output can change.  A
-gather copies x at the clean patches, which the mix reads, into one
-patch-major buffer; one matmul writes the mixed rows of the corrupted
-patches into another; the compose pass then walks cache-sized strips of
-whole image rows and writes each written patch's rows as the bilinear
-up-sampling of its LR difference plus its mixed rows (or x), composites and
-clips.  Each of the three steps is split across CPUs by tensor_ops._split:
-the gather by rows of patches, the compose pass by strips and the matmul by
-row blocks of the weights; one BLAS thread runs each row block.
+The composition works patch-major in three steps.  A gather copies x at the
+clean patches, which the mix reads, into one patch-major buffer; one matmul
+writes the mixed rows of the corrupted patches into another; the compose
+pass then walks the rows of patches: it writes each run of written patches
+as the bilinear up-sampling of its LR difference plus its mixed rows (or
+x), composites it, and clips the row.  Each step is split across CPUs by
+tensor_ops._split: the gather and the compose pass by rows of patches and
+the matmul by row blocks of the weights; one BLAS thread runs each row
+block.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import AttentionMap
-from .tensor_ops import DTYPE, _sample_taps, _split, _strip_rows, gaussian_blur
+from .tensor_ops import DTYPE, _sample_taps, _split, gaussian_blur
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -118,7 +118,8 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
     no full-resolution up-sampling exists.  Known pixels are then optionally
     overwritten with the originals and the result clamped to [0, 1].  A
     clean patch with composite off comes out as x + B (L^ - L), so exactly
-    x where the refinement leaves its window unchanged.
+    x where the refinement leaves its window unchanged; with composite on
+    it is x, clamped.
 
     The inputs are the ones run_pipeline has checked at its boundary: HR
     extents are integer multiples of the LR extents, `m_hr` is a binary
@@ -203,39 +204,33 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
         writes.append((_runs(corrupt, amap.rows, amap.cols), correction(lr_diff),
                        mixed.transpose(1, 2, 0, 3)))
 
-    # 3. the written patches, (mixed or x) + B D, composite and clip, one
-    # strip of whole image rows, of about _STRIP_BYTES per channel, at a time
-    step = _strip_rows(w_hr * np.dtype(DTYPE).itemsize)
+    # 3. one row of patches at a time: (mixed or x) + B D and the composite
+    # at its written runs, x at its clean runs with composite, then one clip
+    # of the whole row
     out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
 
     def compose(part, keep):
-        for y0 in part:
-            y1 = min(y0 + step, h_hr)
-            seg, xs, ms = out[:, y0:y1], x_hr_masked[:, y0:y1], m_hr[0, y0:y1]
-            # each row of patches the strip crosses: its grid row, patch rows
-            # and strip rows
-            for pr in range(y0 // ph, (y1 - 1) // ph + 1):
-                a, b = max(y0 - pr * ph, 0), min(y1 - pr * ph, ph)
-                rows, strip = slice(a, b), slice(pr * ph + a - y0, pr * ph + b - y0)
-                for runs, corr, mixed_t in writes:
-                    for pc, i, k in runs[pr]:
-                        cols = slice(pc * pw, (pc + k) * pw)
-                        dst, x_run = seg[:, strip, cols], xs[:, strip, cols]
-                        if corr is None:  # a clean run, with composite
-                            np.copyto(dst, x_run)
-                            continue
-                        np.matmul(b_h[rows], corr[:, :, i * pw:(i + k) * pw], out=dst)
-                        if mixed_t is None:
-                            dst += x_run
-                        else:
-                            dst_grid = dst.reshape(3, b - a, k, pw)
-                            dst_grid += mixed_t[:, rows, i:i + k]
-                        if composite:
-                            known = keep[:b - a, :k * pw]
-                            np.equal(ms[strip, cols], 0, out=known)
-                            np.copyto(dst, x_run, where=known)
+        for pr in part:
+            rows = slice(pr * ph, (pr + 1) * ph)
+            seg, xs = out[:, rows], x_hr_masked[:, rows]
+            for runs, corr, mixed_t in writes:
+                for pc, i, k in runs[pr]:
+                    cols = slice(pc * pw, (pc + k) * pw)
+                    dst, x_run = seg[:, :, cols], xs[:, :, cols]
+                    if corr is None:  # a clean run, with composite
+                        np.copyto(dst, x_run)
+                        continue
+                    np.matmul(b_h, corr[:, :, i * pw:(i + k) * pw], out=dst)
+                    if mixed_t is None:
+                        dst += x_run
+                    else:
+                        dst_grid = dst.reshape(3, ph, k, pw)
+                        dst_grid += mixed_t[:, :, i:i + k]
+                    if composite:
+                        known = keep[:, :k * pw]
+                        np.equal(m_hr[0, rows, cols], 0, out=known)
+                        np.copyto(dst, x_run, where=known)
             np.clip(seg, 0.0, 1.0, out=seg)
 
-    _split(compose, range(0, h_hr, step), 3 * out.nbytes,
-           lambda: np.empty((min(step, h_hr), w_hr), dtype=bool))
+    _split(compose, range(amap.rows), 3 * out.nbytes, lambda: np.empty((ph, w_hr), dtype=bool))
     return out
