@@ -779,16 +779,13 @@ class TestPatchMajorComposer:
         self._check(compose_case(7, lr=(32, 32)), True)
         self._check(compose_case(8, lr=(16, 32), r=(4, 2)), False)
 
-    def test_bytes_do_not_depend_on_slices(self, monkeypatch):
-        # grid row 0 all clean, rows 1 and 3 all corrupted, row 2 mixed:
-        # the slices of the compose pass, rows of patches, get uneven work
-        case = compose_case(9, clean=[0, 1, 2, 3, 9])
-        want = {composite: composed(case, composite) for composite in (True, False)}
+    @staticmethod
+    def _record_compose_parts(monkeypatch) -> list:
+        """Returns a list that keeps the rows of patches each slice of the
+        last split loop of a compose_hr call, the compose pass, gets."""
         compose_parts = []
 
         def recording_split(job, items, *args):
-            # keeps the rows of patches each slice of the last split loop,
-            # the compose pass, gets
             compose_parts.clear()
 
             def recorded(part, *scratch):
@@ -798,6 +795,37 @@ class TestPatchMajorComposer:
             return tensor_ops._split(recorded, items, *args)
 
         monkeypatch.setattr(upscale, "_split", recording_split)
+        return compose_parts
+
+    @pytest.mark.parametrize("strip_bytes,strips", [
+        (1024, 16),         # strips of 4 rows of 64 f32: 4 per 16-row patch row
+        (1500, 13),         # 5 rows: strips cross patch rows, the last has 4 rows
+        (16 * 1024, 1),     # all 4 patch rows in one strip
+        (8 * 1024, 2),      # 2 patch rows per strip
+    ])
+    def test_strip_shapes(self, monkeypatch, strip_bytes, strips):
+        # the compose pass walks rows of patches, not strips: whatever
+        # strips _STRIP_BYTES cuts the image into for the other
+        # full-resolution loops, the composer gives the same bytes and its
+        # pass gets the grid's 4 rows of patches
+        case = compose_case(9, clean=[0, 1, 9])
+        want = {composite: composed(case, composite) for composite in (True, False)}
+        compose_parts = self._record_compose_parts(monkeypatch)
+        monkeypatch.setattr(tensor_ops, "_STRIP_BYTES", strip_bytes)
+        x = case[0]
+        step = tensor_ops._strip_rows(4 * x.shape[2])
+        assert len(range(0, x.shape[1], step)) == strips
+        for composite in (True, False):
+            self._check(case, composite)
+            assert_bytes_equal(composed(case, composite), want[composite])
+            assert sorted(r for part in compose_parts for r in part) == [0, 1, 2, 3]
+
+    def test_bytes_do_not_depend_on_slices(self, monkeypatch):
+        # grid row 0 all clean, rows 1 and 3 all corrupted, row 2 mixed:
+        # the slices of the compose pass, rows of patches, get uneven work
+        case = compose_case(9, clean=[0, 1, 2, 3, 9])
+        want = {composite: composed(case, composite) for composite in (True, False)}
+        compose_parts = self._record_compose_parts(monkeypatch)
         monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
         for parts, rows in ((1, [[0, 1, 2, 3]]), (2, [[0, 1], [2, 3]]), (3, [[0], [1], [2, 3]])):
             monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: parts)
