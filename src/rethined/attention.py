@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .patches import PatchGrid, TokenMatrix, img2col, pixel_shuffle, tokenize_mask, embed_and_condition
-from .tensor_ops import DTYPE, _reflect_indices, _scratch, _strip_rows, require_binary, softmax_rows
+from .tensor_ops import DTYPE, _reflect_indices, _scratch, require_binary, softmax_rows
 
 
 class AllPatchesCorruptedError(ValueError):
@@ -206,7 +206,9 @@ def _boundary_band(mask_vec: np.ndarray, rows: int, cols: int, patch_size: int) 
 
 def coherence(image: np.ndarray, mask_vec: np.ndarray, patch_size: int) -> np.ndarray:
     """Smooth 2-px bands around corrupted-patch boundaries with a 3x3
-    Gaussian (sigma 0.8); all other pixels pass through bit-unchanged."""
+    Gaussian (sigma 0.8); all other pixels pass through bit-unchanged.  One
+    whole-image pass in the coarse CNN's workspace roles, whose lifetimes end
+    when coarse_forward returns: "dw.phases", "cnn.x" and "dw.acc"."""
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
     _, h, w = image.shape
@@ -217,74 +219,58 @@ def coherence(image: np.ndarray, mask_vec: np.ndarray, patch_size: int) -> np.nd
     if m.shape[0] != rows * cols:
         raise ValueError(f"mask length {m.shape[0]} != N={rows * cols}")
     out = image.copy()
-    if not (m == 1).any():
-        return out
     band = _boundary_band(m, rows, cols, patch_size)
     if not band.any():
         return out
     # separable, W then H, in residual form x + k1 * ((x_+1 + x_-1) - 2x),
-    # so constant data pass through exactly; computed a strip of rows at a
-    # time in workspace scratch, skipping strips with no band pixel
+    # so constant data pass through exactly, on the image reflect-padded by 1
     k1 = _COHERENCE_TAPS[2]
     dtype = np.result_type(image, k1)
-    refl_h, refl_w = _reflect_indices(h, 1), _reflect_indices(w, 1)
-    step = _strip_rows(2 * 3 * w * dtype.itemsize)  # each buffer ~ _STRIP_BYTES / 2
-    for r0 in range(0, h, step):
-        r1 = min(r0 + step, h)
-        if not band[r0:r1].any():
-            continue
-        # the strip's rows and one reflected row on each side, reflect-padded in W
-        n = r1 - r0 + 2
-        pad = _scratch("coherence.pad", (3, n, w + 2), dtype)
-        x = pad[:, :, 1:-1]
-        a, b = max(r0 - 1, 0), min(r1 + 1, h)
-        x[:, a - r0 + 1:b - r0 + 1] = image[:, a:b]
-        if r0 == 0:
-            x[:, 0] = image[:, refl_h[0]]
-        if r1 == h:
-            x[:, -1] = image[:, refl_h[-1]]
-        pad[:, :, 0] = pad[:, :, 1 + refl_w[0]]
-        pad[:, :, -1] = pad[:, :, 1 + refl_w[-1]]
-        # W pass into `low`, then H pass into `two` (pad is free by then)
-        low = _scratch("coherence.low", (3, n, w), dtype)
-        two = _scratch("coherence.two", (3, n, w), dtype)
-        np.add(pad[:, :, 2:], pad[:, :, :-2], out=low)
-        np.add(x, x, out=two)
-        low -= two
-        np.multiply(k1, low, out=low)
-        np.add(x, low, out=low)
-        mid, s, d = low[:, 1:-1], two[:, :n - 2], pad[:, :n - 2, :w]
-        np.add(low[:, 2:], low[:, :-2], out=s)
-        np.add(mid, mid, out=d)
-        s -= d
-        np.multiply(k1, s, out=s)
-        np.add(mid, s, out=s)
-        np.copyto(out[:, r0:r1], s, where=band[r0:r1])
+    pad = _scratch("dw.phases", (3, h + 2, w + 2), dtype)
+    pad[:, 1:-1, 1:-1] = image
+    pad[:, [0, -1]] = pad[:, 1 + _reflect_indices(h, 1)[[0, -1]]]
+    pad[:, :, [0, -1]] = pad[:, :, 1 + _reflect_indices(w, 1)[[0, -1]]]
+    x = pad[:, :, 1:-1]
+    # W pass into `low`, then H pass into `two` (pad is free by then)
+    low = _scratch("cnn.x", (3, h + 2, w), dtype)
+    two = _scratch("dw.acc", (3, h + 2, w), dtype)
+    np.add(pad[:, :, 2:], pad[:, :, :-2], out=low)
+    np.add(x, x, out=two)
+    low -= two
+    np.multiply(k1, low, out=low)
+    np.add(x, low, out=low)
+    mid, s, d = low[:, 1:-1], two[:, :h], pad[:, :h, :w]
+    np.add(low[:, 2:], low[:, :-2], out=s)
+    np.add(mid, mid, out=d)
+    s -= d
+    np.multiply(k1, s, out=s)
+    np.add(mid, s, out=s)
+    np.copyto(out, s, where=band)
     return out
 
 
 def npm_refine(coarse: np.ndarray, x_lr: np.ndarray, features: np.ndarray,
-               weights: NpmWeights, mask_pixels: np.ndarray, patch_size: int,
-               d_k: int):
+               weights: NpmWeights, mask_pixels: np.ndarray):
     """Full matching pass over a coarse completion.
 
     Tokenizes the coarse image, computes masked attention conditioned on the
     coarse features, mixes the patches of the LR input (clean ones are kept,
     corrupted ones become convex combinations of clean ones), reassembles
-    and smooths patch seams.
+    and smooths patch seams.  The patch size P comes from the embedding,
+    whose rows are the 3P^2 pixels of a patch.
     Returns the refined LR image and the masked attention map for reuse at
     high resolution.
     """
     if coarse.shape != x_lr.shape:
         raise ValueError(f"coarse shape {coarse.shape} != input shape {x_lr.shape}")
-    if weights.embed.shape != (3 * patch_size * patch_size, d_k):
-        raise ValueError(
-            f"embedding shape {weights.embed.shape} != (3P^2={3 * patch_size ** 2}, d_k={d_k})"
-        )
+    rows = weights.embed.shape[0]
+    p = math.isqrt(rows // 3)
+    if not p or rows != 3 * p * p:
+        raise ValueError(f"embedding has {rows} rows, not 3P^2 for an integer patch size P")
     # nested calls, so each LR-sized intermediate is freed once it is read
-    tokens = embed_and_condition(img2col(coarse, patch_size), features, weights.embed)
-    m = tokenize_mask(mask_pixels, patch_size)
+    tokens = embed_and_condition(img2col(coarse, p), features, weights.embed)
+    m = tokenize_mask(mask_pixels, p)
     masked = mask_attention(attention_scores(tokens, weights.proj), m)
     del tokens
-    refined = pixel_shuffle(token_mix(masked, img2col(x_lr, patch_size)))
-    return coherence(refined, m, patch_size), masked
+    refined = pixel_shuffle(token_mix(masked, img2col(x_lr, p)))
+    return coherence(refined, m, p), masked

@@ -158,8 +158,10 @@ def model_from_tensors(tensors: dict) -> InpaintingModel:
         main_bn = _bn_from(tensors, f"blocks.{i}.main.bn")
         point_bn = _bn_from(tensors, f"blocks.{i}.point.bn")
         skip_bn = _bn_from(tensors, f"blocks.{i}.skip.bn")
-        fused = main_bn is None and point_bn is None and skip_bn is None
-        blocks.append(RepBlock(main, main_bn, point, point_bn, skip_bn, fused=fused))
+        if (main_bn is None) != (point_bn is None) or (skip_bn is not None and main_bn is None):
+            raise WeightFormatError(f"block {i} holds a partial batchnorm set: main.bn and "
+                                    "point.bn come both or neither, and skip.bn only with both")
+        blocks.append(RepBlock(main, main_bn, point, point_bn, skip_bn, fused=main_bn is None))
     fused_flags = {b.fused for b in blocks}
     if len(fused_flags) != 1:
         raise WeightFormatError("container mixes fused and unfused blocks")
@@ -214,9 +216,9 @@ def _validate_inputs(config: PipelineConfig, model: InpaintingModel, image: np.n
     _, h, w = image.shape
     if mask.shape != (1, h, w):
         raise ValueError(f"mask shape {mask.shape} does not match image {image.shape}")
-    if h % config.lr_size or w % config.lr_size:
+    if min(h, w) < config.lr_size or h % config.lr_size or w % config.lr_size:
         raise ValueError(
-            f"image {h}x{w} must be an integer multiple of lr_size {config.lr_size}"
+            f"image {h}x{w} must be a positive integer multiple of lr_size {config.lr_size}"
         )
     require_binary(mask)
     lo, hi = value_range(image)
@@ -279,14 +281,12 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
         times["coarse"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        x_lr_hat, masked_map = npm_refine(coarse, x_lr, features, model.npm,
-                                          m_lr, config.patch_size, config.d_k)
+        x_lr_hat, masked_map = npm_refine(coarse, x_lr, features, model.npm, m_lr)
         del coarse, features, m_lr  # the composition's arrays can reuse their memory
         times["refine"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        out = compose_hr(image, x_lr, x_lr_hat, masked_map, mask, config.patch_size,
-                         config.composite)
+        out = compose_hr(image, x_lr, x_lr_hat, masked_map, mask, config.composite)
         times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times

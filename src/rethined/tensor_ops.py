@@ -188,7 +188,9 @@ def _scratch(role: str, shape: tuple, dtype=DTYPE) -> np.ndarray:
 
     Each role's buffer grows to its largest use and is kept, so repeated
     calls reuse memory that is already mapped.  A role names a lifetime, not
-    a shape: stages whose intermediates are never live at once share one.
+    a shape: stages whose intermediates are never live at once share one, as
+    the coherence filter takes the coarse CNN's "dw.phases", "cnn.x" and
+    "dw.acc" once coarse_forward has returned.
     The array is valid until the next _scratch call for its role on the same
     thread, so no public function returns one.
     """

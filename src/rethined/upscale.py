@@ -103,8 +103,7 @@ def _patch_upsampler(p: int, r: int) -> np.ndarray:
 
 
 def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarray,
-               amap: AttentionMap, m_hr: np.ndarray, patch_size: int,
-               composite: bool) -> np.ndarray:
+               amap: AttentionMap, m_hr: np.ndarray, composite: bool) -> np.ndarray:
     """Assemble the final HR result.
 
     `x_lr` is the LR input of `x_hr_masked` as downsample_to_lr returns it.
@@ -126,7 +125,8 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
     [1, H_HR, W_HR] mask and `x_lr_refined` is float32.  `amap` is the
     masked map of `m_hr`'s patch mask, as npm_refine returns it, so
     `amap.corrupt` lists, in ascending order, the patches that hold a
-    corrupted pixel, so the composer does not read the mask for them.
+    corrupted pixel, so the composer does not read the mask for them; its
+    grid fixes the LR patch size P, x_lr_refined's height over amap.rows.
 
     The result is within float32 rounding of the up-sample-then-mix form
     (tests/test_upscale.py states the bound), with known pixels bit-exact.
@@ -141,7 +141,8 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
         if composite:
             np.copyto(out, x_hr_masked, where=m_hr == 0)
         return np.clip(out, 0.0, 1.0, out=out)
-    p, q = patch_size, patch_size + 2
+    p = h // amap.rows
+    q = p + 2
     ph, pw = p * (h_hr // h), p * (w_hr // w)
     b_h, b_w = _patch_upsampler(p, h_hr // h), _patch_upsampler(p, w_hr // w)
     clean, corrupt = amap.clean, amap.corrupt

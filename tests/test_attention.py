@@ -1,9 +1,12 @@
 """Masked attention tests: score formula, masking contracts, token mixing,
 coherence banding and the full refinement pass."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from rethined import tensor_ops
 from rethined.attention import (
     _COHERENCE_TAPS,
     AllPatchesCorruptedError,
@@ -394,7 +397,7 @@ class TestCoherence:
     @pytest.mark.parametrize("seed,rows,cols,p", [
         (0, 32, 32, 8), (1, 32, 32, 8), (2, 32, 32, 8), (3, 32, 32, 8), (4, 32, 32, 8),
         (5, 5, 7, 4), (6, 9, 3, 2), (7, 4, 4, 3), (8, 6, 5, 1), (9, 1, 6, 8), (10, 7, 1, 5),
-        # many row strips, the last one partial
+        # images of many rows and of wide rows
         (11, 64, 64, 4), (12, 9, 250, 7), (13, 11, 700, 3),
     ])
     def test_equals_pixel_level_oracle(self, seed, rows, cols, p):
@@ -406,8 +409,7 @@ class TestCoherence:
         assert coherence(x, m, p).tobytes() == seed_coherence(x, m, p).tobytes()
 
     def test_one_corrupted_patch_any_row_equals_oracle(self):
-        # 2048-wide rows give 5-row strips, so the strips start at every
-        # offset into the band of some patch row
+        # one corrupted patch in each patch row of a wide image in turn
         rng = np.random.default_rng(15)
         x = rng.random((3, 64, 2048)).astype(F32)
         for r in range(8):
@@ -423,6 +425,28 @@ class TestCoherence:
         kept, x0_before = first.copy(), x0.copy()
         coherence(x1, 1 - m, 8)
         assert np.array_equal(first, kept) and np.array_equal(x0, x0_before)
+
+    def test_bytes_do_not_depend_on_shared_workspace(self):
+        # coherence takes its scratch from the coarse CNN's roles; NaN left
+        # there by an earlier stage must not reach the result
+        rng = np.random.default_rng(16)
+        x = rng.random((3, 40, 56)).astype(F32)
+        m = (rng.random(35) < 0.3).astype(F32)
+        results = []
+
+        def run(poison):
+            if poison:
+                for role in ("dw.phases", "cnn.x", "dw.acc"):
+                    tensor_ops._scratch(role, (3, 64, 64)).fill(np.nan)
+            results.append(coherence(x, m, 8))
+
+        for poison in (True, False):
+            t = threading.Thread(target=run, args=(poison,))
+            t.start()
+            t.join(timeout=60)
+        assert len(results) == 2 and np.isfinite(results[0]).all()
+        assert results[0].tobytes() == results[1].tobytes()
+        assert results[1].tobytes() == seed_coherence(x, m, 8).tobytes()
 
     def test_far_patches_untouched(self):
         rng = np.random.default_rng(1)
@@ -450,7 +474,7 @@ class TestNpmRefine:
         rng, x_lr, feats, weights = self._setup(0)
         coarse = rng.random((3, 32, 32)).astype(F32)
         mask = np.zeros((1, 32, 32), F32)
-        out, amap = npm_refine(coarse, x_lr, feats, weights, mask, 8, 6)
+        out, amap = npm_refine(coarse, x_lr, feats, weights, mask)
         assert np.array_equal(out, x_lr)
         assert amap.masked
         assert np.array_equal(amap.a, np.eye(16, dtype=F32))
@@ -460,7 +484,7 @@ class TestNpmRefine:
         mask = np.zeros((1, 16, 16), F32)
         mask[0, 2, 10] = 1  # patch 1 of a 2x2 grid
         coarse = rng.random((3, 16, 16)).astype(F32)
-        out, amap = npm_refine(coarse, x_lr, feats, weights, mask, 8, 6)
+        out, amap = npm_refine(coarse, x_lr, feats, weights, mask)
         lr_seq = img2col(x_lr, 8)
         row = amap.a[1]
         assert row[1] == 0.0
@@ -477,16 +501,25 @@ class TestNpmRefine:
         mask = np.zeros((1, 32, 32), F32)
         mask[0, 4:20, 6:25] = 1
         coarse = rng.random((3, 32, 32)).astype(F32)
-        out, _ = npm_refine(coarse, x_lr, feats, weights, mask, 8, 6)
+        out, _ = npm_refine(coarse, x_lr, feats, weights, mask)
         assert out.shape == (3, 32, 32)
         assert out.dtype == np.float32
+
+    @pytest.mark.parametrize("rows", [190, 195, 0])
+    def test_embedding_not_3p2_rows_rejected(self, rows):
+        # P comes from the embedding's 3P^2 rows: 192 is P = 8
+        rng, x_lr, feats, weights = self._setup(4)
+        bad = NpmWeights(rng.standard_normal((rows, 6)).astype(F32), weights.proj)
+        mask = np.zeros((1, 32, 32), F32)
+        with pytest.raises(ValueError, match=rf"^embedding has {rows} rows, not 3P\^2"):
+            npm_refine(x_lr, x_lr, feats, bad, mask)
 
     def test_second_call_leaves_first_result(self):
         rng, x_lr, feats, weights = self._setup(3)
         mask = np.zeros((1, 32, 32), F32)
         mask[0, 4:20, 6:25] = 1
         coarse = rng.random((3, 32, 32)).astype(F32)
-        out, amap = npm_refine(coarse, x_lr, feats, weights, mask, 8, 6)
+        out, amap = npm_refine(coarse, x_lr, feats, weights, mask)
         kept, weights_kept = out.copy(), amap.weights.copy()
-        npm_refine(1 - coarse, 1 - x_lr, -feats, weights, 1 - mask, 8, 6)
+        npm_refine(1 - coarse, 1 - x_lr, -feats, weights, 1 - mask)
         assert np.array_equal(out, kept) and np.array_equal(amap.weights, weights_kept)

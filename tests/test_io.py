@@ -168,6 +168,36 @@ class TestWeightContainer:
         with pytest.raises(WeightFormatError):
             model_from_tensors(tensors)
 
+    @pytest.mark.parametrize("block,dropped", [
+        (2, ("point",)), (0, ("main",)), (4, ("main", "point")), (1, ("main", "skip")),
+    ], ids=["main-and-skip", "point-and-skip", "skip-alone", "point-alone"])
+    def test_model_partial_batchnorm_rejected(self, tmp_path, block, dropped):
+        # loaded, such a block would run unfused and fail in batchnorm on
+        # the first request
+        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
+        tensors = model_to_tensors(random_model(config, seed=2))
+        prefixes = tuple(f"blocks.{block}.{stage}.bn." for stage in dropped)
+        for name in [n for n in tensors if n.startswith(prefixes)]:
+            del tensors[name]
+        path = tmp_path / "w.rthd"
+        save_tensors(tensors, path)
+        with pytest.raises(WeightFormatError, match=rf"^block {block} holds a partial batchnorm set"):
+            load_model(path)
+
+    def test_model_without_skip_batchnorm_loads_and_runs(self):
+        # main.bn and point.bn without skip.bn: an unfused block with no skip
+        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
+        tensors = model_to_tensors(random_model(config, seed=2))
+        for name in [n for n in tensors if n.startswith("blocks.3.skip.bn.")]:
+            del tensors[name]
+        model = model_from_tensors(tensors)
+        assert model.coarse.blocks[3].skip_bn is None and not model.fused
+        image = np.random.default_rng(2).random((3, 64, 64)).astype(F32)
+        mask = np.zeros((1, 64, 64), F32)
+        mask[0, 10:30, 20:40] = 1
+        out = run_pipeline(config, model, image * (1 - mask), mask)
+        assert out.shape == image.shape and np.isfinite(out).all()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["blocks.0.main.weight", "final.bias", "npm.embed",
                                       "blocks.2.point.bn.sigma"])

@@ -276,6 +276,16 @@ class TestRunPipeline:
         known = mask[0] == 0
         assert out[:, known].tobytes() == image[:, known].tobytes()
 
+    @pytest.mark.parametrize("h,w", [(0, 0), (64, 0), (0, 128), (32, 64), (96, 64)])
+    def test_extent_not_a_positive_multiple_rejected(self, h, w, monkeypatch):
+        # 0 is a multiple of lr_size too, and an empty image must not reach
+        # value_range's strip loop
+        config, model, _, _ = small_setup(8)
+        image, mask = np.zeros((3, h, w), F32), np.zeros((1, h, w), F32)
+        monkeypatch.setattr(pipeline, "downsample_to_lr", lambda *a, **k: pytest.fail("a stage ran"))
+        with pytest.raises(ValueError, match=rf"^image {h}x{w} must be a positive integer multiple"):
+            run_pipeline(config, model, image, mask)
+
     @pytest.mark.parametrize("patch,d_k", [(16, 16), (8, 32)])
     def test_config_not_matching_model_rejected(self, patch, d_k, monkeypatch):
         # the model embeds 3 * 8^2 = 192 pixels into d_k = 16
@@ -320,14 +330,14 @@ def blur_path_pipeline(config, model, image, mask):
     """run_pipeline as it ran before r = 1 skipped the blur: blur, bilinear
     decimation and block-ANY at factor 1, with the composer handed x_lr,
     and BLAS held at one thread as run_pipeline holds it."""
-    lr, p = config.lr_size, config.patch_size
+    lr = config.lr_size
     with tensor_ops._one_blas_thread():
         low = gaussian_blur(image, sigma_for_factor(1), sigma_for_factor(1))
         x_lr = bilinear_resize(low, lr, lr)
         m_lr = block_any(mask[0], 1, 1)[None].astype(F32)
         coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
-        x_hat, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr, p, config.d_k)
-        return low.tobytes(), compose_hr(image, x_lr, x_hat, amap, mask, p, config.composite)
+        x_hat, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr)
+        return low.tobytes(), compose_hr(image, x_lr, x_hat, amap, mask, config.composite)
 
 
 def test_total_covers_the_input_checks(monkeypatch):
@@ -381,8 +391,7 @@ class TestLrWorkspace:
         config, model, [(image, mask)] = lr256_setup([7])
         x_lr, m_lr = downsample_to_lr(config, image, mask)
         coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
-        refined, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr,
-                                   config.patch_size, config.d_k)
+        refined, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr)
         out = run_pipeline(config, model, image, mask)
         buffers = vars(tensor_ops._workspace).values()
         assert buffers
@@ -390,8 +399,9 @@ class TestLrWorkspace:
             assert not any(np.shares_memory(result, buf) for buf in buffers)
 
     def test_workspace_planned_below_4_mb(self):
-        # 3.68 MB at LR 256: the depthwise phases, accumulator and scratch,
-        # the block activations, the final 1x1 and coherence's row strips
+        # 3.53 MB at LR 256: the depthwise phases, accumulator and scratch,
+        # the block activations and the final 1x1; coherence reuses the
+        # phases, activations and accumulator roles for its one pass
         config, model, [(image, mask)] = lr256_setup([8])
 
         def workspace():

@@ -292,7 +292,7 @@ class TestComposeHr:
     def test_zero_mask_composite_is_passthrough(self):
         _, x_hr, x_lr, amap = self._inputs(0)
         mask = np.zeros((1, 32, 32), F32)
-        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, composite=True)
         assert np.array_equal(out, x_hr)
 
     def test_zero_mask_no_composite_reconstruction_gap(self):
@@ -306,13 +306,13 @@ class TestComposeHr:
         for x in (x_hr, quantized, rng.random((3, 32, 64)).astype(F32)):
             _, h, w = x.shape
             own = lr_input(x, 16, 16)
-            out = upscale.compose_hr(x, own, x_lr, amap, np.zeros((1, h, w), F32), 8,
+            out = upscale.compose_hr(x, own, x_lr, amap, np.zeros((1, h, w), F32),
                                      composite=False)
             low = bilinear_resize(own, h, w)
             high = (x.astype(np.float64) - low.astype(np.float64)).astype(F32)
             want = np.clip(bilinear_resize(x_lr, h, w) + high, 0, 1)
             assert np.abs(out - want).max() <= LR_CORRECTION_BOUND
-            out = upscale.compose_hr(x, own, own, amap, np.zeros((1, h, w), F32), 8,
+            out = upscale.compose_hr(x, own, own, amap, np.zeros((1, h, w), F32),
                                      composite=False)
             assert_bytes_equal(out, x)
 
@@ -322,7 +322,7 @@ class TestComposeHr:
         x_hr = rng.random((3, 16, 16)).astype(F32)
         amap = identity_masked_map(4, 2, 2)
         mask = np.zeros((1, 16, 16), F32)
-        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, 8, composite=False)
+        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, composite=False)
         assert np.abs(out - np.clip(x_lr + frequency_split(x_hr, 1.0).high.astype(F32),
                                     0, 1)).max() < 1e-3
 
@@ -332,7 +332,7 @@ class TestComposeHr:
         mask[0, 8:24, 8:16] = 1
         amap = mask_map(mask, (16, 16), 8)
         assert amap.corrupt.tolist() == [0, 2]
-        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, composite=True)
         known = mask[0] == 0
         assert np.array_equal(out[:, known], x_hr[:, known])
 
@@ -344,7 +344,7 @@ class TestComposeHr:
         mask[0, :16, :16] = 0
         amap = mask_map(mask, (16, 16), 8)
         assert amap.corrupt.tolist() == [1, 2, 3]
-        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), 3.0 * x_lr, amap, mask, 8,
+        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), 3.0 * x_lr, amap, mask,
                                  composite=True)
         assert out.max() == 1.0
         assert out.min() >= 0.0
@@ -360,7 +360,7 @@ class TestComposeHr:
         mask[0, : h_hr // 2] = 1
         amap = mask_map(mask, (lr, lr), 8)
         assert amap.corrupt.tolist() == [0, 1]
-        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, composite=True)
         assert out.shape == (3, h_hr, h_hr)
 
     def test_anisotropic_ratio(self):
@@ -369,7 +369,7 @@ class TestComposeHr:
         x_lr = rng.random((3, 16, 16)).astype(F32)
         amap = identity_masked_map(4, 2, 2)
         mask = np.zeros((1, 32, 64), F32)
-        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, 8, composite=True)
+        out = upscale.compose_hr(x_hr, lr_like(x_hr, x_lr), x_lr, amap, mask, composite=True)
         assert np.array_equal(out, x_hr)
 
 
@@ -466,8 +466,9 @@ def compose_case(seed, **kwargs):
 
 
 def composed(case, composite):
-    """compose_hr on a case, handed the LR input as run_pipeline hands it."""
-    return upscale.compose_hr(*case, composite)
+    """compose_hr on a case, handed the LR input as run_pipeline hands it;
+    the composer takes the patch size from the map's grid."""
+    return upscale.compose_hr(*case[:-1], composite)
 
 
 def unfused_case(case, composite):
@@ -844,7 +845,7 @@ class TestPatchMajorComposer:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            out = upscale.compose_hr(x, x_in, x_lr, amap, m_hr, p, True)
+            out = upscale.compose_hr(x, x_in, x_lr, amap, m_hr, True)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -864,7 +865,7 @@ class TestPatchMajorComposer:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                out = upscale.compose_hr(x, x_in, x_lr, amap, m_hr, p, composite)
+                out = upscale.compose_hr(x, x_in, x_lr, amap, m_hr, composite)
                 peaks[composite] = (tracemalloc.get_traced_memory()[1] - base) / out.nbytes
             finally:
                 tracemalloc.stop()
