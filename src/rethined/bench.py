@@ -56,7 +56,7 @@ def flop_estimates(config: PipelineConfig, h_hr: int, w_hr: int) -> Dict[str, in
     # 1/4 and 1/8 of LR), block 3 at 1/8 and block 4 at 1/4 (after a 2x
     # upsample), and the final 1x1 at 1/4 before the 4x upsample
     conv = 0
-    for (c_in, c_out, _, _), scale in zip(BLOCK_PLAN, (2, 4, 8, 8, 4)):
+    for (c_in, c_out), scale in zip(BLOCK_PLAN, (2, 4, 8, 8, 4)):
         size = lr // scale
         conv += 2 * c_in * 9 * size * size             # depthwise 3x3
         conv += 2 * c_in * c_out * size * size         # pointwise

@@ -33,18 +33,19 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build(args, composite: bool = True):
-    if args.weights is not None:
-        model = load_model(args.weights)
-        config = config_for_model(model, lr_size=args.lr, composite=composite)
-        if config.patch_size != args.patch or config.d_k != args.dk:
-            # weight shapes win over flags; keep the run honest about it
-            print(json.dumps({"note": "patch/dk taken from weights",
-                              "patch": config.patch_size, "dk": config.d_k}),
-                  file=sys.stderr)
-        return config, model
-    config = PipelineConfig(lr_size=args.lr, patch_size=args.patch, d_k=args.dk,
-                            composite=composite)
-    return config, random_model(config, seed=args.seed)
+    # commands run the fused network, one convolution per stage, as perfbench does
+    if args.weights is None:
+        config = PipelineConfig(lr_size=args.lr, patch_size=args.patch, d_k=args.dk,
+                                composite=composite)
+        return config, fuse_pipeline_model(random_model(config, seed=args.seed))
+    model = load_model(args.weights)
+    config = config_for_model(model, lr_size=args.lr, composite=composite)
+    if config.patch_size != args.patch or config.d_k != args.dk:
+        # weight shapes win over flags; keep the run honest about it
+        print(json.dumps({"note": "patch/dk taken from weights",
+                          "patch": config.patch_size, "dk": config.d_k}),
+              file=sys.stderr)
+    return config, model if model.coarse.fused else fuse_pipeline_model(model)
 
 
 def _cmd_inpaint(args) -> int:

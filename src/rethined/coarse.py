@@ -36,41 +36,45 @@ from .tensor_ops import (
     upsample_nearest,
 )
 
-# (C_in, C_out, stride, skip) per block; dec1 (index 3) is the feature tap.
-# All blocks are stride 1 with a depthwise-stage skip, as the identity skip
-# requires; coarse_forward evaluates the three encoder blocks at every 2nd row
-# and column (step 2), which halves each extent.
-BLOCK_PLAN = ((4, 16, 1, True), (16, 32, 1, True), (32, 64, 1, True),
-              (64, 32, 1, True), (32, 16, 1, True))
+# (C_in, C_out) per block, each stride 1 with a depthwise-stage identity skip;
+# dec1 (index 3) is the feature tap.  coarse_forward evaluates the three
+# encoder blocks at every 2nd row and column (step 2), halving each extent.
+BLOCK_PLAN = ((4, 16), (16, 32), (32, 64), (64, 32), (32, 16))
 FEATURE_TAP = 3
-FEATURE_CHANNELS = 32
+FEATURE_CHANNELS = BLOCK_PLAN[FEATURE_TAP][1]
 ENCODER_FACTOR = 8  # three 2x decimations
 
 
 @dataclass(frozen=True)
 class RepBlock:
-    """One depthwise+pointwise stage pair; BN fields are None once fused."""
+    """One depthwise+pointwise stage pair; fused exactly when it holds no batchnorm."""
 
     main: ConvSpec
     main_bn: Optional[BatchNormParams]
     point: ConvSpec
     point_bn: Optional[BatchNormParams]
     skip_bn: Optional[BatchNormParams]
-    fused: bool = False
 
     def __post_init__(self):
         if self.skip_bn is not None and self.main.stride != 1:
             raise ValueError("identity skip requires stride 1")
-        if self.fused and (self.main_bn or self.point_bn or self.skip_bn):
-            raise ValueError("fused block must not retain batchnorm parameters")
+        if (self.point_bn is None) != self.fused or (self.fused and self.skip_bn is not None):
+            raise ValueError("partial batchnorm set: main_bn and point_bn come "
+                             "both or neither, and skip_bn only with both")
+
+    @property
+    def fused(self) -> bool:
+        return self.main_bn is None
 
 
 @dataclass(frozen=True)
 class CoarseModel:
     blocks: tuple
     final: ConvSpec
-    feature_tap: int = FEATURE_TAP
-    fused: bool = False
+
+    @property
+    def fused(self) -> bool:
+        return all(b.fused for b in self.blocks)
 
 
 def _depthwise3x3(x: np.ndarray, spec: ConvSpec, step: int) -> np.ndarray:
@@ -198,9 +202,9 @@ def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
             x, hx, wx = up, 2 * hx, 2 * wx
         step = 2 if i < 3 else 1  # the encoder decimates
         shape = (block.point.out_channels, -(-hx // step), -(-wx // step))
-        out = np.empty(shape, DTYPE) if i == model.feature_tap else _scratch("cnn.x", shape)
+        out = np.empty(shape, DTYPE) if i == FEATURE_TAP else _scratch("cnn.x", shape)
         x = _rep_block(block, x, step, out)
-        if i == model.feature_tap:
+        if i == FEATURE_TAP:
             features = x
     # the 1x1 is per-pixel, so it runs before the nearest 4x upsample, which
     # is a broadcast view: coarse = x_lr + up4(residual) * mask_lr
@@ -237,18 +241,15 @@ def fuse_block(block: RepBlock) -> RepBlock:
         w_main = w64.astype(DTYPE)
         b_main = (b_main.astype(np.float64) + block.skip_bn.beta.astype(np.float64)
                   - block.skip_bn.mu.astype(np.float64) * factor).astype(DTYPE)
-    main = ConvSpec(w_main, b_main.astype(DTYPE), block.main.stride,
-                    block.main.padding, block.main.groups)
     w_pt, b_pt = _fuse_conv_bn(block.point, block.point_bn)
-    point = ConvSpec(w_pt, b_pt, block.point.stride, block.point.padding, block.point.groups)
-    return RepBlock(main, None, point, None, None, fused=True)
+    return RepBlock(replace(block.main, weights=w_main, bias=b_main), None,
+                    replace(block.point, weights=w_pt, bias=b_pt), None, None)
 
 
 def fuse_model(model: CoarseModel) -> CoarseModel:
-    """Return a forward-equivalent model with every block fused."""
-    if model.fused:
-        raise ValueError("model is already fused")
-    return replace(model, blocks=tuple(fuse_block(b) for b in model.blocks), fused=True)
+    """Return a forward-equivalent model with every block fused; fuse_block
+    rejects a block that already is."""
+    return replace(model, blocks=tuple(fuse_block(b) for b in model.blocks))
 
 
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -301,11 +302,9 @@ def random_coarse_model(rng: np.random.Generator) -> CoarseModel:
     """He-uniform weights with BN running stats calibrated on a seeded probe,
     so chained activations stay O(1) and fusion noise stays well under 1e-5."""
     stages = []
-    for ci, co, st, sk in BLOCK_PLAN:
-        main = ConvSpec(_he_uniform(rng, (ci, 1, 3, 3), 9), None,
-                        stride=st, padding=1, groups=ci)
-        point = ConvSpec(_he_uniform(rng, (co, ci, 1, 1), ci), None)
-        stages.append((main, point, sk))
+    for ci, co in BLOCK_PLAN:
+        main = ConvSpec(_he_uniform(rng, (ci, 1, 3, 3), 9), None, padding=1, groups=ci)
+        stages.append((main, ConvSpec(_he_uniform(rng, (co, ci, 1, 1), ci))))
     # damped final projection keeps the residual near image range
     final = ConvSpec(
         _he_uniform(rng, (3, BLOCK_PLAN[-1][1], 1, 1), BLOCK_PLAN[-1][1]) * DTYPE(0.25),
@@ -315,17 +314,13 @@ def random_coarse_model(rng: np.random.Generator) -> CoarseModel:
     probe_mask = (rng.random((1, 128, 128)) < 0.4).astype(DTYPE)
     x = np.concatenate([probe_img * (1.0 - probe_mask), probe_mask], axis=0)
     blocks = []
-    for i, (main, point, sk) in enumerate(stages):
+    for i, (main, point) in enumerate(stages):
         if i == 4:
             x = upsample_nearest(x, 2)
         pre = conv2d(x, main)
         main_bn = _calibrated_bn(rng, pre)
-        y = batchnorm(pre, main_bn)
-        skip_bn = None
-        if sk:
-            skip_bn = _calibrated_bn(rng, x)
-            y = y + batchnorm(x, skip_bn)
-        y = relu(y)
+        skip_bn = _calibrated_bn(rng, x)
+        y = relu(batchnorm(pre, main_bn) + batchnorm(x, skip_bn))
         pre2 = conv2d(y, point)
         point_bn = _calibrated_bn(rng, pre2)
         x = relu(batchnorm(pre2, point_bn))

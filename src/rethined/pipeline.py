@@ -74,10 +74,6 @@ class InpaintingModel:
     coarse: CoarseModel
     npm: NpmWeights
 
-    @property
-    def fused(self) -> bool:
-        return self.coarse.fused
-
 
 def random_model(config: PipelineConfig, seed: int = 0) -> InpaintingModel:
     """Deterministic He-uniform initialized model for untrained runs."""
@@ -123,16 +119,6 @@ def model_to_tensors(model: InpaintingModel) -> dict:
     return out
 
 
-def _bn_from(tensors: dict, prefix: str):
-    keys = [f"{prefix}.{f}" for f in ("mu", "sigma", "gamma", "beta")]
-    present = [k in tensors for k in keys]
-    if not any(present):
-        return None
-    if not all(present):
-        raise WeightFormatError(f"incomplete batchnorm parameter set at '{prefix}'")
-    return BatchNormParams(*(tensors[k] for k in keys))
-
-
 def _tensor(tensors: dict, name: str, want: tuple | None = None) -> np.ndarray:
     """tensors[name], checked against the shape `want` if one is given."""
     if name not in tensors:
@@ -142,39 +128,55 @@ def _tensor(tensors: dict, name: str, want: tuple | None = None) -> np.ndarray:
     return tensors[name]
 
 
+def _bias(tensors: dict, name: str, channels: int):
+    return _tensor(tensors, name, (channels,)) if name in tensors else None
+
+
+def _bn_from(tensors: dict, prefix: str, channels: int):
+    keys = [f"{prefix}.{f}" for f in ("mu", "sigma", "gamma", "beta")]
+    if not any(k in tensors for k in keys):
+        return None
+    mu, sigma, gamma, beta = (_tensor(tensors, k, (channels,)) for k in keys)
+    if not (sigma > 0).all():
+        raise WeightFormatError(f"tensor '{keys[1]}' holds a value <= 0")
+    return BatchNormParams(mu, sigma, gamma, beta)
+
+
 def model_from_tensors(tensors: dict) -> InpaintingModel:
-    """Build a model from named tensors, checking that every value is finite
-    and every shape the chain relies on matches BLOCK_PLAN, 3P^2 and
-    d_k + FEATURE_CHANNELS."""
+    """Build a model from named tensors, checking that every value is finite,
+    every BN sigma positive, every shape the chain relies on matches
+    BLOCK_PLAN, 3P^2 and d_k + FEATURE_CHANNELS, and that the container
+    holds no tensor the model does not read."""
     for name, t in tensors.items():
         if not np.isfinite(t).all():
             raise WeightFormatError(f"tensor '{name}' holds a NaN or infinite value")
     blocks = []
-    for i, (c_in, c_out, stride, _skip) in enumerate(BLOCK_PLAN):
+    for i, (c_in, c_out) in enumerate(BLOCK_PLAN):
         main = ConvSpec(_tensor(tensors, f"blocks.{i}.main.weight", (c_in, 1, 3, 3)),
-                        tensors.get(f"blocks.{i}.main.bias"), stride, padding=1, groups=c_in)
+                        _bias(tensors, f"blocks.{i}.main.bias", c_in), padding=1, groups=c_in)
         point = ConvSpec(_tensor(tensors, f"blocks.{i}.point.weight", (c_out, c_in, 1, 1)),
-                         tensors.get(f"blocks.{i}.point.bias"))
-        main_bn = _bn_from(tensors, f"blocks.{i}.main.bn")
-        point_bn = _bn_from(tensors, f"blocks.{i}.point.bn")
-        skip_bn = _bn_from(tensors, f"blocks.{i}.skip.bn")
-        if (main_bn is None) != (point_bn is None) or (skip_bn is not None and main_bn is None):
-            raise WeightFormatError(f"block {i} holds a partial batchnorm set: main.bn and "
-                                    "point.bn come both or neither, and skip.bn only with both")
-        blocks.append(RepBlock(main, main_bn, point, point_bn, skip_bn, fused=main_bn is None))
-    fused_flags = {b.fused for b in blocks}
-    if len(fused_flags) != 1:
+                         _bias(tensors, f"blocks.{i}.point.bias", c_out))
+        bns = [_bn_from(tensors, f"blocks.{i}.{stage}.bn", c)
+               for stage, c in (("main", c_in), ("point", c_out), ("skip", c_in))]
+        try:
+            blocks.append(RepBlock(main, bns[0], point, *bns[1:]))
+        except ValueError as e:
+            raise WeightFormatError(f"block {i} holds a {e}") from None
+    if len({b.fused for b in blocks}) != 1:
         raise WeightFormatError("container mixes fused and unfused blocks")
     final = ConvSpec(_tensor(tensors, "final.weight", (3, BLOCK_PLAN[-1][1], 1, 1)),
-                     _tensor(tensors, "final.bias"))
+                     _tensor(tensors, "final.bias", (3,)))
     embed, m_q = _tensor(tensors, "npm.embed"), _tensor(tensors, "npm.m_q")
     p2, d_k = embed.shape if embed.ndim == 2 else (0, 0)
     patch = max(1, math.isqrt(p2 // 3))
     _tensor(tensors, "npm.embed", (3 * patch * patch, d_k))
     _tensor(tensors, "npm.m_q", (d_k + FEATURE_CHANNELS, m_q.shape[-1] if m_q.ndim == 2 else -1))
     npm = NpmWeights(embed, ProjectionWeights(m_q, _tensor(tensors, "npm.m_k", m_q.shape)))
-    coarse = CoarseModel(blocks=tuple(blocks), final=final, fused=fused_flags.pop())
-    return InpaintingModel(coarse=coarse, npm=npm)
+    model = InpaintingModel(coarse=CoarseModel(blocks=tuple(blocks), final=final), npm=npm)
+    unread = sorted(set(tensors) - set(model_to_tensors(model)))
+    if unread:
+        raise WeightFormatError(f"weight container holds tensors the model does not read: {unread}")
+    return model
 
 
 def save_model(model: InpaintingModel, path) -> None:

@@ -1,12 +1,11 @@
 """Coarse network and reparametrization tests; the unfused forward is the
 oracle for every fusion check."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from rethined.coarse import (
+    FEATURE_TAP,
     BatchNormParams,
     CoarseModel,
     ConvSpec,
@@ -183,6 +182,59 @@ class TestFuseModel:
             assert np.abs(c1 - c2).max() < 1e-5
 
 
+class TestDerivedStructure:
+    """A block's form is read off its batchnorms, and a model stores only its
+    blocks and final projection."""
+
+    def test_block_without_batchnorms_runs_fused(self):
+        rng = np.random.default_rng(8)
+        block = RepBlock(
+            main=ConvSpec(rng.standard_normal((5, 1, 3, 3)).astype(F32),
+                          rng.standard_normal(5).astype(F32), stride=1, padding=1, groups=5),
+            main_bn=None,
+            point=ConvSpec(rng.standard_normal((7, 5, 1, 1)).astype(F32),
+                           rng.standard_normal(7).astype(F32)),
+            point_bn=None,
+            skip_bn=None,
+        )
+        assert block.fused
+        x = rng.uniform(-1, 1, (5, 12, 10)).astype(F32)
+        for step in (1, 2):
+            got = rep_block_forward(block, x, step)
+            assert np.abs(got - seed_block_forward(block, x)[:, ::step, ::step]).max() < 1e-5
+
+    @pytest.mark.parametrize("bns", [(True, False, False), (False, True, False),
+                                     (False, False, True), (True, False, True),
+                                     (False, True, True)],
+                             ids=["main", "point", "skip", "main+skip", "point+skip"])
+    def test_partial_batchnorm_set_rejected(self, bns):
+        block = random_rep_block(np.random.default_rng(3), 2, 3, 1, skip=True)
+        main_bn, point_bn, skip_bn = (bn if keep else None for bn, keep in
+                                      zip((block.main_bn, block.point_bn, block.skip_bn), bns))
+        with pytest.raises(ValueError, match="partial batchnorm set"):
+            RepBlock(block.main, main_bn, block.point, point_bn, skip_bn)
+
+    def test_model_fused_follows_its_blocks(self):
+        model = random_coarse_model(np.random.default_rng(4))
+        fused = fuse_model(model)
+        assert not model.fused and fused.fused
+        mixed = CoarseModel(blocks=fused.blocks[:1] + model.blocks[1:], final=model.final)
+        assert not mixed.fused
+        with pytest.raises(ValueError, match="already fused"):
+            fuse_model(mixed)
+
+    def test_stored_flags_are_not_fields(self):
+        block = random_rep_block(np.random.default_rng(5), 2, 3, 1, skip=True)
+        model = random_coarse_model(np.random.default_rng(5))
+        with pytest.raises(TypeError):
+            RepBlock(block.main, block.main_bn, block.point, block.point_bn, block.skip_bn,
+                     fused=False)
+        with pytest.raises(TypeError):
+            CoarseModel(blocks=model.blocks, final=model.final, feature_tap=3)
+        with pytest.raises(TypeError):
+            CoarseModel(blocks=model.blocks, final=model.final, fused=False)
+
+
 def seed_block_forward(block, x):
     """The full-size block forward: every convolution through conv2d."""
     if block.fused:
@@ -204,7 +256,7 @@ def seed_coarse_forward(model, x_lr, mask_lr):
         x = seed_block_forward(block, x)
         if i < 3:
             x = np.ascontiguousarray(x[:, ::2, ::2])
-        if i == model.feature_tap:
+        if i == FEATURE_TAP:
             features = x
     residual = conv2d(upsample_nearest(x, 4), model.final)
     return (x_lr + residual * mask_lr).astype(F32), features
@@ -324,7 +376,7 @@ def alloc_coarse_forward(model, x_lr, mask_lr):
             if block.skip_bn is not None:
                 y = y + batchnorm(x[:, ::step, ::step], block.skip_bn)
             x = relu(batchnorm(alloc_pointwise(relu(y), block.point), block.point_bn))
-        if i == model.feature_tap:
+        if i == FEATURE_TAP:
             features = x
     residual = upsample_nearest(alloc_pointwise(x, model.final), 4)
     return (x_lr + residual * mask_lr).astype(F32, copy=False), features
@@ -335,15 +387,15 @@ class TestWorkspaceForward:
     allocating forward it replaced is the byte-equality oracle, and public
     functions return new arrays."""
 
-    @pytest.mark.parametrize("h,w,tap", [(64, 64, 3), (256, 256, 3), (256, 128, 3),
-                                         (8, 16, 3), (64, 64, 1), (64, 64, 4)])
+    # each case's id and seed end in the tapped block's index
+    @pytest.mark.parametrize("h,w", [pytest.param(h, w, id=f"{h}-{w}-{FEATURE_TAP}")
+                                     for h, w in ((64, 64), (256, 256), (256, 128), (8, 16))])
     @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
-    def test_bytes_equal_allocating_forward(self, h, w, tap, fused):
-        rng = np.random.default_rng(h * w + tap)
+    def test_bytes_equal_allocating_forward(self, h, w, fused):
+        rng = np.random.default_rng(h * w + FEATURE_TAP)
         model = random_coarse_model(rng)
         if fused:
             model = fuse_model(model)
-        model = replace(model, feature_tap=tap)
         x = rng.random((3, h, w)).astype(F32)
         mask = (rng.random((1, h, w)) < 0.4).astype(F32)
         c1, f1 = coarse_forward(model, x * (1 - mask), mask)

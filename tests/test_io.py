@@ -1,6 +1,8 @@
 """Weight container and PNM serialization tests: byte-identical round-trips
 and defined errors for malformed data."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rethined.image_io import (
 from rethined.pipeline import (
     PipelineConfig,
     config_for_model,
+    fuse_pipeline_model,
     load_model,
     model_from_tensors,
     model_to_tensors,
@@ -191,7 +194,7 @@ class TestWeightContainer:
         for name in [n for n in tensors if n.startswith("blocks.3.skip.bn.")]:
             del tensors[name]
         model = model_from_tensors(tensors)
-        assert model.coarse.blocks[3].skip_bn is None and not model.fused
+        assert model.coarse.blocks[3].skip_bn is None and not model.coarse.fused
         image = np.random.default_rng(2).random((3, 64, 64)).astype(F32)
         mask = np.zeros((1, 64, 64), F32)
         mask[0, 10:30, 20:40] = 1
@@ -212,6 +215,73 @@ class TestWeightContainer:
         save_tensors(tensors, path)
         with pytest.raises(WeightFormatError, match=name.replace(".", r"\.")):
             load_model(path)
+
+
+    # block 1 is 16 -> 32 wide: main and skip batchnorms are 16 wide, point's 32
+    @pytest.mark.parametrize("fused,name,shape", [
+        (False, "blocks.1.main.bn.mu", (5,)),
+        (False, "blocks.1.main.bn.sigma", (32,)),
+        (False, "blocks.1.point.bn.gamma", (16,)),
+        (False, "blocks.1.skip.bn.beta", (32,)),
+        (False, "blocks.1.main.bias", (32,)),
+        (True, "blocks.1.main.bias", (32,)),
+        (True, "blocks.1.point.bias", (16,)),
+        (True, "blocks.4.point.bias", (16, 1)),
+        (False, "final.bias", (16,)),
+    ], ids=lambda v: ("fused" if v else "unfused") if isinstance(v, bool) else str(v))
+    def test_model_batchnorm_or_bias_shape_rejected(self, tmp_path, fused, name, shape):
+        model = random_model(PipelineConfig(lr_size=64, patch_size=8, d_k=16), seed=7)
+        tensors = model_to_tensors(fuse_pipeline_model(model) if fused else model)
+        tensors[name] = np.ones(shape, F32)
+        with pytest.raises(WeightFormatError, match=name.replace(".", r"\.")):
+            model_from_tensors(tensors)
+        path = tmp_path / "w.rthd"
+        save_tensors(tensors, path)
+        with pytest.raises(WeightFormatError, match=name.replace(".", r"\.")):
+            load_model(path)
+
+    def test_model_five_wide_batchnorm_rejected(self):
+        # the whole set 5 wide over a 16-wide stage
+        tensors = model_to_tensors(random_model(PipelineConfig(lr_size=64, d_k=16), seed=7))
+        for field in ("mu", "sigma", "gamma", "beta"):
+            tensors[f"blocks.1.main.bn.{field}"] = np.ones(5, F32)
+        with pytest.raises(WeightFormatError, match=r"blocks\.1\.main\.bn\.mu' has shape \(5,\)"):
+            model_from_tensors(tensors)
+
+    @pytest.mark.parametrize("value", [0.0, -0.5])
+    @pytest.mark.parametrize("name", ["blocks.0.main.bn.sigma", "blocks.3.skip.bn.sigma"])
+    def test_model_non_positive_sigma_rejected(self, tmp_path, name, value):
+        tensors = model_to_tensors(random_model(PipelineConfig(lr_size=64, d_k=16), seed=3))
+        tensors[name] = tensors[name].copy()
+        tensors[name][-1] = value
+        path = tmp_path / "w.rthd"
+        save_tensors(tensors, path)
+        with pytest.raises(WeightFormatError, match=re.escape(f"'{name}' holds a value <= 0")):
+            load_model(path)
+
+    @pytest.mark.parametrize("extra", [("blocks.5.main.weight",), ("npm.m_v",),
+                                       ("blocks.0.skip.weight", "final.scale")], ids="+".join)
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_model_unread_tensor_rejected(self, tmp_path, extra, fused):
+        model = random_model(PipelineConfig(lr_size=64, d_k=16), seed=4)
+        tensors = model_to_tensors(fuse_pipeline_model(model) if fused else model)
+        for name in extra:
+            tensors[name] = np.zeros((3, 3), F32)
+        path = tmp_path / "w.rthd"
+        save_tensors(tensors, path)
+        with pytest.raises(WeightFormatError, match="does not read") as err:
+            load_model(path)
+        assert str(sorted(extra)) in str(err.value)
+
+    def test_model_mixing_fused_and_unfused_blocks_rejected(self):
+        model = random_model(PipelineConfig(lr_size=64, d_k=16), seed=5)
+        tensors = model_to_tensors(model)
+        fused = model_to_tensors(fuse_pipeline_model(model))
+        for name in [n for n in tensors if n.startswith("blocks.0.")]:
+            del tensors[name]
+        tensors.update((n, t) for n, t in fused.items() if n.startswith("blocks.0."))
+        with pytest.raises(WeightFormatError, match="mixes fused and unfused blocks"):
+            model_from_tensors(tensors)
 
 
 class TestPpmPgm:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import rethined
-from rethined import bench, pipeline, tensor_ops
+from rethined import bench, cli, pipeline, tensor_ops
 from rethined.attention import AttentionMap, npm_refine
 from rethined.bench import (
     attention_flops,
@@ -40,6 +40,7 @@ from rethined.pipeline import (
     config_for_model,
     downsample_to_lr,
     fuse_pipeline_model,
+    model_to_tensors,
     random_model,
     run_pipeline,
     run_pipeline_timed,
@@ -609,7 +610,7 @@ class TestCli:
         capsys.readouterr()
         from rethined.pipeline import load_model
         fused = load_model(fused_path)
-        assert fused.fused
+        assert fused.coarse.fused
 
     def test_genmask_command(self, tmp_path, capsys):
         out = tmp_path / "m.pgm"
@@ -657,7 +658,7 @@ class TestCli:
         config = PipelineConfig(lr_size=64, d_k=16)
         image, mask = read_image(img_path), read_mask(mask_path)
         want_path = tmp_path / "want.ppm"
-        write_image(run_pipeline(config, random_model(config, seed=3),
+        write_image(run_pipeline(config, fuse_pipeline_model(random_model(config, seed=3)),
                                  image * (1.0 - mask), mask), want_path)
         assert out_path.read_bytes() == want_path.read_bytes()
 
@@ -675,9 +676,31 @@ class TestCli:
         assert json.loads(captured.out)["random_weights"] is False
         image, mask = read_image(img_path), read_mask(mask_path)
         want_path = tmp_path / "want.ppm"
-        write_image(run_pipeline(config_for_model(model, lr_size=64), model,
+        write_image(run_pipeline(config_for_model(model, lr_size=64), fuse_pipeline_model(model),
                                  image * (1.0 - mask), mask), want_path)
         assert out_path.read_bytes() == want_path.read_bytes()
+
+    @pytest.mark.parametrize("weights", [None, "unfused", "fused"])
+    def test_inpaint_runs_fused_model(self, tmp_path, capsys, monkeypatch, weights):
+        # perfbench runs the fused network; so does the CLI, whatever it loads
+        img_path, mask_path = self._write_inputs(tmp_path)
+        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
+        model = random_model(config, seed=3)
+        flags = ["--seed", "3"]
+        if weights is not None:
+            save_model(model if weights == "unfused" else fuse_pipeline_model(model),
+                       tmp_path / "w.rthd")
+            flags = ["--weights", str(tmp_path / "w.rthd")]
+        ran = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda c, m, *a: ran.append(m) or run_pipeline(c, m, *a))
+        out_path = tmp_path / "out.ppm"
+        cli_main(["inpaint", "--image", str(img_path), "--mask", str(mask_path),
+                  "--out", str(out_path), "--lr", "64", "--dk", "16"] + flags)
+        capsys.readouterr()
+        want = model_to_tensors(fuse_pipeline_model(model))
+        got = model_to_tensors(ran[0])
+        assert ran[0].coarse.fused and list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
     def test_bench_command(self, tmp_path, capsys):
         report = tmp_path / "bench.csv"
