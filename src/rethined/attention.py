@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .patches import PatchGrid, TokenMatrix, img2col, pixel_shuffle, tokenize_mask, embed_and_condition
-from .tensor_ops import DTYPE, _reflect_indices, _scratch, require_binary, softmax_rows
+from .tensor_ops import (DTYPE, _one_blas_thread, _reflect_indices, _scratch, require_binary,
+                         softmax_rows)
 
 
 class AllPatchesCorruptedError(ValueError):
@@ -110,13 +111,15 @@ class AttentionMap:
 
 def attention_scores(tokens: TokenMatrix, weights: ProjectionWeights) -> AttentionMap:
     """Scaled dot-product affinities A = softmax(Q K^T / sqrt(d_k)), held as
-    the projections Q and K: mask_attention computes the entries it keeps."""
+    the projections Q and K: mask_attention computes the entries it keeps.
+    The projections run holding OpenBLAS at one thread."""
     if weights.m_q.shape[0] != tokens.x.shape[1]:
         raise ValueError(
             f"projection takes {weights.m_q.shape[0]}-wide tokens, got {tokens.x.shape[1]}"
         )
-    q = tokens.x @ weights.m_q
-    k = tokens.x @ weights.m_k
+    with _one_blas_thread():
+        q = tokens.x @ weights.m_q
+        k = tokens.x @ weights.m_k
     return AttentionMap(None, False, tokens.rows, tokens.cols, q=q, k=k)
 
 
@@ -125,10 +128,10 @@ def mask_attention(amap: AttentionMap, mask_vec: np.ndarray) -> AttentionMap:
     each corrupted patch draws from the clean patches only.
 
     A map from attention_scores gets the max-subtracted float32 softmax of
-    Q[corrupt] K[clean]^T / sqrt(d_k), over the clean columns only.  A
-    caller's dense map gets the clean columns of its corrupted rows,
-    renormalised to sum 1; such a row with no weight on any clean column
-    raises ValueError.
+    Q[corrupt] K[clean]^T / sqrt(d_k), over the clean columns only, its
+    product run holding OpenBLAS at one thread.  A caller's dense map gets
+    the clean columns of its corrupted rows, renormalised to sum 1; such a
+    row with no weight on any clean column raises ValueError.
     """
     if amap.masked:
         raise ValueError("attention map is already masked")
@@ -141,7 +144,8 @@ def mask_attention(amap: AttentionMap, mask_vec: np.ndarray) -> AttentionMap:
         raise AllPatchesCorruptedError("every patch is corrupted; nothing to attend to")
 
     if amap.dense is None:
-        w = amap.q[corrupt] @ amap.k[clean].T
+        with _one_blas_thread():
+            w = amap.q[corrupt] @ amap.k[clean].T
         w /= np.float32(math.sqrt(amap.q.shape[1]))
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
@@ -196,19 +200,27 @@ def _boundary_band(mask_vec: np.ndarray, rows: int, cols: int, patch_size: int) 
     right[:, :-1] = corr[:, :-1] | corr[:, 1:]
 
     lo, hi = np.arange(p) < 2, np.arange(p) >= p - 2
-    # band[r, y, c, x] is pixel (y, x) of patch (r, c)
-    band = ((top[:, None, :, None] & lo[:, None, None])
-            | (bot[:, None, :, None] & hi[:, None, None])
-            | (left[:, None, :, None] & lo)
-            | (right[:, None, :, None] & hi))
+    # band[r, y, c * p + x] is pixel (y, x) of patch (r, c): the rows its
+    # top or bottom edge marks, widened to whole patch rows, or the columns
+    # its left or right edge marks
+    band = np.repeat((top[:, None] & lo[:, None]) | (bot[:, None] & hi[:, None]), p, axis=2)
+    band |= ((left[:, :, None] & lo) | (right[:, :, None] & hi)).reshape(rows, 1, cols * p)
     return band.reshape(rows * p, cols * p)
 
 
 def coherence(image: np.ndarray, mask_vec: np.ndarray, patch_size: int) -> np.ndarray:
     """Smooth 2-px bands around corrupted-patch boundaries with a 3x3
-    Gaussian (sigma 0.8); all other pixels pass through bit-unchanged.  One
-    whole-image pass in the coarse CNN's workspace roles, whose lifetimes end
-    when coarse_forward returns: "dw.phases", "cnn.x" and "dw.acc"."""
+    Gaussian (sigma 0.8); all other pixels pass through bit-unchanged.  It
+    filters the whole image at once, in the coarse CNN's workspace roles,
+    whose lifetimes end when coarse_forward returns: "dw.phases", "cnn.x"
+    and "dw.acc".
+
+    Both 1-D passes run on each channel of the reflect-padded image as one
+    flat run, as _depthwise3x3's taps do: a pixel's W neighbours are the
+    elements beside it and its H neighbours one padded row away, so every
+    step is a contiguous 1-D loop.  The values computed at padding
+    positions are dropped.
+    """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
     _, h, w = image.shape
@@ -228,24 +240,32 @@ def coherence(image: np.ndarray, mask_vec: np.ndarray, patch_size: int) -> np.nd
     dtype = np.result_type(image, k1)
     pad = _scratch("dw.phases", (3, h + 2, w + 2), dtype)
     pad[:, 1:-1, 1:-1] = image
-    pad[:, [0, -1]] = pad[:, 1 + _reflect_indices(h, 1)[[0, -1]]]
-    pad[:, :, [0, -1]] = pad[:, :, 1 + _reflect_indices(w, 1)[[0, -1]]]
-    x = pad[:, :, 1:-1]
-    # W pass into `low`, then H pass into `two` (pad is free by then)
-    low = _scratch("cnn.x", (3, h + 2, w), dtype)
-    two = _scratch("dw.acc", (3, h + 2, w), dtype)
-    np.add(pad[:, :, 2:], pad[:, :, :-2], out=low)
-    np.add(x, x, out=two)
-    low -= two
-    np.multiply(k1, low, out=low)
-    np.add(x, low, out=low)
-    mid, s, d = low[:, 1:-1], two[:, :h], pad[:, :h, :w]
-    np.add(low[:, 2:], low[:, :-2], out=s)
-    np.add(mid, mid, out=d)
-    s -= d
-    np.multiply(k1, s, out=s)
-    np.add(mid, s, out=s)
-    np.copyto(out, s, where=band)
+    top, bottom = 1 + _reflect_indices(h, 1)[[0, -1]]
+    pad[:, 0], pad[:, -1] = pad[:, top], pad[:, bottom]
+    left, right = 1 + _reflect_indices(w, 1)[[0, -1]]
+    pad[:, :, 0], pad[:, :, -1] = pad[:, :, left], pad[:, :, right]
+    # per channel plane, whose arrays then share a core's L2: the W pass
+    # into `low`, low[i] the filtered padded pixel i + 1, then the H pass
+    # into `sm`, sm[k] the filtered pixel k + s + 1 of the plane, so pixel
+    # (y, x) is sm[y * s + x], the last (h - 1, w - 1) at k = n - 1; `d`
+    # takes the plane's pad, which is free by then
+    size, s = (h + 2) * (w + 2), w + 2
+    n = size - 2 * s - 2
+    low = _scratch("cnn.x", (size - 2,), dtype)
+    two = _scratch("dw.acc", (3, size), dtype)
+    for flat, plane in zip(pad.reshape(3, size), two):
+        x, mid, sm, d = flat[1:-1], low[s:s + n], plane[:n], flat[:n]
+        np.add(flat[2:], flat[:-2], out=low)
+        np.add(x, x, out=plane[:-2])
+        low -= plane[:-2]
+        np.multiply(k1, low, out=low)
+        np.add(x, low, out=low)
+        np.add(low[2 * s:], low[:n], out=sm)
+        np.add(mid, mid, out=d)
+        sm -= d
+        np.multiply(k1, sm, out=sm)
+        np.add(mid, sm, out=sm)
+    np.copyto(out, two.reshape(3, h + 2, s)[:, :h, :w], where=band)
     return out
 
 

@@ -12,9 +12,10 @@ The forward computes only the pixels it keeps.  The depthwise stage runs as
 nine shifted multiply-adds that read every `step`-th row and column, so an
 encoder block evaluates its 3x3 only at the positions its 2x decimation
 keeps; BN, ReLU, the skip and the 1x1 are per-pixel, so they commute with the
-decimation.  Every 1x1 is one einsum on the calling thread, and the final 1x1
-runs at 1/4 LR before the 4x nearest upsample.  tensor_ops.conv2d is the
-oracle for both kernels.
+decimation.  Every 1x1 is one sgemm, run while the forward holds OpenBLAS at
+one thread (tensor_ops._one_blas_thread), and the final 1x1 runs at 1/4 LR
+before the 4x nearest upsample.  tensor_ops.conv2d is the oracle for both
+kernels.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .tensor_ops import (
     ConvSpec,
     batchnorm,
     conv2d,
+    _one_blas_thread,
     _scratch,
     relu,
     require_binary,
@@ -81,11 +83,13 @@ def _depthwise3x3(x: np.ndarray, spec: ConvSpec, step: int) -> np.ndarray:
     """3x3 depthwise cross-correlation, zero padding 1, at every `step`-th
     row and column: conv2d(x, spec)[:, ::step, ::step] up to float rounding.
 
-    Nine shifted multiply-adds.  The step x step polyphase components of the
-    zero-padded input are written straight from `x`, each flattened per
-    channel, so every tap reads one contiguous run; the `halo` spare columns
-    of each row are computed and dropped.  Returns a workspace array (role
-    "dw.tmp"), valid until the next call on this thread.
+    Nine shifted multiply-adds, the first written straight into the
+    accumulator.  The step x step polyphase components of the zero-padded
+    input are written straight from `x`, each flattened per channel, so
+    every tap reads one contiguous run; only their padding frame is zeroed.
+    The `halo` spare columns of each row are computed and dropped.  Returns
+    a workspace array (role "dw.tmp"), valid until the next call on this
+    thread.
     """
     c, h, w = x.shape
     if (spec.kernel_size, spec.padding, spec.stride, spec.groups, spec.in_channels,
@@ -96,25 +100,27 @@ def _depthwise3x3(x: np.ndarray, spec: ConvSpec, step: int) -> np.ndarray:
     rows, cols = h_out + halo + 1, w_out + halo  # +1 row: the last run overruns a row
     k = min(step, 3)
     phases = _scratch("dw.phases", (k, k, c, rows * cols))
-    phases.fill(0)
     for a in range(k):
         for b in range(k):
             # phase (a, b) holds padded pixel (a + step*i, b + step*j), which
             # is x[a + step*i - 1, b + step*j - 1]; i starts at 1 when a == 0
             src = x[:, (a - 1) % step::step, (b - 1) % step::step]
             i0, j0 = int(a == 0), int(b == 0)
+            i1, j1 = i0 + src.shape[1], j0 + src.shape[2]
             dst = phases[a, b].reshape(c, rows, cols)
-            dst[:, i0:i0 + src.shape[1], j0:j0 + src.shape[2]] = src
+            dst[:, i0:i1, j0:j1] = src
+            dst[:, :i0] = dst[:, i1:] = dst[:, i0:i1, :j0] = dst[:, i0:i1, j1:] = 0
     taps = spec.weights.reshape(c, 9, 1)
     n = h_out * cols
     acc = _scratch("dw.acc", (c, n))
-    acc.fill(0)
     tmp = _scratch("dw.tmp", (c, n))
     for t in range(9):
         dy, dx = divmod(t, 3)
         start = (dy // step) * cols + dx // step
-        np.multiply(taps[:, t], phases[dy % step, dx % step][:, start:start + n], out=tmp)
-        acc += tmp
+        np.multiply(taps[:, t], phases[dy % step, dx % step][:, start:start + n],
+                    out=tmp if t else acc)
+        if t:
+            acc += tmp
     kept = acc.reshape(c, h_out, cols)[:, :, :w_out]
     out = _scratch("dw.tmp", (c, h_out, w_out))  # tmp is dead; n >= h_out * w_out
     if spec.bias is None:
@@ -125,13 +131,14 @@ def _depthwise3x3(x: np.ndarray, spec: ConvSpec, step: int) -> np.ndarray:
 
 
 def _pointwise(x: np.ndarray, spec: ConvSpec, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """1x1 convolution W[C_out, C_in] . x[C_in, H*W] as one einsum, into
+    """1x1 convolution W[C_out, C_in] . x[C_in, H*W] as one sgemm, into
     `out` ([C_out, H, W] float32, not overlapping x) if given.
 
-    einsum without `optimize` runs on the calling thread.  At LR 256 these
-    products are at most 2 M multiply-adds, too small for BLAS threads to
-    pay: as a threaded GEMM each one waited for a second CPU, so the
-    forward's time followed the load of the machine.
+    Its callers hold OpenBLAS at one thread (tensor_ops._one_blas_thread):
+    at LR 256 these products are at most 2 M multiply-adds, too small for a
+    second BLAS thread to pay, and a threaded GEMM that waits for a
+    descheduled worker makes the forward's time follow the load of the
+    machine.  The hold also keeps the bytes independent of the thread count.
     """
     c, h, w = x.shape
     if spec.kernel_size != 1 or spec.groups != 1 or spec.in_channels != c:
@@ -139,8 +146,7 @@ def _pointwise(x: np.ndarray, spec: ConvSpec, out: Optional[np.ndarray] = None) 
     if out is None:
         out = np.empty((spec.out_channels, h, w), DTYPE)
     flat = out.reshape(spec.out_channels, h * w)
-    np.einsum("oi,ip->op", spec.weights.reshape(spec.out_channels, c),
-              x.reshape(c, h * w), out=flat)
+    np.matmul(spec.weights.reshape(spec.out_channels, c), x.reshape(c, h * w), out=flat)
     if spec.bias is not None:
         flat += spec.bias[:, None]
     return out
@@ -164,10 +170,12 @@ def _rep_block(block: RepBlock, x: np.ndarray, step: int, out: np.ndarray) -> np
 
 def rep_block_forward(block: RepBlock, x: np.ndarray, step: int = 1) -> np.ndarray:
     """One block on [C_in, H, W], evaluated at every `step`-th row and column:
-    rep_block_forward(block, x)[:, ::step, ::step] up to float rounding."""
+    rep_block_forward(block, x)[:, ::step, ::step] up to float rounding.
+    Runs holding OpenBLAS at one thread, as coarse_forward does."""
     _, h, w = x.shape
     out = np.empty((block.point.out_channels, -(-h // step), -(-w // step)), DTYPE)
-    return _rep_block(block, x, step, out)
+    with _one_blas_thread():
+        return _rep_block(block, x, step, out)
 
 
 def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
@@ -176,7 +184,7 @@ def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
     Returns (coarse, features): the [3, H, W] completion (residual applied
     only inside corrupted pixels) and the tapped [32, H/8, W/8] feature map.
     Both are new arrays; every other intermediate lives in this thread's
-    workspace.
+    workspace.  Holds OpenBLAS at one thread while it runs.
     """
     if x_lr.ndim != 3 or x_lr.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got shape {x_lr.shape}")
@@ -187,32 +195,35 @@ def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
         raise ValueError(f"input {h}x{w} not divisible by encoder factor {ENCODER_FACTOR}")
     require_binary(mask_lr)
 
-    # every block reads its input from "cnn.x" in full before it writes its
-    # output there; only the tapped features get their own array
-    x = _scratch("cnn.x", (4, h, w))
-    x[:3], x[3:] = x_lr, mask_lr
-    features = None
-    for i, block in enumerate(model.blocks):
-        c, hx, wx = x.shape
-        if i == 4:
-            # nearest 2x upsample as one broadcast copy (numpy buffers it if
-            # x is in "cnn.x" too)
-            up = _scratch("cnn.x", (c, 2 * hx, 2 * wx))
-            np.copyto(up.reshape(c, hx, 2, wx, 2), x[:, :, None, :, None])
-            x, hx, wx = up, 2 * hx, 2 * wx
-        step = 2 if i < 3 else 1  # the encoder decimates
-        shape = (block.point.out_channels, -(-hx // step), -(-wx // step))
-        out = np.empty(shape, DTYPE) if i == FEATURE_TAP else _scratch("cnn.x", shape)
-        x = _rep_block(block, x, step, out)
-        if i == FEATURE_TAP:
-            features = x
-    # the 1x1 is per-pixel, so it runs before the nearest 4x upsample, which
-    # is a broadcast view: coarse = x_lr + up4(residual) * mask_lr
-    _, hr, wr = x.shape
-    residual = _pointwise(x, model.final, _scratch("coarse.residual", (3, hr, wr)))
+    # one BLAS thread for the 1x1s' sgemms (see _pointwise)
+    with _one_blas_thread():
+        # every block reads its input from "cnn.x" in full before it writes
+        # its output there; only the tapped features get their own array
+        x = _scratch("cnn.x", (4, h, w))
+        x[:3], x[3:] = x_lr, mask_lr
+        features = None
+        for i, block in enumerate(model.blocks):
+            c, hx, wx = x.shape
+            if i == 4:
+                # nearest 2x upsample: columns doubled by np.repeat, then each
+                # row copied twice, so every copy runs along whole rows
+                up = _scratch("cnn.x", (c, 2 * hx, 2 * wx))
+                np.copyto(up.reshape(c, hx, 2, 2 * wx), np.repeat(x, 2, axis=2)[:, :, None])
+                x, hx, wx = up, 2 * hx, 2 * wx
+            step = 2 if i < 3 else 1  # the encoder decimates
+            shape = (block.point.out_channels, -(-hx // step), -(-wx // step))
+            out = np.empty(shape, DTYPE) if i == FEATURE_TAP else _scratch("cnn.x", shape)
+            x = _rep_block(block, x, step, out)
+            if i == FEATURE_TAP:
+                features = x
+        # the 1x1 is per-pixel, so it runs before the nearest 4x upsample:
+        # coarse = x_lr + up4(residual) * mask_lr, with the residual's
+        # columns repeated and its rows broadcast
+        _, hr, wr = x.shape
+        residual = _pointwise(x, model.final, _scratch("coarse.residual", (3, hr, wr)))
     coarse = np.empty((3, h, w), DTYPE)
-    np.multiply(residual[:, :, None, :, None], mask_lr.reshape(1, hr, 4, wr, 4),
-                out=coarse.reshape(3, hr, 4, wr, 4))
+    np.multiply(np.repeat(residual, 4, axis=2)[:, :, None], mask_lr.reshape(1, hr, 4, w),
+                out=coarse.reshape(3, hr, 4, w))
     np.add(x_lr, coarse, out=coarse)
     return coarse, features
 

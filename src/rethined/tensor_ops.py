@@ -17,14 +17,15 @@ only resizes the coarse features.
 `_one_blas_thread` holds numpy's OpenBLAS at one thread, and `_split` runs a
 full-resolution loop as contiguous slices of its strips, blocks or rows, one
 slice per CPU of the process affinity, on short-lived threads and the
-caller.  While a chain (`run_pipeline`) or a split kernel runs, every BLAS
-call in the process uses one thread, so none wakes OpenBLAS's idle workers,
-which would spin on the CPU a slice needs.  Each slice gets whole strips or
-blocks and its own scratch, so results do not depend on the number of
-slices.  `run_pipeline`'s bytes do not depend on the BLAS thread count
-either; that is an empirical property of numpy's bundled OpenBLAS, which the
-tests check.  On other BLAS builds there is no hold and no split: every loop
-runs on the calling thread.
+caller.  While a chain (`run_pipeline`), an LR kernel that calls BLAS
+(`coarse_forward`, `attention_scores`, `mask_attention`) or a split kernel
+runs, every BLAS call in the process uses one thread, so none wakes
+OpenBLAS's idle workers, which would spin on the CPU a slice needs.  Each
+slice gets whole strips or blocks and its own scratch, so results do not
+depend on the number of slices.  `run_pipeline`'s bytes do not depend on the
+BLAS thread count either; that is an empirical property of numpy's bundled
+OpenBLAS, which the tests check.  On other BLAS builds there is no hold and
+no split: every loop runs on the calling thread.
 
 `_downsample` applies A = S G per axis, a Gaussian and a bilinear sampling
 (`_lr_blocks`), to take the HR image to the LR input; `gaussian_blur` is the
@@ -440,13 +441,17 @@ def _lr_band_width(n: int, sigma: float) -> int:
 _LR_BLOCK = 8
 
 
-def _lr_blocks(n: int, out_n: int, sigma: float, dtype=DTYPE) -> list:
+@functools.lru_cache(maxsize=16)
+def _lr_blocks(n: int, out_n: int, sigma: float, dtype=DTYPE) -> tuple:
     """A = S G along one axis of n samples, built in float64, in blocks of
     _LR_BLOCK outputs: (output slice, input slice, dense block of A in
     `dtype`) each.  G is the reflect-padded Gaussian at `sigma`, S the
     bilinear sampling to out_n (_sample_taps).  A block's input slice spans
     the bands (_lr_band_width) of its rows; an entry sums the weighted taps
     of an output's first sample, then of its second, in tap order.
+
+    Cached per argument tuple, so a request of a seen size builds no
+    operator; every caller shares the blocks, which are read-only.
     """
     taps = gaussian_kernel_1d(sigma)
     radius = len(taps) // 2
@@ -465,8 +470,9 @@ def _lr_blocks(n: int, out_n: int, sigma: float, dtype=DTYPE) -> list:
     weights = np.concatenate([1.0 - frac, frac])[:, None] * taps
     dense = np.bincount(flat.ravel(), weights.ravel(), len(y0) * _LR_BLOCK * cols)
     dense = dense.reshape(len(y0), _LR_BLOCK, cols).astype(dtype, copy=False)
-    return [(slice(a, b), slice(c, d), dense[k, :b - a, :d - c])
-            for k, (a, b, c, d) in enumerate(zip(y0.tolist(), y1.tolist(), s0.tolist(), s1.tolist()))]
+    dense.flags.writeable = False
+    return tuple((slice(a, b), slice(c, d), dense[k, :b - a, :d - c])
+                 for k, (a, b, c, d) in enumerate(zip(y0.tolist(), y1.tolist(), s0.tolist(), s1.tolist())))
 
 
 def _downsample(x: np.ndarray, out_h: int, out_w: int, sigma_h: float, sigma_w: float,

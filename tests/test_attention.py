@@ -20,8 +20,10 @@ from rethined.attention import (
     npm_refine,
     token_mix,
 )
-from rethined.patches import PatchGrid, TokenMatrix, img2col
-from rethined.tensor_ops import softmax_rows
+from rethined.bench import synthetic_inputs
+from rethined.patches import PatchGrid, TokenMatrix, img2col, tokenize_mask
+from rethined.pipeline import PipelineConfig
+from rethined.tensor_ops import _reflect_indices, softmax_rows
 
 F32 = np.float32
 
@@ -90,6 +92,46 @@ class TestAttentionScores:
         w = ProjectionWeights(np.zeros((5, 3), F32), np.zeros((5, 3), F32))
         with pytest.raises(ValueError):
             attention_scores(x, w)
+
+
+class _BlasThreadSpy(np.ndarray):
+    """An array that records numpy's OpenBLAS thread count at each product
+    it is the left operand of."""
+
+    seen = []
+
+    def __matmul__(self, other):
+        get, _ = tensor_ops._openblas()
+        _BlasThreadSpy.seen.append(get())
+        return np.asarray(self) @ other
+
+
+@pytest.mark.skipif(tensor_ops._openblas() is None, reason="numpy's BLAS is not an OpenBLAS")
+def test_scores_and_masking_hold_one_blas_thread():
+    """Outside a chain, attention_scores and mask_attention run their
+    products on one BLAS thread, with the same bytes as at one thread, and
+    give the count back."""
+    get, put = tensor_ops._openblas()
+    rng = np.random.default_rng(21)
+    n, d = 1024, 96
+    w = ProjectionWeights(rng.standard_normal((d, 64)).astype(F32),
+                          rng.standard_normal((d, 64)).astype(F32))
+    x = rng.standard_normal((n, d)).astype(F32)
+    m = (rng.random(n) < 0.4).astype(F32)
+    saved, results = get(), {}
+    _BlasThreadSpy.seen = []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            amap = attention_scores(TokenMatrix(x.view(_BlasThreadSpy), 32, 32, 64), w)
+            spied = AttentionMap(None, False, 32, 32, q=amap.q.view(_BlasThreadSpy), k=amap.k)
+            masked = mask_attention(spied, m)
+            results[threads] = [np.asarray(a).tobytes() for a in (amap.q, amap.k, masked.weights)]
+            assert get() == threads
+    finally:
+        put(saved)
+    assert results[1] == results[2]
+    assert _BlasThreadSpy.seen == [1] * 6
 
 
 def uniform_map(n, rows, cols):
@@ -350,6 +392,41 @@ def seed_coherence(image, mask_vec, patch_size):
     return out
 
 
+def strided_coherence(image, mask_vec, patch_size):
+    """coherence as it was before its passes ran on the flat padded buffer:
+    each pass a [3, H + 2, W] array of row-strided views, the scratch roles
+    as new arrays.  The byte-equality oracle of the flat passes."""
+    _, h, w = image.shape
+    rows, cols = h // patch_size, w // patch_size
+    m = np.asarray(mask_vec).reshape(-1)
+    out = image.copy()
+    band = _boundary_band(m, rows, cols, patch_size)
+    if not band.any():
+        return out
+    k1 = _COHERENCE_TAPS[2]
+    dtype = np.result_type(image, k1)
+    pad = np.empty((3, h + 2, w + 2), dtype)
+    pad[:, 1:-1, 1:-1] = image
+    pad[:, [0, -1]] = pad[:, 1 + _reflect_indices(h, 1)[[0, -1]]]
+    pad[:, :, [0, -1]] = pad[:, :, 1 + _reflect_indices(w, 1)[[0, -1]]]
+    x = pad[:, :, 1:-1]
+    low = np.empty((3, h + 2, w), dtype)
+    two = np.empty((3, h + 2, w), dtype)
+    np.add(pad[:, :, 2:], pad[:, :, :-2], out=low)
+    np.add(x, x, out=two)
+    low -= two
+    np.multiply(k1, low, out=low)
+    np.add(x, low, out=low)
+    mid, s, d = low[:, 1:-1], two[:, :h], pad[:, :h, :w]
+    np.add(low[:, 2:], low[:, :-2], out=s)
+    np.add(mid, mid, out=d)
+    s -= d
+    np.multiply(k1, s, out=s)
+    np.add(mid, s, out=s)
+    np.copyto(out, s, where=band)
+    return out
+
+
 class TestCoherence:
     def test_no_corruption_bit_equal(self):
         rng = np.random.default_rng(0)
@@ -407,6 +484,30 @@ class TestCoherence:
         band = _boundary_band(m, rows, cols, p)
         assert np.array_equal(band, seed_boundary_band(m, rows, cols, p))
         assert coherence(x, m, p).tobytes() == seed_coherence(x, m, p).tobytes()
+
+    @pytest.mark.parametrize("seed,rows,cols,p", [
+        (0, 32, 32, 8), (5, 5, 7, 4), (6, 9, 3, 2), (7, 4, 4, 3), (8, 6, 5, 1),
+        (9, 1, 6, 8), (10, 7, 1, 5), (12, 9, 250, 7), (17, 1, 1, 1), (18, 2, 1, 1),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_passes_equal_strided_oracle(self, seed, rows, cols, p, dtype):
+        rng = np.random.default_rng(seed)
+        x = rng.random((3, rows * p, cols * p)).astype(dtype)
+        for share in (0.0, 0.3, 0.9, 1.0):
+            m = (rng.random(rows * cols) < share).astype(F32)
+            m[rng.integers(rows * cols)] = share > 0
+            got = coherence(x, m, p)
+            assert got.dtype == x.dtype
+            assert got.tobytes() == strided_coherence(x, m, p).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flat_passes_equal_strided_oracle_at_r1(self, seed):
+        # the refinement's input at r = 1 of the default config: a 256^2
+        # image and its mask, tokenised at P = 8
+        image, mask = synthetic_inputs(PipelineConfig(), 256, seed)
+        m = tokenize_mask(mask, 8)
+        assert 0 < m.sum() < m.size
+        assert coherence(image, m, 8).tobytes() == strided_coherence(image, m, 8).tobytes()
 
     def test_one_corrupted_patch_any_row_equals_oracle(self):
         # one corrupted patch in each patch row of a wide image in turn

@@ -4,6 +4,7 @@ oracle for every fusion check."""
 import numpy as np
 import pytest
 
+from rethined import coarse, tensor_ops
 from rethined.coarse import (
     FEATURE_TAP,
     BatchNormParams,
@@ -352,9 +353,9 @@ def alloc_depthwise3x3(x, spec, step):
 
 
 def alloc_pointwise(x, spec):
+    """_pointwise with a new output: the same single sgemm."""
     c, h, w = x.shape
-    out = np.einsum("oi,ip->op", spec.weights.reshape(spec.out_channels, c),
-                    x.reshape(c, h * w))
+    out = spec.weights.reshape(spec.out_channels, c) @ x.reshape(c, h * w)
     if spec.bias is not None:
         out += spec.bias[:, None]
     return out.reshape(spec.out_channels, h, w)
@@ -428,3 +429,32 @@ class TestWorkspaceForward:
         rep_block_forward(block, x1, 2)
         rep_block_forward(block, x1)
         assert np.array_equal(first, kept)
+
+
+@pytest.mark.skipif(tensor_ops._openblas() is None, reason="numpy's BLAS is not an OpenBLAS")
+@pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+def test_bytes_do_not_depend_on_blas_threads(fused, monkeypatch):
+    """Called outside run_pipeline, coarse_forward holds OpenBLAS at one
+    thread for its 1x1 sgemms: coarse and feature bytes are the same with
+    the process at 1 and at 2 BLAS threads, and the count is given back."""
+    get, put = tensor_ops._openblas()
+    rng = np.random.default_rng(9)
+    model = random_coarse_model(rng)
+    if fused:
+        model = fuse_model(model)
+    mask = (rng.random((1, 256, 256)) < 0.4).astype(F32)
+    x = rng.random((3, 256, 256)).astype(F32) * (1 - mask)
+    seen = []
+    pointwise = coarse._pointwise
+    monkeypatch.setattr(coarse, "_pointwise",
+                        lambda *a, **k: seen.append(get()) or pointwise(*a, **k))
+    saved, results = get(), {}
+    try:
+        for threads in (1, 2):
+            put(threads)
+            results[threads] = [a.tobytes() for a in coarse_forward(model, x, mask)]
+            assert get() == threads
+    finally:
+        put(saved)
+    assert results[1] == results[2]
+    assert seen == [1] * 12
