@@ -200,11 +200,11 @@ def _boundary_band(mask_vec: np.ndarray, rows: int, cols: int, patch_size: int) 
     right[:, :-1] = corr[:, :-1] | corr[:, 1:]
 
     lo, hi = np.arange(p) < 2, np.arange(p) >= p - 2
-    # band[r, y, c * p + x] is pixel (y, x) of patch (r, c): the rows its
-    # top or bottom edge marks, widened to whole patch rows, or the columns
-    # its left or right edge marks
-    band = np.repeat((top[:, None] & lo[:, None]) | (bot[:, None] & hi[:, None]), p, axis=2)
-    band |= ((left[:, :, None] & lo) | (right[:, :, None] & hi)).reshape(rows, 1, cols * p)
+    # band[r, y, c, x] is pixel (y, x) of patch (r, c)
+    band = ((top[:, None, :, None] & lo[:, None, None])
+            | (bot[:, None, :, None] & hi[:, None, None])
+            | (left[:, None, :, None] & lo)
+            | (right[:, None, :, None] & hi))
     return band.reshape(rows * p, cols * p)
 
 

@@ -134,11 +134,12 @@ def _pointwise(x: np.ndarray, spec: ConvSpec, out: Optional[np.ndarray] = None) 
     """1x1 convolution W[C_out, C_in] . x[C_in, H*W] as one sgemm, into
     `out` ([C_out, H, W] float32, not overlapping x) if given.
 
-    Its callers hold OpenBLAS at one thread (tensor_ops._one_blas_thread):
-    at LR 256 these products are at most 2 M multiply-adds, too small for a
-    second BLAS thread to pay, and a threaded GEMM that waits for a
-    descheduled worker makes the forward's time follow the load of the
-    machine.  The hold also keeps the bytes independent of the thread count.
+    coarse_forward runs it holding OpenBLAS at one thread
+    (tensor_ops._one_blas_thread): at LR 256 these products are at most
+    2 M multiply-adds, too small for a second BLAS thread to pay, and a
+    threaded GEMM that waits for a descheduled worker makes the forward's
+    time follow the load of the machine.  The hold also keeps the forward's
+    bytes independent of the thread count.
     """
     c, h, w = x.shape
     if spec.kernel_size != 1 or spec.groups != 1 or spec.in_channels != c:
@@ -170,12 +171,10 @@ def _rep_block(block: RepBlock, x: np.ndarray, step: int, out: np.ndarray) -> np
 
 def rep_block_forward(block: RepBlock, x: np.ndarray, step: int = 1) -> np.ndarray:
     """One block on [C_in, H, W], evaluated at every `step`-th row and column:
-    rep_block_forward(block, x)[:, ::step, ::step] up to float rounding.
-    Runs holding OpenBLAS at one thread, as coarse_forward does."""
+    rep_block_forward(block, x)[:, ::step, ::step] up to float rounding."""
     _, h, w = x.shape
     out = np.empty((block.point.out_channels, -(-h // step), -(-w // step)), DTYPE)
-    with _one_blas_thread():
-        return _rep_block(block, x, step, out)
+    return _rep_block(block, x, step, out)
 
 
 def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
@@ -205,10 +204,10 @@ def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
         for i, block in enumerate(model.blocks):
             c, hx, wx = x.shape
             if i == 4:
-                # nearest 2x upsample: columns doubled by np.repeat, then each
-                # row copied twice, so every copy runs along whole rows
+                # nearest 2x upsample as one broadcast copy (numpy buffers it
+                # if x is in "cnn.x" too)
                 up = _scratch("cnn.x", (c, 2 * hx, 2 * wx))
-                np.copyto(up.reshape(c, hx, 2, 2 * wx), np.repeat(x, 2, axis=2)[:, :, None])
+                np.copyto(up.reshape(c, hx, 2, wx, 2), x[:, :, None, :, None])
                 x, hx, wx = up, 2 * hx, 2 * wx
             step = 2 if i < 3 else 1  # the encoder decimates
             shape = (block.point.out_channels, -(-hx // step), -(-wx // step))
@@ -216,14 +215,13 @@ def coarse_forward(model: CoarseModel, x_lr: np.ndarray, mask_lr: np.ndarray):
             x = _rep_block(block, x, step, out)
             if i == FEATURE_TAP:
                 features = x
-        # the 1x1 is per-pixel, so it runs before the nearest 4x upsample:
-        # coarse = x_lr + up4(residual) * mask_lr, with the residual's
-        # columns repeated and its rows broadcast
+        # the 1x1 is per-pixel, so it runs before the nearest 4x upsample,
+        # which is a broadcast view: coarse = x_lr + up4(residual) * mask_lr
         _, hr, wr = x.shape
         residual = _pointwise(x, model.final, _scratch("coarse.residual", (3, hr, wr)))
     coarse = np.empty((3, h, w), DTYPE)
-    np.multiply(np.repeat(residual, 4, axis=2)[:, :, None], mask_lr.reshape(1, hr, 4, w),
-                out=coarse.reshape(3, hr, 4, w))
+    np.multiply(residual[:, :, None, :, None], mask_lr.reshape(1, hr, 4, wr, 4),
+                out=coarse.reshape(3, hr, 4, wr, 4))
     np.add(x_lr, coarse, out=coarse)
     return coarse, features
 

@@ -9,12 +9,12 @@ pipeline's HR mask to LR once per request, and that LR mask to the patch
 mask here, whose corrupted patches the masked attention map then carries
 to the HR composition.
 
-Patches are cut by one strided copy whose elements are whole patch rows.
-Rows of the result are channel-major flattened patches (all R pixels
-row-major, then G, then B): bit-identical to direct non-overlapping slicing
-and to the paper's strided-convolution construction, P*P identity indicator
-kernels (w(i,j) = 1 iff i == j) duplicated per input channel and applied as
-a grouped convolution with stride P, which the tests keep as an oracle.
+Patches are cut by one strided copy.  Rows of the result are channel-major
+flattened patches (all R pixels row-major, then G, then B): bit-identical to
+direct non-overlapping slicing and to the paper's strided-convolution
+construction, P*P identity indicator kernels (w(i,j) = 1 iff i == j)
+duplicated per input channel and applied as a grouped convolution with
+stride P, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
@@ -79,29 +79,17 @@ def hr_patches(image: np.ndarray, patch_h: int, patch_w: int) -> PatchGrid:
         raise ValueError(f"image {h}x{w} not divisible by patch {patch_h}x{patch_w}")
     rows, cols = h // patch_h, w // patch_w
     patches = np.empty((rows * cols, 3 * patch_h * patch_w), dtype=DTYPE)
-    run = _row_run(DTYPE, patch_w)
-    patches.view(run).reshape(rows, cols, 3, patch_h)[...] = (
-        np.ascontiguousarray(image, dtype=DTYPE).view(run)
-        .reshape(3, rows, patch_h, cols).transpose(1, 3, 0, 2))
+    patches.reshape(rows, cols, 3, patch_h, patch_w)[...] = (
+        image.reshape(3, rows, patch_h, cols, patch_w).transpose(1, 3, 0, 2, 4))
     return PatchGrid(patches, rows, cols, patch_h, patch_w)
-
-
-def _row_run(dtype, patch_w: int) -> np.dtype:
-    """One patch row of `patch_w` values as a single opaque element: the
-    patch copies move whole rows per element instead of looping over
-    patch_w values each."""
-    return np.dtype((np.void, np.dtype(dtype).itemsize * patch_w))
 
 
 def pixel_shuffle(grid: PatchGrid) -> np.ndarray:
     """Exact inverse of img2col and hr_patches: reassemble [3, H, W]."""
     ph, pw = grid.patch_h, grid.patch_w
-    src = np.ascontiguousarray(grid.patches)
-    img = np.empty((3, grid.rows * ph, grid.cols * pw), dtype=src.dtype)
-    run = _row_run(src.dtype, pw)
-    img.view(run).reshape(3, grid.rows, ph, grid.cols)[...] = (
-        src.view(run).reshape(grid.rows, grid.cols, 3, ph).transpose(2, 0, 3, 1))
-    return img
+    arr = grid.patches.reshape(grid.rows, grid.cols, 3, ph, pw)
+    img = arr.transpose(2, 0, 3, 1, 4).reshape(3, grid.rows * ph, grid.cols * pw)
+    return np.ascontiguousarray(img)
 
 
 def block_any(mask: np.ndarray, block_h: int, block_w: int) -> np.ndarray:

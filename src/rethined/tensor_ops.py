@@ -441,17 +441,13 @@ def _lr_band_width(n: int, sigma: float) -> int:
 _LR_BLOCK = 8
 
 
-@functools.lru_cache(maxsize=16)
-def _lr_blocks(n: int, out_n: int, sigma: float, dtype=DTYPE) -> tuple:
+def _lr_blocks(n: int, out_n: int, sigma: float, dtype=DTYPE) -> list:
     """A = S G along one axis of n samples, built in float64, in blocks of
     _LR_BLOCK outputs: (output slice, input slice, dense block of A in
     `dtype`) each.  G is the reflect-padded Gaussian at `sigma`, S the
     bilinear sampling to out_n (_sample_taps).  A block's input slice spans
     the bands (_lr_band_width) of its rows; an entry sums the weighted taps
     of an output's first sample, then of its second, in tap order.
-
-    Cached per argument tuple, so a request of a seen size builds no
-    operator; every caller shares the blocks, which are read-only.
     """
     taps = gaussian_kernel_1d(sigma)
     radius = len(taps) // 2
@@ -470,9 +466,8 @@ def _lr_blocks(n: int, out_n: int, sigma: float, dtype=DTYPE) -> tuple:
     weights = np.concatenate([1.0 - frac, frac])[:, None] * taps
     dense = np.bincount(flat.ravel(), weights.ravel(), len(y0) * _LR_BLOCK * cols)
     dense = dense.reshape(len(y0), _LR_BLOCK, cols).astype(dtype, copy=False)
-    dense.flags.writeable = False
-    return tuple((slice(a, b), slice(c, d), dense[k, :b - a, :d - c])
-                 for k, (a, b, c, d) in enumerate(zip(y0.tolist(), y1.tolist(), s0.tolist(), s1.tolist())))
+    return [(slice(a, b), slice(c, d), dense[k, :b - a, :d - c])
+            for k, (a, b, c, d) in enumerate(zip(y0.tolist(), y1.tolist(), s0.tolist(), s1.tolist()))]
 
 
 def _downsample(x: np.ndarray, out_h: int, out_w: int, sigma_h: float, sigma_w: float,

@@ -239,17 +239,6 @@ class TestSharedLowPass:
         g = separable_blur_oracle(np.eye(n)[None], sigma, 1e-9)
         assert np.abs(dense - bilinear_oracle(g, out_n, n)[0]).max() < 1e-12
 
-    def test_operator_built_once_and_read_only(self):
-        # a request of a seen size reuses the blocks, which no caller can edit
-        sigma = sigma_for_factor(8)
-        blocks = _lr_blocks(2048, 256, sigma)
-        assert _lr_blocks(2048, 256, sigma) is blocks
-        assert _lr_blocks(2048, 256, sigma, np.float64) is not blocks
-        for _, _, a in blocks:
-            assert a.dtype == F32 and not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0, 0] = 0.0
-
     def test_x_lr_bytes_do_not_depend_on_slices(self, monkeypatch):
         x = np.random.default_rng(6).random((3, 512, 512)).astype(F32)
         want = _downsample(x, 64, 64, sigma_for_factor(8), sigma_for_factor(8)).tobytes()
