@@ -50,10 +50,20 @@ class ProjectionWeights:
 @dataclass(frozen=True)
 class NpmWeights:
     """Learned parameters of the matching module: patch embedding plus Q/K
-    projections."""
+    projections.  The embedding's rows are the 3P^2 pixels of a patch, which
+    fixes the patch size P."""
 
     embed: np.ndarray
     proj: ProjectionWeights
+
+    def __post_init__(self):
+        rows = self.embed.shape[0] if self.embed.ndim == 2 else 0
+        if not rows or rows != 3 * self.patch_size ** 2:
+            raise ValueError(f"embedding has {rows} rows, not 3P^2 for an integer patch size P")
+
+    @property
+    def patch_size(self) -> int:
+        return math.isqrt(self.embed.shape[0] // 3)
 
 
 @dataclass(frozen=True)
@@ -276,17 +286,13 @@ def npm_refine(coarse: np.ndarray, x_lr: np.ndarray, features: np.ndarray,
     Tokenizes the coarse image, computes masked attention conditioned on the
     coarse features, mixes the patches of the LR input (clean ones are kept,
     corrupted ones become convex combinations of clean ones), reassembles
-    and smooths patch seams.  The patch size P comes from the embedding,
-    whose rows are the 3P^2 pixels of a patch.
+    and smooths patch seams, in patches of the embedding's size P.
     Returns the refined LR image and the masked attention map for reuse at
     high resolution.
     """
     if coarse.shape != x_lr.shape:
         raise ValueError(f"coarse shape {coarse.shape} != input shape {x_lr.shape}")
-    rows = weights.embed.shape[0]
-    p = math.isqrt(rows // 3)
-    if not p or rows != 3 * p * p:
-        raise ValueError(f"embedding has {rows} rows, not 3P^2 for an integer patch size P")
+    p = weights.patch_size
     # nested calls, so each LR-sized intermediate is freed once it is read
     tokens = embed_and_condition(img2col(coarse, p), features, weights.embed)
     m = tokenize_mask(mask_pixels, p)

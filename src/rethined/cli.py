@@ -25,26 +25,17 @@ from .spectral import focal_frequency_loss
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=int, default=256, help="LR working size (default 256)")
-    p.add_argument("--patch", type=int, default=8, help="patch size P (default 8)")
-    p.add_argument("--dk", type=int, default=64, help="embedding dimension d_k (default 64)")
-    p.add_argument("--weights", type=Path, default=None, help="RTHD weight container")
+    p.add_argument("--weights", type=Path, default=None,
+                   help="RTHD weight container; its shapes fix P and d_k")
     p.add_argument("--seed", type=int, default=7,
-                   help="seed for the random model when no weights are given")
+                   help="seed for the random model (P = 8, d_k = 64) when no weights are given")
 
 
 def _build(args, composite: bool = True):
     # commands run the fused network, one convolution per stage, as perfbench does
-    if args.weights is None:
-        config = PipelineConfig(lr_size=args.lr, patch_size=args.patch, d_k=args.dk,
-                                composite=composite)
-        return config, fuse_pipeline_model(random_model(config, seed=args.seed))
-    model = load_model(args.weights)
+    model = (random_model(PipelineConfig(lr_size=args.lr), seed=args.seed) if args.weights is None
+             else load_model(args.weights))
     config = config_for_model(model, lr_size=args.lr, composite=composite)
-    if config.patch_size != args.patch or config.d_k != args.dk:
-        # weight shapes win over flags; keep the run honest about it
-        print(json.dumps({"note": "patch/dk taken from weights",
-                          "patch": config.patch_size, "dk": config.d_k}),
-              file=sys.stderr)
     return config, model if model.coarse.fused else fuse_pipeline_model(model)
 
 

@@ -167,11 +167,15 @@ def model_from_tensors(tensors: dict) -> InpaintingModel:
     final = ConvSpec(_tensor(tensors, "final.weight", (3, BLOCK_PLAN[-1][1], 1, 1)),
                      _tensor(tensors, "final.bias", (3,)))
     embed, m_q = _tensor(tensors, "npm.embed"), _tensor(tensors, "npm.m_q")
-    p2, d_k = embed.shape if embed.ndim == 2 else (0, 0)
-    patch = max(1, math.isqrt(p2 // 3))
-    _tensor(tensors, "npm.embed", (3 * patch * patch, d_k))
-    _tensor(tensors, "npm.m_q", (d_k + FEATURE_CHANNELS, m_q.shape[-1] if m_q.ndim == 2 else -1))
-    npm = NpmWeights(embed, ProjectionWeights(m_q, _tensor(tensors, "npm.m_k", m_q.shape)))
+    if embed.ndim != 2:
+        raise WeightFormatError(f"tensor 'npm.embed' has shape {embed.shape}, expected [3P^2, d_k]")
+    _tensor(tensors, "npm.m_q",
+            (embed.shape[1] + FEATURE_CHANNELS, m_q.shape[-1] if m_q.ndim == 2 else -1))
+    proj = ProjectionWeights(m_q, _tensor(tensors, "npm.m_k", m_q.shape))
+    try:
+        npm = NpmWeights(embed, proj)
+    except ValueError as e:
+        raise WeightFormatError(f"tensor 'npm.embed' has shape {embed.shape}: {e}") from None
     model = InpaintingModel(coarse=CoarseModel(blocks=tuple(blocks), final=final), npm=npm)
     unread = sorted(set(tensors) - set(model_to_tensors(model)))
     if unread:
@@ -189,11 +193,9 @@ def load_model(path) -> InpaintingModel:
 
 def config_for_model(model: InpaintingModel, lr_size: int = 256,
                      composite: bool = True) -> PipelineConfig:
-    """Derive patch size and d_k from the weight shapes, which
-    model_from_tensors checked."""
-    p2, d_k = model.npm.embed.shape
-    patch = math.isqrt(p2 // 3)
-    return PipelineConfig(lr_size=lr_size, patch_size=patch, d_k=d_k, composite=composite)
+    """Take patch size and d_k from the model's embedding."""
+    return PipelineConfig(lr_size=lr_size, patch_size=model.npm.patch_size,
+                          d_k=model.npm.embed.shape[1], composite=composite)
 
 
 # --- the chain ------------------------------------------------------------------

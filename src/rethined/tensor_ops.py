@@ -5,27 +5,23 @@ blur-and-decimate of the HR image to the LR input.
 Tensors are numpy float32 arrays laid out [C, H, W] (convolution weights are
 [C_out, C_in/groups, S, S]).  Every function here is pure: inputs are never
 mutated and results are deterministic for fixed inputs.  Reductions may use
-wider accumulators internally.
-
-The full-resolution loops that need scratch (PPM quantisation, the
-binary-mask check) run over strips of about _STRIP_BYTES, so their scratch
-stays cache-sized; results are bit-identical to the untiled forms.  No
-request up-samples a full-resolution image: upscale.compose_hr applies the
-bilinear up-sampling to LR windows of its patches, and `bilinear_resize`
-only resizes the coarse features.
+wider accumulators internally.  No request up-samples a full-resolution
+image: upscale.compose_hr applies the bilinear up-sampling to LR windows of
+its patches, and `bilinear_resize` only resizes the coarse features.
 
 `_one_blas_thread` holds numpy's OpenBLAS at one thread, and `_split` runs a
-full-resolution loop as contiguous slices of its strips, blocks or rows, one
-slice per CPU of the process affinity, on short-lived threads and the
+full-resolution loop as contiguous slices of its rows, blocks or elements,
+one slice per CPU of the process affinity, on short-lived threads and the
 caller.  While a chain (`run_pipeline`), an LR kernel that calls BLAS
 (`coarse_forward`, `attention_scores`, `mask_attention`) or a split kernel
 runs, every BLAS call in the process uses one thread, so none wakes
-OpenBLAS's idle workers, which would spin on the CPU a slice needs.  Each
-slice gets whole strips or blocks and its own scratch, so results do not
-depend on the number of slices.  `run_pipeline`'s bytes do not depend on the
-BLAS thread count either; that is an empirical property of numpy's bundled
-OpenBLAS, which the tests check.  On other BLAS builds there is no hold and
-no split: every loop runs on the calling thread.
+OpenBLAS's idle workers, which would spin on the CPU a slice needs.  Every
+element goes through the same operations whatever slice holds it, so results
+do not depend on the number of slices; the input checks (`require_binary`,
+`value_range`) reduce each slice whole.  `run_pipeline`'s bytes do not
+depend on the BLAS thread count either; that is an empirical property of
+numpy's bundled OpenBLAS, which the tests check.  On other BLAS builds there
+is no hold and no split: every loop runs on the calling thread.
 
 `_downsample` applies A = S G per axis, a Gaussian and a bilinear sampling
 (`_lr_blocks`), to take the HR image to the LR input; `gaussian_blur` is the
@@ -53,15 +49,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float32
-
-# Bytes per array of one strip of a full-resolution pass.  The few arrays of
-# a strip (input, scratch, output) then share a core's L2.
-_STRIP_BYTES = 256 * 1024
-
-
-def _strip_rows(row_bytes: int) -> int:
-    return max(1, _STRIP_BYTES // row_bytes)
-
 
 @functools.cache
 def _openblas():
@@ -315,46 +302,29 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def require_binary(x: np.ndarray, what: str = "mask values") -> None:
     """Raise ValueError unless every element of `x` is 0 or 1 (NaN is
-    neither), by two counts per strip, in slices of strips split across
-    CPUs (see _split) that sum their counts."""
+    neither): two counts over each slice of the flat array, split across
+    CPUs (see _split), summed."""
     flat = np.asarray(x).reshape(-1)
-    # strips of 4 x _STRIP_BYTES: with 1 x, two slices' short numpy calls
-    # contend for the interpreter lock and a 2048^2 float32 mask took 3.5 ms
-    # split against 3.3 ms inline; with 4 x, 2.2 ms split
-    step = max(1, 4 * _STRIP_BYTES // flat.itemsize)
 
-    def count(starts, buf):
-        n = 0
-        for s in starts:
-            seg = flat[s:s + step]
-            hit = buf[:len(seg)]
-            n += np.count_nonzero(np.equal(seg, 0, out=hit)) + np.count_nonzero(np.equal(seg, 1, out=hit))
-        return n
+    def count(part):
+        seg = flat[part.start:part.stop]
+        return np.count_nonzero(seg == 0) + np.count_nonzero(seg == 1)
 
-    counts = _split(count, range(0, flat.size, step), flat.nbytes,
-                    lambda: np.empty(min(step, flat.size), dtype=bool))
-    if sum(counts) != flat.size:
+    if sum(_split(count, range(flat.size), flat.nbytes)) != flat.size:
         raise ValueError(f"{what} must be binary {{0, 1}}")
 
 
 def value_range(x: np.ndarray) -> tuple[float, float]:
-    """(min, max) of a [C, H, W] array, both NaN if it holds a NaN, checked
-    strip by strip in slices of strips split across CPUs (see _split); a
-    slice stops at its first NaN."""
-    c, h, w = x.shape
-    step = _strip_rows(w * x.itemsize)
+    """(min, max) of a non-empty [C, H, W] array, both NaN if it holds a NaN:
+    a min and then, unless it is NaN, a max over each slice of rows, split
+    across CPUs (see _split)."""
 
-    def bounds(strips):
-        lo, hi = math.inf, -math.inf
-        for ch, r0 in strips:
-            seg = x[ch, r0:r0 + step]
-            low = float(seg.min())
-            if math.isnan(low):
-                return low, low
-            lo, hi = min(lo, low), max(hi, float(seg.max()))
-        return lo, hi
+    def bounds(rows):
+        seg = x[:, rows.start:rows.stop]
+        low = float(seg.min())
+        return (low, low) if math.isnan(low) else (low, float(seg.max()))
 
-    found = _split(bounds, [(ch, r0) for ch in range(c) for r0 in range(0, h, step)], x.nbytes)
+    found = _split(bounds, range(x.shape[1]), x.nbytes)
     return float(np.min([f[0] for f in found])), float(np.max([f[1] for f in found]))
 
 

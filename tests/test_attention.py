@@ -608,12 +608,12 @@ class TestNpmRefine:
 
     @pytest.mark.parametrize("rows", [190, 195, 0])
     def test_embedding_not_3p2_rows_rejected(self, rows):
-        # P comes from the embedding's 3P^2 rows: 192 is P = 8
-        rng, x_lr, feats, weights = self._setup(4)
-        bad = NpmWeights(rng.standard_normal((rows, 6)).astype(F32), weights.proj)
-        mask = np.zeros((1, 32, 32), F32)
+        # P comes from the embedding's 3P^2 rows, 192 is P = 8, and
+        # NpmWeights rejects any other count when it is built
+        rng, _, _, weights = self._setup(4)
+        assert weights.patch_size == 8
         with pytest.raises(ValueError, match=rf"^embedding has {rows} rows, not 3P\^2"):
-            npm_refine(x_lr, x_lr, feats, bad, mask)
+            NpmWeights(rng.standard_normal((rows, 6)).astype(F32), weights.proj)
 
     def test_second_call_leaves_first_result(self):
         rng, x_lr, feats, weights = self._setup(3)

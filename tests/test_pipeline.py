@@ -250,7 +250,7 @@ class TestRunPipeline:
         with pytest.raises(NonFiniteInputError):
             run_pipeline(config, model, image, mask)
 
-    # 1024-wide rows give 64-row strips; 1 + 2^-23 is the float32 after 1
+    # 1 + 2^-23 is the float32 after 1
     @pytest.mark.parametrize("where,value", [
         ((slice(None),) * 3, 255.0),            # the whole image in 0-255
         ((0, 0, 0), -1e-7), ((2, -1, -1), 1.0 + 2 ** -23),
@@ -280,7 +280,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("h,w", [(0, 0), (64, 0), (0, 128), (32, 64), (96, 64)])
     def test_extent_not_a_positive_multiple_rejected(self, h, w, monkeypatch):
         # 0 is a multiple of lr_size too, and an empty image must not reach
-        # value_range's strip loop
+        # value_range, which takes the min of each slice
         config, model, _, _ = small_setup(8)
         image, mask = np.zeros((3, h, w), F32), np.zeros((1, h, w), F32)
         monkeypatch.setattr(pipeline, "downsample_to_lr", lambda *a, **k: pytest.fail("a stage ran"))
@@ -296,17 +296,22 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match=rf"\(192, 16\).*\({3 * patch * patch}, {d_k}\)"):
             run_pipeline(config, model, image, mask)
 
-    # 1024-wide rows give 64-row strips, so the last pixel sits in the last
-    # of 16 strips of the last channel
-    @pytest.mark.parametrize("where", [(0, 0, 0), (2, -1, -1)], ids=["first", "last"])
+    # value_range reads the image in _split's slices of rows: 3 of them here,
+    # and the first and the last pixel of each are caught
+    @pytest.mark.parametrize("where", ["first", "last"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pixel_in_any_strip_rejected(self, bad, where, monkeypatch):
         config, model, image, mask = small_setup(8, size=1024)
-        assert tensor_ops._strip_rows(1024 * image.itemsize) < 1024
-        image[where] = bad
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
         monkeypatch.setattr(pipeline, "downsample_to_lr", lambda *a, **k: pytest.fail("a stage ran"))
-        with pytest.raises(NonFiniteInputError, match=r"^image pixels must be finite \(no NaN or Inf\)$"):
-            run_pipeline(config, model, image, mask)
+        bounds = [1024 * i // 3 for i in range(4)]
+        for r0, r1 in zip(bounds, bounds[1:]):
+            pixel = (0, r0, 0) if where == "first" else (2, r1 - 1, 1023)
+            kept, image[pixel] = image[pixel], bad
+            with pytest.raises(NonFiniteInputError, match=r"^image pixels must be finite \(no NaN or Inf\)$"):
+                run_pipeline(config, model, image, mask)
+            image[pixel] = kept
 
     @pytest.mark.parametrize("patch", [8, 16])
     def test_patch_size_sweep(self, patch):
@@ -577,8 +582,7 @@ class TestCli:
         out_path = tmp_path / "out.ppm"
         rc = cli_main([
             "inpaint", "--image", str(img_path), "--mask", str(mask_path),
-            "--out", str(out_path), "--lr", "64", "--patch", "8", "--dk", "16",
-            "--seed", "3",
+            "--out", str(out_path), "--lr", "64", "--seed", "3",
         ])
         assert rc == 0
         meta = json.loads(capsys.readouterr().out)
@@ -595,7 +599,7 @@ class TestCli:
         out2 = tmp_path / "o2.ppm"
         for out in (out1, out2):
             cli_main(["inpaint", "--image", str(img_path), "--mask", str(mask_path),
-                      "--out", str(out), "--lr", "64", "--dk", "16", "--seed", "3"])
+                      "--out", str(out), "--lr", "64", "--seed", "3"])
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -653,9 +657,9 @@ class TestCli:
         img_path, mask_path = self._write_inputs(tmp_path)
         out_path = tmp_path / "out.ppm"
         cli_main(["inpaint", "--image", str(img_path), "--mask", str(mask_path),
-                  "--out", str(out_path), "--lr", "64", "--dk", "16", "--seed", "3"])
+                  "--out", str(out_path), "--lr", "64", "--seed", "3"])
         capsys.readouterr()
-        config = PipelineConfig(lr_size=64, d_k=16)
+        config = PipelineConfig(lr_size=64)
         image, mask = read_image(img_path), read_mask(mask_path)
         want_path = tmp_path / "want.ppm"
         write_image(run_pipeline(config, fuse_pipeline_model(random_model(config, seed=3)),
@@ -663,17 +667,21 @@ class TestCli:
         assert out_path.read_bytes() == want_path.read_bytes()
 
     def test_inpaint_takes_patch_and_dk_from_weights(self, tmp_path, capsys):
-        # the container is P = 8, d_k = 16; the flags keep the default --dk 64
+        # the container's shapes fix P = 16 and d_k = 12; the random model's
+        # are 8 and 64
+        patch, d_k = 16, 12
         img_path, mask_path = self._write_inputs(tmp_path)
-        model = random_model(PipelineConfig(lr_size=64, patch_size=8, d_k=16), seed=4)
+        model = random_model(PipelineConfig(lr_size=64, patch_size=patch, d_k=d_k), seed=4)
         w_path, out_path = tmp_path / "w.rthd", tmp_path / "out.ppm"
         save_model(model, w_path)
         rc = cli_main(["inpaint", "--image", str(img_path), "--mask", str(mask_path),
                        "--out", str(out_path), "--lr", "64", "--weights", str(w_path)])
         assert rc == 0
         captured = capsys.readouterr()
-        assert json.loads(captured.err) == {"note": "patch/dk taken from weights", "patch": 8, "dk": 16}
-        assert json.loads(captured.out)["random_weights"] is False
+        meta = json.loads(captured.out)
+        assert captured.err == ""
+        assert (meta["patch_size"], meta["d_k"], meta["random_weights"]) == (patch, d_k, False)
+        assert meta["n_patches"] == (64 // patch) ** 2
         image, mask = read_image(img_path), read_mask(mask_path)
         want_path = tmp_path / "want.ppm"
         write_image(run_pipeline(config_for_model(model, lr_size=64), fuse_pipeline_model(model),
@@ -684,8 +692,7 @@ class TestCli:
     def test_inpaint_runs_fused_model(self, tmp_path, capsys, monkeypatch, weights):
         # perfbench runs the fused network; so does the CLI, whatever it loads
         img_path, mask_path = self._write_inputs(tmp_path)
-        config = PipelineConfig(lr_size=64, patch_size=8, d_k=16)
-        model = random_model(config, seed=3)
+        model = random_model(PipelineConfig(lr_size=64), seed=3)
         flags = ["--seed", "3"]
         if weights is not None:
             save_model(model if weights == "unfused" else fuse_pipeline_model(model),
@@ -695,7 +702,7 @@ class TestCli:
         monkeypatch.setattr(cli, "run_pipeline", lambda c, m, *a: ran.append(m) or run_pipeline(c, m, *a))
         out_path = tmp_path / "out.ppm"
         cli_main(["inpaint", "--image", str(img_path), "--mask", str(mask_path),
-                  "--out", str(out_path), "--lr", "64", "--dk", "16"] + flags)
+                  "--out", str(out_path), "--lr", "64"] + flags)
         capsys.readouterr()
         want = model_to_tensors(fuse_pipeline_model(model))
         got = model_to_tensors(ran[0])
@@ -705,7 +712,7 @@ class TestCli:
     def test_bench_command(self, tmp_path, capsys):
         report = tmp_path / "bench.csv"
         rc = cli_main(["bench", "--res", "128", "--report", str(report),
-                       "--lr", "64", "--dk", "16", "--runs", "3", "--warmup", "1"])
+                       "--lr", "64", "--runs", "3", "--warmup", "1"])
         assert rc == 0
         capsys.readouterr()
         text = report.read_text()
@@ -723,14 +730,25 @@ class TestCli:
         report = tmp_path / "bench.csv"
         with pytest.raises(ValueError):
             cli_main(["bench", "--res", "128", "--report", str(report),
-                      "--lr", "64", "--dk", "16", *flags])
+                      "--lr", "64", *flags])
         assert not report.exists()
 
     def test_bench_command_has_no_hr_runs_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["bench", "--res", "128", "--report", str(tmp_path / "b.csv"),
-                      "--lr", "64", "--dk", "16", "--runs", "1", "--warmup", "0",
+                      "--lr", "64", "--runs", "1", "--warmup", "0",
                       "--hr-runs", "3"])
+
+    @pytest.mark.parametrize("command", ["inpaint", "bench"])
+    @pytest.mark.parametrize("flag", ["--patch", "--dk"])
+    def test_patch_and_dk_flags_rejected(self, capsys, command, flag):
+        # P and d_k come from the model, so no flag sets them
+        args = (["inpaint", "--image", "i.ppm", "--mask", "m.pgm", "--out", "o.ppm"]
+                if command == "inpaint" else ["bench", "--res", "128", "--report", "b.csv"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(args + [flag, "8"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
 
 
 class TestBenchHarness:

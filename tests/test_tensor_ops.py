@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from rethined import tensor_ops
 from rethined.tensor_ops import (
-    _STRIP_BYTES,
     BatchNormParams,
     ConvSpec,
     batchnorm,
@@ -459,21 +458,23 @@ def _input(shape, layout, seed=0):
     return x
 
 
-# strip height of an f32 row of width w is _STRIP_BYTES // (4 * w)
+# the blur's operator blocks are _LR_BLOCK = 8 rows or columns
 BLUR_CASES = [
-    ((1, 37, 4100), 40.0, None),   # radius 120 > strip height 15 and > H
+    ((1, 37, 4100), 40.0, None),   # radius 120 > the 8-row block and > H
     ((1, 1, 1), 2.0, None),        # radius > extent on both axes
     ((1, 1, 7), 2.0, None),
     ((3, 3, 5), 2.0, None),
-    ((3, 70, 2048), 6.35, None),   # H not a multiple of the 32-row strip
+    ((3, 70, 2048), 6.35, None),   # H not a multiple of the 8-row block
     ((3, 50, 1500), 2.0, 5.0),     # anisotropic
 ]
 
 
 class TestStripTiledKernels:
     def test_cases_cross_strips(self):
-        assert _STRIP_BYTES // (4 * 4100) < 120
-        assert 70 % (_STRIP_BYTES // (4 * 2048))
+        # the blur's strips are its operator blocks of _LR_BLOCK outputs
+        block = tensor_ops._LR_BLOCK
+        assert len(gaussian_kernel_1d(40.0)) // 2 == 120 > 37 > block
+        assert 37 % block and 70 % block
 
     @pytest.mark.parametrize("layout", ["f32", "f64", "hwc"])
     @pytest.mark.parametrize("shape,sigma,sigma_x", BLUR_CASES)
@@ -504,7 +505,7 @@ class TestStripTiledKernels:
         ((3, 30, 20), 7, 51),
         ((3, 64, 64), 8, 8),         # downscale
         ((3, 200, 96), 17, 700),
-        ((3, 64, 48), 512, 384),     # upscale, strips cross channels
+        ((3, 64, 48), 512, 384),     # upscale
     ])
     def test_bilinear_equals_four_gather(self, shape, out_h, out_w, layout):
         x = _input(shape, layout, seed=2)
@@ -580,18 +581,21 @@ def _blur_in_child(x, want):
 
 
 class TestStripExecutor:
-    """The strip and chunk loops of the full-resolution kernels, which run
-    on the calling thread."""
+    """The full-resolution kernels cut into _split's slices."""
 
-    # `split` cuts the strip loops into about that many strips, the last one
-    # partial; the resize must equal its four-gather form whatever the split
+    # `split` cuts the blur's (channel, 8-row block) items into that many
+    # slices, or as many as there are items; the blur keeps its one-slice
+    # bytes, and the resize, which has no slices, its four-gather form
     @pytest.mark.parametrize("split", [1, 2, 3, 5])
     @pytest.mark.parametrize("shape", [(2, 5, 2048), (1, 33, 2048), (3, 70, 2048)])
     def test_every_split_equals_untiled(self, monkeypatch, split, shape):
         x = _input(shape, "f32", seed=3)
         c, h, w = shape
-        assert_blur_close(gaussian_blur(x, 2.0, 3.0), untiled_gaussian_blur(x, 2.0, 3.0), x)
-        monkeypatch.setattr(tensor_ops, "_STRIP_BYTES", 4 * w * -(-c * h // split))
+        want = gaussian_blur(x, 2.0, 3.0)
+        assert_blur_close(want, untiled_gaussian_blur(x, 2.0, 3.0), x)
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: split)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        assert_bit_equal(gaussian_blur(x, 2.0, 3.0), want)
         small = np.ascontiguousarray(x[:, ::2, ::8])
         assert_bit_equal(bilinear_resize(small, h, w), four_gather_bilinear(small, h, w))
 
@@ -764,6 +768,36 @@ class TestSplit:
         assert sorted(ran) == [0, 2, 4]
         assert not [t for t in threading.enumerate() if t.name.startswith("rethined")]
         assert _blas_threads() == before
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_whole_slice_reads_and_checks_keep_their_bytes(self, monkeypatch, parts, tmp_path):
+        # read_image, value_range and require_binary make one numpy call per
+        # channel or per slice; a 0.5 at the end of the first slice and a NaN
+        # at the start of the last one are caught, and the rest equals one
+        # whole-array call
+        from rethined.image_io import read_image
+
+        raw = np.random.default_rng(8).integers(0, 256, (131, 517, 3), dtype=np.uint8)
+        (tmp_path / "img.ppm").write_bytes(b"P6\n517 131\n255\n" + raw.tobytes())
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: parts)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        x = read_image(tmp_path / "img.ppm")
+        assert x.tobytes() == (raw.transpose(2, 0, 1).astype(F32) / F32(255.0)).tobytes()
+        assert tensor_ops.value_range(x) == (float(x.min()), float(x.max()))
+        rows = [131 * i // parts for i in range(parts + 1)]
+        for value, where in ((0.5, (2, rows[1] - 1, 516)), (np.nan, (0, rows[-2], 0))):
+            bad = x.copy()
+            bad[where] = value
+            want = (np.nan, np.nan) if np.isnan(value) else (float(x.min()), float(x.max()))
+            np.testing.assert_equal(tensor_ops.value_range(bad), want)
+        mask = (x[:1] > 0.5).astype(F32)
+        tensor_ops.require_binary(mask)
+        flat = [mask.size * i // parts for i in range(parts + 1)]
+        for value, index in ((0.5, flat[1] - 1), (np.nan, flat[-2])):
+            bad = mask.copy()
+            bad.reshape(-1)[index] = value
+            with pytest.raises(ValueError, match="mask values must be binary"):
+                tensor_ops.require_binary(bad)
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_kernels_give_the_same_bytes_in_any_number_of_slices(self, monkeypatch, parts, tmp_path):

@@ -798,28 +798,25 @@ class TestPatchMajorComposer:
         monkeypatch.setattr(upscale, "_split", recording_split)
         return compose_parts
 
-    @pytest.mark.parametrize("strip_bytes,strips", [
-        (1024, 16),         # strips of 4 rows of 64 f32: 4 per 16-row patch row
-        (1500, 13),         # 5 rows: strips cross patch rows, the last has 4 rows
-        (16 * 1024, 1),     # all 4 patch rows in one strip
-        (8 * 1024, 2),      # 2 patch rows per strip
-    ])
-    def test_strip_shapes(self, monkeypatch, strip_bytes, strips):
-        # the compose pass walks rows of patches, not strips: whatever
-        # strips _STRIP_BYTES cuts the image into for the other
-        # full-resolution loops, the composer gives the same bytes and its
-        # pass gets the grid's 4 rows of patches
+    @pytest.mark.parametrize("parts,rows", [
+        (4, [[0], [1], [2], [3]]),      # one row of patches per slice
+        (3, [[0], [1], [2, 3]]),        # uneven: the last slice gets two
+        (1, [[0, 1, 2, 3]]),            # all 4 rows of patches in one slice
+        (2, [[0, 1], [2, 3]]),          # 2 rows of patches per slice
+    ], ids=["4", "3", "1", "2"])
+    def test_slice_shapes(self, monkeypatch, parts, rows):
+        # the compose pass walks rows of patches: however many slices _split
+        # cuts the grid into, each gets whole rows of patches and the
+        # composer gives the same bytes
         case = compose_case(9, clean=[0, 1, 9])
         want = {composite: composed(case, composite) for composite in (True, False)}
         compose_parts = self._record_compose_parts(monkeypatch)
-        monkeypatch.setattr(tensor_ops, "_STRIP_BYTES", strip_bytes)
-        x = case[0]
-        step = tensor_ops._strip_rows(4 * x.shape[2])
-        assert len(range(0, x.shape[1], step)) == strips
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: parts)
         for composite in (True, False):
             self._check(case, composite)
             assert_bytes_equal(composed(case, composite), want[composite])
-            assert sorted(r for part in compose_parts for r in part) == [0, 1, 2, 3]
+            assert sorted(compose_parts) == rows
 
     def test_bytes_do_not_depend_on_slices(self, monkeypatch):
         # grid row 0 all clean, rows 1 and 3 all corrupted, row 2 mixed:
