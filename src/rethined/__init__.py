@@ -17,7 +17,6 @@ from .patches import (
     PatchGrid,
     TokenMatrix,
     embed_and_condition,
-    hr_patches,
     img2col,
     pixel_shuffle,
     tokenize_mask,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .image_io import read_image, read_mask, write_image, write_mask
-from .masks import MaskSpec, generate_mask, mask_coverage
+from .masks import MaskCoverageError, MaskSpec, generate_mask, mask_coverage
 from .metrics import l1, psnr, ssim
 from .pipeline import (
     PipelineConfig,
@@ -145,7 +145,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, MaskCoverageError) as exc:  # bad input: one line, no traceback
+        print(f"rethined: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

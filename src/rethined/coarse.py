@@ -35,7 +35,6 @@ from .tensor_ops import (
     _scratch,
     relu,
     require_binary,
-    upsample_nearest,
 )
 
 # (C_in, C_out) per block, each stride 1 with a depthwise-stage identity skip;
@@ -325,7 +324,7 @@ def random_coarse_model(rng: np.random.Generator) -> CoarseModel:
     blocks = []
     for i, (main, point) in enumerate(stages):
         if i == 4:
-            x = upsample_nearest(x, 2)
+            x = x.repeat(2, axis=1).repeat(2, axis=2)
         pre = conv2d(x, main)
         main_bn = _calibrated_bn(rng, pre)
         skip_bn = _calibrated_bn(rng, x)

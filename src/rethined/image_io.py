@@ -85,12 +85,14 @@ def write_image(tensor: np.ndarray, path) -> None:
     _, h, w = tensor.shape
     # floor(clip(t, 0, 1) * 255 + 0.5) in the dtype that expression computes
     # in, one channel plane of a strip of rows at a time, scattered into the
-    # interleaved uint8 buffer that is written
+    # interleaved uint8 buffer that is written; the strip lies in
+    # [0.5, 255.5], where the uint8 store's truncation is the floor
     dtype = np.result_type(tensor, 0.0)
     q = np.empty((h, w, 3), dtype=np.uint8)
     step = max(1, _STRIP_BYTES // (w * dtype.itemsize))
 
-    def quantise(starts, buf):
+    def quantise(starts):
+        buf = np.empty((min(step, h), w), dtype=dtype)
         for r0 in starts:
             rows = slice(r0, r0 + step)
             strip = buf[:len(q[rows])]
@@ -98,11 +100,9 @@ def write_image(tensor: np.ndarray, path) -> None:
                 np.clip(tensor[c, rows], 0.0, 1.0, out=strip)
                 strip *= 255.0
                 strip += 0.5
-                np.floor(strip, out=strip)
                 q[rows, :, c] = strip
 
-    _split(quantise, range(0, h, step), q.nbytes + 3 * h * w * dtype.itemsize,
-           lambda: np.empty((min(step, h), w), dtype=dtype))
+    _split(quantise, range(0, h, step), q.nbytes + 3 * h * w * dtype.itemsize)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(q)

@@ -1,13 +1,12 @@
 """Patch extraction, mask tokenization, patch embedding and reassembly.
 
-One patch-grid type, PatchGrid, serves both resolutions: hr_patches cuts
-rectangular patches, img2col is its square LR form, and pixel_shuffle
-inverts either.  The HR composition does not build an HR PatchGrid:
-upscale.compose_hr cuts only the patches it reads, straight from the image,
-in the same channel-major layout.  block_any reduces a mask over blocks: the
-pipeline's HR mask to LR once per request, and that LR mask to the patch
-mask here, whose corrupted patches the masked attention map then carries
-to the HR composition.
+One patch cut, img2col, takes P x P patches into a PatchGrid, and
+pixel_shuffle inverts any grid.  The HR composition does not build an HR
+PatchGrid: upscale.compose_hr cuts only the patches it reads, straight from
+the image, in the same channel-major layout.  block_any reduces a mask over
+blocks: the pipeline's HR mask to LR once per request, and that LR mask to
+the patch mask here, whose corrupted patches the masked attention map then
+carries to the HR composition.
 
 Patches are cut by one strided copy.  Rows of the result are channel-major
 flattened patches (all R pixels row-major, then G, then B): bit-identical to
@@ -61,31 +60,23 @@ class TokenMatrix:
 
 
 def img2col(image: np.ndarray, patch_size: int) -> PatchGrid:
-    """Split a [3, H, W] image into non-overlapping P x P patches."""
-    return hr_patches(image, patch_size, patch_size)
-
-
-def hr_patches(image: np.ndarray, patch_h: int, patch_w: int) -> PatchGrid:
-    """Split a [3, H, W] image into patch_h x patch_w patches, as one copy
-    into a new float32 array.
-
-    HR patches are rectangular whenever the two axes are downsampled by
-    different factors.
-    """
+    """Split a [3, H, W] image into non-overlapping P x P patches, as one
+    copy into a new float32 array."""
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
     _, h, w = image.shape
-    if h % patch_h or w % patch_w:
-        raise ValueError(f"image {h}x{w} not divisible by patch {patch_h}x{patch_w}")
-    rows, cols = h // patch_h, w // patch_w
-    patches = np.empty((rows * cols, 3 * patch_h * patch_w), dtype=DTYPE)
-    patches.reshape(rows, cols, 3, patch_h, patch_w)[...] = (
-        image.reshape(3, rows, patch_h, cols, patch_w).transpose(1, 3, 0, 2, 4))
-    return PatchGrid(patches, rows, cols, patch_h, patch_w)
+    p = patch_size
+    if h % p or w % p:
+        raise ValueError(f"image {h}x{w} not divisible by patch {p}x{p}")
+    rows, cols = h // p, w // p
+    patches = np.empty((rows * cols, 3 * p * p), dtype=DTYPE)
+    patches.reshape(rows, cols, 3, p, p)[...] = (
+        image.reshape(3, rows, p, cols, p).transpose(1, 3, 0, 2, 4))
+    return PatchGrid(patches, rows, cols, p, p)
 
 
 def pixel_shuffle(grid: PatchGrid) -> np.ndarray:
-    """Exact inverse of img2col and hr_patches: reassemble [3, H, W]."""
+    """Exact inverse of img2col, on any grid: reassemble [3, H, W]."""
     ph, pw = grid.patch_h, grid.patch_w
     arr = grid.patches.reshape(grid.rows, grid.cols, 3, ph, pw)
     img = arr.transpose(2, 0, 3, 1, 4).reshape(3, grid.rows * ph, grid.cols * pw)

@@ -122,7 +122,7 @@ def _cpu_count() -> int:
 _PART_BYTES = 2 * 1024 * 1024
 
 
-def _split(job, items, nbytes: int, scratch=None) -> list:
+def _split(job, items, nbytes: int) -> list:
     """Run `job` over contiguous slices of `items`, one slice per CPU of the
     process affinity, under `_one_blas_thread`, and return the results of
     job(slice) in slice order.
@@ -131,23 +131,18 @@ def _split(job, items, nbytes: int, scratch=None) -> list:
     _PART_BYTES of it.  Slices after the first run on short-lived threads,
     the first on the caller; all are joined before the first error is
     re-raised.  With one CPU, too little work or no hold, job(items) runs on
-    the calling thread.  Jobs must write disjoint outputs.  A job that needs
-    scratch gets it as job(slice, scratch()), with `scratch` called on the
-    calling thread once per slice: memory freed by a short-lived thread
-    stays in that thread's malloc arena, which raised a 2048^2 request's
-    peak RSS by 8.6 MB when the slices allocated their own.
+    the calling thread.  Jobs must write disjoint outputs.
     """
     with _one_blas_thread() as held:
         parts = min(_cpu_count(), len(items), nbytes // _PART_BYTES) if held else 1
-        args = [() if scratch is None else (scratch(),) for _ in range(max(parts, 1))]
         if parts < 2:
-            return [job(items, *args[0])]
+            return [job(items)]
         bounds = [len(items) * i // parts for i in range(parts + 1)]
         results, errors = [None] * parts, [None] * parts
 
         def run(i):
             try:
-                results[i] = job(items[bounds[i]:bounds[i + 1]], *args[i])
+                results[i] = job(items[bounds[i]:bounds[i + 1]])
             except BaseException as exc:  # re-raised on the caller below
                 errors[i] = exc
 
@@ -489,14 +484,3 @@ def gaussian_blur(x: np.ndarray, sigma: float, sigma_x: Optional[float] = None) 
         raise ValueError("sigma must be positive")
     _, h, w = x.shape
     return _downsample(x, h, w, sigma, sigma if sigma_x is None else sigma_x, np.float64)
-
-
-def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
-    """Exact nearest-neighbor upsampling by an integer factor."""
-    if x.ndim != 3:
-        raise ValueError(f"expected [C, H, W] input, got shape {x.shape}")
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return x.copy()
-    return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)

@@ -210,7 +210,8 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
     # of the whole row
     out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
 
-    def compose(part, keep):
+    def compose(part):
+        keep = np.empty((ph, w_hr), dtype=bool)
         for pr in part:
             rows = slice(pr * ph, (pr + 1) * ph)
             seg, xs = out[:, rows], x_hr_masked[:, rows]
@@ -233,5 +234,5 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
                         np.copyto(dst, x_run, where=known)
             np.clip(seg, 0.0, 1.0, out=seg)
 
-    _split(compose, range(amap.rows), 3 * out.nbytes, lambda: np.empty((ph, w_hr), dtype=bool))
+    _split(compose, range(amap.rows), 3 * out.nbytes)
     return out

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from rethined import image_io, tensor_ops
 from rethined.image_io import (
     ImageFormatError,
     read_image,
@@ -311,8 +312,8 @@ class TestPpmPgm:
         want = raw.reshape(5, 4, 3).transpose(2, 0, 1).astype(F32) / F32(255.0)
         assert np.array_equal(img, want)
 
-    def test_read_image_strips_exact(self, tmp_path):
-        # 777 rows of 1031 pixels span many strips, the last one partial
+    def test_read_image_odd_extent_exact(self, tmp_path):
+        # 777 rows of 1031 pixels, with trailing bytes after the pixels
         raw = np.random.default_rng(6).integers(0, 256, 777 * 1031 * 3, dtype=np.uint8)
         path = tmp_path / "img.ppm"
         path.write_bytes(b"P6\n1031 777\n255\n" + raw.tobytes() + b"trailing")
@@ -343,14 +344,31 @@ class TestPpmPgm:
         assert path.read_bytes() == f"P6\n{w} {h}\n255\n".encode() + q.transpose(1, 2, 0).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_write_image_strips_byte_exact(self, tmp_path, dtype):
-        # 777 rows of 1031 pixels span many strips, the last one partial
+    def test_write_image_strips_byte_exact(self, tmp_path, monkeypatch, dtype):
+        # 777 rows of 1031 pixels span many strips, the last one partial, and
+        # 1, 2 and 3 slices of them; the rounding edges (k + 0.5) / 255 with
+        # their neighbours, +-inf and -0.0 recur along every row
         x = np.random.default_rng(5).uniform(-0.3, 1.3, (3, 777, 1031)).astype(dtype)
         x[:, ::97, ::89] = np.array([-1e30, 1e30, 0.5 / 255], dtype)[:, None, None]
-        path = tmp_path / "img.ppm"
-        write_image(x, path)
+        edges = ((np.arange(256) + 0.5) / 255).astype(dtype)
+        special = np.concatenate([edges, np.nextafter(edges, dtype(2)), np.nextafter(edges, dtype(-1)),
+                                  np.array([np.inf, -np.inf, -0.0], dtype)])
+        every = x.reshape(-1)[::101]
+        every[:] = np.resize(special, every.size)
         q = np.floor(np.clip(x, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-        assert path.read_bytes() == b"P6\n1031 777\n255\n" + q.transpose(1, 2, 0).tobytes()
+        want = b"P6\n1031 777\n255\n" + q.transpose(1, 2, 0).tobytes()
+        sliced = []
+        monkeypatch.setattr(image_io, "_split", lambda job, items, nbytes: tensor_ops._split(
+            lambda part: sliced.append(part) or job(part), items, nbytes))
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        for parts in (1, 2, 3):
+            sliced.clear()
+            monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: parts)
+            path = tmp_path / f"img{parts}.ppm"
+            np.full(x[0].size * 3, 7, np.uint8)  # freed at once: bytes a missed strip would keep
+            write_image(x, path)
+            assert len(sliced) == (parts if tensor_ops._openblas() else 1)
+            assert path.read_bytes() == want
 
     def test_2x2_analytic_values(self, tmp_path):
         path = tmp_path / "img.ppm"

@@ -722,16 +722,45 @@ class TestCli:
         assert report.with_suffix(".md").exists()
 
     @pytest.mark.parametrize("flags", [["--runs", "0"], ["--warmup", "-1"]])
-    def test_bench_command_rejects_bad_counts(self, tmp_path, monkeypatch, flags):
+    def test_bench_command_rejects_bad_counts(self, tmp_path, capsys, monkeypatch, flags):
         def no_request(*args):
             raise AssertionError("a request ran before the counts were checked")
 
         monkeypatch.setattr(bench, "run_pipeline_timed", no_request)
         report = tmp_path / "bench.csv"
-        with pytest.raises(ValueError):
-            cli_main(["bench", "--res", "128", "--report", str(report),
-                      "--lr", "64", *flags])
+        rc = cli_main(["bench", "--res", "128", "--report", str(report), "--lr", "64", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("rethined: error: ") and "must be" in err
         assert not report.exists()
+
+    @pytest.mark.parametrize("case,message", [
+        ("missing-image", "No such file or directory"),
+        ("lr-not-multiple-of-p", "lr_size must be divisible by patch_size"),
+        ("size-mismatch", "could not be broadcast"),
+        ("genmask-too-small", "mask extents must be at least 64 pixels"),
+    ], ids=["missing-image", "lr-not-multiple-of-p", "size-mismatch", "genmask-too-small"])
+    def test_bad_input_ends_in_one_line_error(self, tmp_path, capsys, case, message):
+        # a bad input is reported as one stderr line with status 1, not a traceback
+        img_path, mask_path = self._write_inputs(tmp_path)
+        inpaint = ["inpaint", "--image", str(img_path), "--mask", str(mask_path),
+                   "--out", str(tmp_path / "out.ppm"), "--lr", "64"]
+        if case == "missing-image":
+            argv = inpaint[:2] + [str(tmp_path / "none.ppm")] + inpaint[3:]
+        elif case == "lr-not-multiple-of-p":
+            save_model(random_model(PipelineConfig(lr_size=64, patch_size=16, d_k=12), seed=4),
+                       tmp_path / "w.rthd")
+            argv = inpaint[:-1] + ["72", "--weights", str(tmp_path / "w.rthd")]
+        elif case == "size-mismatch":
+            write_mask(generate_mask(MaskSpec(seed=9), 64, 64), mask_path)
+            argv = inpaint
+        else:
+            argv = ["genmask", "--h", "10", "--w", "64", "--out", str(tmp_path / "g.pgm")]
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("rethined: error: ")
+        assert message in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "out.ppm").exists()
 
     def test_bench_command_has_no_hr_runs_flag(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -728,21 +728,6 @@ class TestSplit:
         assert {threads for _, threads in parts} == {1}
 
     @needs_openblas
-    def test_scratch_is_made_on_the_calling_thread_once_per_slice(self, monkeypatch):
-        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
-        makers = []
-
-        def scratch():
-            makers.append(threading.current_thread())
-            return np.empty(4)
-
-        got = tensor_ops._split(lambda part, buf: (len(part), buf), range(9), 1 << 30, scratch)
-        assert makers == [threading.current_thread()] * 3
-        assert [n for n, _ in got] == [3, 3, 3]
-        assert len({id(buf) for _, buf in got}) == 3
-
-    @needs_openblas
     def test_small_work_and_one_cpu_run_inline(self, monkeypatch):
         me = threading.current_thread()
         job = lambda part: threading.current_thread() is me  # noqa: E731

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rethined import upscale
 from rethined.attention import (AllPatchesCorruptedError, AttentionMap, ProjectionWeights,
                                 attention_scores, mask_attention, token_mix)
-from rethined.patches import PatchGrid, TokenMatrix, block_any, hr_patches, pixel_shuffle, tokenize_mask
+from rethined.patches import PatchGrid, TokenMatrix, block_any, img2col, pixel_shuffle, tokenize_mask
 from rethined.pipeline import PipelineConfig, downsample_to_lr
 from rethined import tensor_ops
 from rethined.tensor_ops import (_downsample, _lr_blocks, bilinear_resize, gaussian_kernel_1d,
@@ -139,25 +139,19 @@ class TestFrequencySplit:
         assert np.abs(split.low - want).max() < 1e-5
 
 
-class TestHrPatches:
-    """hr_patches and pixel_shuffle on rectangular HR patches."""
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        x = rng.random((3, 24, 16)).astype(F32)
-        grid = hr_patches(x, 6, 8)
-        assert grid.count == 8
-        assert np.array_equal(pixel_shuffle(grid), x)
+class TestImg2colCut:
+    """img2col, the one patch cut, on the P x P patches of a mix."""
 
     def test_layout_matches_slicing(self):
         rng = np.random.default_rng(1)
         x = rng.random((3, 8, 8)).astype(F32)
-        grid = hr_patches(x, 4, 4)
+        grid = img2col(x, 4)
+        assert (grid.patch_h, grid.patch_w) == (4, 4)
         assert np.array_equal(grid.patches[3], x[:, 4:, 4:].reshape(-1))
 
     def test_divisibility(self):
         with pytest.raises(ValueError):
-            hr_patches(np.zeros((3, 10, 8), F32), 4, 4)
+            img2col(np.zeros((3, 10, 8), F32), 4)
 
 
 class TestHfTokenMix:
@@ -166,14 +160,14 @@ class TestHfTokenMix:
     def test_identity_map_bit_exact(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 16, 16)).astype(F32)
-        grid = hr_patches(x, 8, 8)
+        grid = img2col(x, 8)
         amap = identity_masked_map(4, 2, 2)
         out = token_mix(amap, grid)
         assert np.array_equal(out.patches, grid.patches)
 
     def test_one_hot_copy(self):
         rng = np.random.default_rng(1)
-        grid = hr_patches(rng.standard_normal((3, 16, 16)).astype(F32), 8, 8)
+        grid = img2col(rng.standard_normal((3, 16, 16)).astype(F32), 8)
         # patch 2 draws only from patch 1
         amap = masked_map([2], [[0, 1, 0]], 2, 2)
         out = token_mix(amap, grid)
@@ -181,7 +175,7 @@ class TestHfTokenMix:
 
     def test_matches_weighted_sum_oracle(self):
         rng = np.random.default_rng(2)
-        grid = hr_patches(rng.standard_normal((3, 16, 16)).astype(F32), 8, 8)
+        grid = img2col(rng.standard_normal((3, 16, 16)).astype(F32), 8)
         a = softmax_rows(rng.standard_normal((4, 4)).astype(F32))
         amap = mask_attention(AttentionMap(a, False, 2, 2), np.array([1, 0, 0, 1], F32))
         out = token_mix(amap, grid)
@@ -193,7 +187,7 @@ class TestHfTokenMix:
         rng = np.random.default_rng(3)
         x = rng.random((3, 32, 32)).astype(F32)
         split = frequency_split(x, 2.0)
-        grid = hr_patches(split.high.astype(F32), 16, 16)
+        grid = img2col(split.high.astype(F32), 16)
         a = softmax_rows(rng.standard_normal((4, 4)).astype(F32))
         amap = mask_attention(AttentionMap(a, False, 2, 2), np.array([1, 0, 1, 0], F32))
         out = token_mix(amap, grid)
@@ -202,7 +196,7 @@ class TestHfTokenMix:
         assert out_means.max() <= in_means.max() + 1e-6
 
     def test_requires_masked_map(self):
-        grid = hr_patches(np.zeros((3, 16, 16), F32), 8, 8)
+        grid = img2col(np.zeros((3, 16, 16), F32), 8)
         amap = AttentionMap(np.full((4, 4), 0.25, F32), False, 2, 2)
         with pytest.raises(ValueError):
             token_mix(amap, grid)
@@ -396,7 +390,10 @@ def unfused_compose(x, low, x_lr, amap, m_hr, p, composite):
     """The composition as full-resolution passes: residual image, HR patch
     grid, mix, pixel shuffle, bilinear carrier, add, composite, clip."""
     (_, h_hr, w_hr), (_, h, w) = x.shape, x_lr.shape
-    grid = hr_patches(x - low, p * (h_hr // h), p * (w_hr // w))
+    ph, pw = p * (h_hr // h), p * (w_hr // w)
+    # the ph x pw HR patch grid of x - low, img2col's layout on rectangles
+    cut = (x - low).reshape(3, h // p, ph, w // p, pw).transpose(1, 3, 0, 2, 4)
+    grid = PatchGrid(cut.reshape(-1, 3 * ph * pw).astype(F32), h // p, w // p, ph, pw)
     mixed = PatchGrid(seed_mix_rows(amap.a, grid.patches), grid.rows, grid.cols,
                       grid.patch_h, grid.patch_w)
     out = bilinear_resize(x_lr, h_hr, w_hr)
@@ -786,14 +783,14 @@ class TestPatchMajorComposer:
         last split loop of a compose_hr call, the compose pass, gets."""
         compose_parts = []
 
-        def recording_split(job, items, *args):
+        def recording_split(job, items, nbytes):
             compose_parts.clear()
 
-            def recorded(part, *scratch):
+            def recorded(part):
                 compose_parts.append(list(part))
-                return job(part, *scratch)
+                return job(part)
 
-            return tensor_ops._split(recorded, items, *args)
+            return tensor_ops._split(recorded, items, nbytes)
 
         monkeypatch.setattr(upscale, "_split", recording_split)
         return compose_parts
