@@ -13,6 +13,7 @@ from .masks import MaskCoverageError, MaskSpec, generate_mask, mask_coverage
 from .metrics import l1, psnr, ssim
 from .pipeline import (
     PipelineConfig,
+    check_shapes,
     config_for_model,
     fuse_pipeline_model,
     load_model,
@@ -43,6 +44,7 @@ def _cmd_inpaint(args) -> int:
     config, model = _build(args, composite=not args.no_composite)
     image = read_image(args.image)
     mask = read_mask(args.mask)
+    check_shapes(image, mask)  # before the product, whose broadcast error says less
     masked = image * (1.0 - mask)
     out = run_pipeline(config, model, masked, mask)
     write_image(out, args.out)

@@ -118,11 +118,11 @@ def read_mask(path) -> np.ndarray:
     if len(raw) != need:
         raise ImageFormatError(f"{path}: expected {need} mask bytes, found {len(raw)}")
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
-    corrupted = arr == 255
-    # two counts: an order of magnitude faster than np.isin on large masks
-    if np.count_nonzero(corrupted) + np.count_nonzero(arr == 0) != arr.size:
+    # every nonzero byte is 255 iff the two counts agree; then u8 / 255 is
+    # exactly 0 or 1
+    if np.count_nonzero(arr) != np.count_nonzero(arr == 255):
         raise ImageFormatError(f"{path}: mask bytes must be 0 or 255")
-    return corrupted.astype(DTYPE)[None]
+    return np.divide(arr, 255, dtype=DTYPE)[None]
 
 
 def write_mask(mask: np.ndarray, path) -> None:

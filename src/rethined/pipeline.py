@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +36,7 @@ from .coarse import (
 from .patches import block_any
 from .tensor_ops import (DTYPE, _downsample, _one_blas_thread, bilinear_resize, require_binary,
                          value_range)
-from .upscale import compose_hr, sigma_for_factor
+from .upscale import _Preparation, compose_hr, sigma_for_factor
 from .weights_io import WeightFormatError, load_tensors, save_tensors
 
 
@@ -209,17 +210,22 @@ class PixelRangeError(ValueError):
     image in 0-255, whose known pixels the clipped output could not keep."""
 
 
+def check_shapes(image: np.ndarray, mask: np.ndarray) -> None:
+    """Raise ValueError unless `image` is [3, H, W] and `mask` [1, H, W]."""
+    if image.ndim != 3 or image.shape[0] != 3:
+        raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
+    if mask.shape != (1, *image.shape[1:]):
+        raise ValueError(f"mask shape {mask.shape} does not match image {image.shape}")
+
+
 def _validate_inputs(config: PipelineConfig, model: InpaintingModel, image: np.ndarray,
                      mask: np.ndarray):
     want = (3 * config.patch_size ** 2, config.d_k)
     if model.npm.embed.shape != want:
         raise ValueError(f"model embedding shape {model.npm.embed.shape} != config's (3P^2, d_k) "
                          f"= {want} for patch_size={config.patch_size}, d_k={config.d_k}")
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise ValueError(f"expected [3, H, W] image, got shape {image.shape}")
+    check_shapes(image, mask)
     _, h, w = image.shape
-    if mask.shape != (1, h, w):
-        raise ValueError(f"mask shape {mask.shape} does not match image {image.shape}")
     if min(h, w) < config.lr_size or h % config.lr_size or w % config.lr_size:
         raise ValueError(
             f"image {h}x{w} must be a positive integer multiple of lr_size {config.lr_size}"
@@ -265,13 +271,15 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
     """Full inpainting chain returning (result, per-stage wall times in ms).
 
     `coarse` covers downsample_to_lr, the banded blur-and-decimate, and the
-    coarse CNN; `refine` the LR attention pass; and `upscale` the HR mix,
-    its up-sampled LR correction and composite.  `total` also covers the
-    input checks.
+    coarse CNN; `refine` the LR attention pass.  At r > 1 the composer's
+    preparation (upscale._Preparation) runs beside both on idle peers, and
+    `upscale` is the part of it no peer has done by the end of `refine`,
+    then the finish: the HR mix, its up-sampled LR correction and the
+    composite.  `total` also covers the input checks.
 
     The whole chain runs with numpy's OpenBLAS held at one thread, and its
     full-resolution loops are split across the CPUs of the process affinity
-    (see tensor_ops._split).
+    (see tensor_ops._split and _shared).
     """
     times: dict[str, float] = {}
     t_all = time.perf_counter()
@@ -280,17 +288,23 @@ def run_pipeline_timed(config: PipelineConfig, model: InpaintingModel,
 
         t0 = time.perf_counter()
         x_lr, m_lr = downsample_to_lr(config, image, mask)
-        coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
-        features = _features_for_grid(config, features)
-        times["coarse"] = (time.perf_counter() - t0) * 1e3
+        prep = None
+        if x_lr.shape != image.shape:
+            clean = np.flatnonzero(block_any(m_lr[0], config.patch_size, config.patch_size) == 0)
+            prep = _Preparation(image, x_lr, clean, (config.grid, config.grid), config.composite)
+        with prep.beside() if prep is not None else nullcontext():
+            coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
+            features = _features_for_grid(config, features)
+            times["coarse"] = (time.perf_counter() - t0) * 1e3
 
-        t0 = time.perf_counter()
-        x_lr_hat, masked_map = npm_refine(coarse, x_lr, features, model.npm, m_lr)
-        del coarse, features, m_lr  # the composition's arrays can reuse their memory
-        times["refine"] = (time.perf_counter() - t0) * 1e3
+            t0 = time.perf_counter()
+            x_lr_hat, masked_map = npm_refine(coarse, x_lr, features, model.npm, m_lr)
+            del coarse, features, m_lr  # the composition's arrays can reuse their memory
+            times["refine"] = (time.perf_counter() - t0) * 1e3
+            t0 = time.perf_counter()
 
-        t0 = time.perf_counter()
-        out = compose_hr(image, x_lr, x_lr_hat, masked_map, mask, config.composite)
+        out = compose_hr(image, x_lr, x_lr_hat, masked_map, mask, config.composite,
+                         _prepared=prep)
         times["upscale"] = (time.perf_counter() - t0) * 1e3
     times["total"] = (time.perf_counter() - t_all) * 1e3
     return out, times

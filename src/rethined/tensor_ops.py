@@ -11,8 +11,12 @@ its patches, and `bilinear_resize` only resizes the coarse features.
 
 `_one_blas_thread` holds numpy's OpenBLAS at one thread, and `_split` runs a
 full-resolution loop as contiguous slices of its rows, blocks or elements,
-one slice per CPU of the process affinity, on short-lived threads and the
-caller.  While a chain (`run_pipeline`), an LR kernel that calls BLAS
+one slice per CPU of the process affinity: the first on the caller, the
+others on long-lived peers, one thread per further CPU, created on first use
+and claimed without waiting, so a busy peer's slice runs on the caller.
+`_shared` gives the same peers units taken from one iterator while the
+caller runs a block beside them, as run_pipeline runs the LR core beside the
+composer's preparation.  While a chain (`run_pipeline`), an LR kernel that calls BLAS
 (`coarse_forward`, `attention_scores`, `mask_attention`) or a split kernel
 runs, every BLAS call in the process uses one thread, so none wakes
 OpenBLAS's idle workers, which would spin on the CPU a slice needs.  Every
@@ -40,6 +44,7 @@ import ctypes
 import functools
 import math
 import os
+import queue
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -122,19 +127,81 @@ def _cpu_count() -> int:
 _PART_BYTES = 2 * 1024 * 1024
 
 
+class _Peer:
+    """A long-lived thread that runs the jobs of whoever holds `claim` under
+    _one_blas_thread, putting each one's exception, or None, on `done`."""
+
+    def __init__(self, name: str):
+        self.claim, self.jobs, self.done = threading.Lock(), queue.SimpleQueue(), queue.SimpleQueue()
+        threading.Thread(target=self._serve, name=name, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            job, error = self.jobs.get(), None
+            try:
+                with _one_blas_thread():
+                    job()
+            except BaseException as exc:  # re-raised by the claimer
+                error = exc
+            self.done.put(error)
+
+
+_peers, _peers_lock = [], threading.Lock()
+
+
+def _forget_peers():
+    # a forked child has none of the parent's threads, nor their locks
+    global _peers, _peers_lock, _hold_lock
+    _peers, _peers_lock, _hold_lock = [], threading.Lock(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_peers)
+
+
+@contextmanager
+def _claimed(n: int):
+    """Up to n idle peers, claimed without waiting, so concurrent and nested
+    callers never wait on each other; the first claim starts one peer per
+    further CPU.  The exit waits for their jobs and re-raises the first
+    error of one."""
+    if n > 0 and len(_peers) < _cpu_count() - 1:
+        with _peers_lock:
+            while len(_peers) < _cpu_count() - 1:
+                _peers.append(_Peer(f"rethined-split-{len(_peers) + 1}"))
+    got = []
+    for peer in _peers:
+        if len(got) < n and peer.claim.acquire(blocking=False):
+            got.append(peer)
+    try:
+        yield got
+    finally:
+        errors = [peer.done.get() for peer in got]
+        for peer in got:
+            peer.claim.release()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _parts(n_items: int, nbytes: int, held: bool) -> int:
+    return max(1, min(_cpu_count(), n_items, nbytes // _PART_BYTES)) if held else 1
+
+
 def _split(job, items, nbytes: int) -> list:
     """Run `job` over contiguous slices of `items`, one slice per CPU of the
     process affinity, under `_one_blas_thread`, and return the results of
     job(slice) in slice order.
 
     `nbytes` is what the whole loop streams; a slice gets at least
-    _PART_BYTES of it.  Slices after the first run on short-lived threads,
-    the first on the caller; all are joined before the first error is
-    re-raised.  With one CPU, too little work or no hold, job(items) runs on
-    the calling thread.  Jobs must write disjoint outputs.
+    _PART_BYTES of it.  The first slice runs on the caller and each later
+    one on an idle peer (`_claimed`), or after the first where none is free;
+    all have run before the first error is re-raised.  With one CPU, too
+    little work or no hold, job(items) runs on the calling thread.  Jobs
+    must write disjoint outputs.
     """
     with _one_blas_thread() as held:
-        parts = min(_cpu_count(), len(items), nbytes // _PART_BYTES) if held else 1
+        parts = _parts(len(items), nbytes, held)
         if parts < 2:
             return [job(items)]
         bounds = [len(items) * i // parts for i in range(parts + 1)]
@@ -146,17 +213,41 @@ def _split(job, items, nbytes: int) -> list:
             except BaseException as exc:  # re-raised on the caller below
                 errors[i] = exc
 
-        threads = [threading.Thread(target=run, args=(i,), name=f"rethined-split-{i}", daemon=True)
-                   for i in range(1, parts)]
-        for t in threads:
-            t.start()
-        run(0)
-        for t in threads:
-            t.join()
+        with _claimed(parts - 1) as peers:
+            for i, peer in enumerate(peers, 1):
+                peer.jobs.put(functools.partial(run, i))
+            for i in (0, *range(len(peers) + 1, parts)):
+                run(i)
         for exc in errors:
             if exc is not None:
                 raise exc
         return results
+
+
+@contextmanager
+def _shared(unit, items, nbytes: int):
+    """Run unit(item) for every item of the sequence `items`, taken from one
+    iterator by idle peers from entry on and by the caller at the exit, so
+    the units run beside the block.  The exit waits for the peers and
+    re-raises the first error; a raise drops the items no one has taken.
+    Peers are claimed by _split's rule for `nbytes`."""
+    with _one_blas_thread() as held:
+        todo = iter(items)  # next() on a sequence's iterator is atomic
+
+        def drain():
+            for item in todo:
+                unit(item)
+
+        with _claimed(_parts(len(items), nbytes, held) - 1) as peers:
+            for peer in peers:
+                peer.jobs.put(drain)
+            try:
+                yield
+                drain()
+            except BaseException:
+                for _ in todo:
+                    pass
+                raise
 
 
 # Per-thread store of the LR core's intermediates: role -> uint8 buffer.

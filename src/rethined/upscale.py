@@ -16,15 +16,16 @@ residual image is built.  Nor are the corrupted patches recomputed: the
 masked map already lists them, so the composer does not reduce the HR mask
 over patches.
 
-The composition works patch-major in three steps.  A gather copies x at the
-clean patches, which the mix reads, into one patch-major buffer; one matmul
-writes the mixed rows of the corrupted patches into another; the compose
-pass then walks the rows of patches: it writes each run of written patches
-as the bilinear up-sampling of its LR difference plus its mixed rows (or
-x), composites it, and clips the row.  Each step is split across CPUs by
-tensor_ops._split: the gather and the compose pass by rows of patches and
-the matmul by row blocks of the weights; one BLAS thread runs each row
-block.
+The composition works patch-major in two phases.  The preparation reads
+only x, x_lr and the clean patches, so run_pipeline runs it beside the LR
+core: it gathers x - m at the clean patches, which the mix reads, into one
+patch-major buffer and, with composite, writes the clean runs of the output,
+x clipped, one row of patches per unit (tensor_ops._shared).  The finish
+needs the attention map: one matmul writes the mixed rows of the corrupted
+patches, split by row blocks of the weights; the compose pass then writes
+each run of written patches, split by rows of patches, as the bilinear
+up-sampling of its LR difference plus its mixed rows (or x), composites and
+clips it.  One BLAS thread runs each piece.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import AttentionMap
-from .tensor_ops import DTYPE, _sample_taps, _split, gaussian_blur
+from .tensor_ops import DTYPE, _sample_taps, _shared, _split, gaussian_blur
 
 SIGMA_SCALE = 0.8   # scale-space anti-aliasing rule sigma = 0.8*sqrt(r^2 - 1)
 SIGMA_FLOOR = 1e-3
@@ -102,8 +103,54 @@ def _patch_upsampler(p: int, r: int) -> np.ndarray:
     return b.astype(DTYPE)
 
 
+class _Preparation:
+    """compose_hr's passes that read only x, x_lr and the clean patches, so
+    they can run before the refinement returns: the gather of x - m at the
+    clean patches for the mix, if any patch is corrupted, and, once `out`
+    exists, its clean runs as composite writes them, x clipped.  A unit is
+    one row of patches, whose writes no other row touches."""
+
+    def __init__(self, x_hr: np.ndarray, x_lr: np.ndarray, clean: np.ndarray, grid: tuple,
+                 write_clean: bool):
+        (_, h_hr, w_hr), (_, h, w) = x_hr.shape, x_lr.shape
+        self.x_hr, self.clean, (self.rows, self.cols) = x_hr, clean, grid
+        self.p = p = h // self.rows
+        self.ph, self.pw = ph, pw = p * (h_hr // h), p * (w_hr // w)
+        self.clean_runs = _runs(clean, self.rows, self.cols)
+        self.out = np.empty((3, h_hr, w_hr), dtype=DTYPE) if write_clean else None
+        self.values = self.m = None
+        if len(clean) < self.rows * self.cols:
+            # values holds x - m at the clean patches, the matmul's value
+            # rows, as one contiguous operand: a run of patches is one basic
+            # slice of it.  m, each clean patch's LR mean per channel, comes
+            # off its window L too; B maps it to itself, so it cancels, and
+            # the float32 matmul rounds at the texture's scale, not at x's
+            # (on perfbench's hr1024-object inputs, 5.8e-7 from a float64
+            # reference, and 1.6e-6 mixing x itself)
+            m = x_lr.reshape(3, self.rows, p, self.cols, p).mean(axis=(2, 4), dtype=np.float64)
+            self.m = m.astype(DTYPE).reshape(3, -1)[:, clean]
+            self.values = np.empty((len(clean), 3, ph, pw), dtype=DTYPE)
+
+    def unit(self, pr: int) -> None:
+        ph, pw, rows = self.ph, self.pw, slice(pr * self.ph, (pr + 1) * self.ph)
+        for pc, i, k in self.clean_runs[pr]:
+            src = self.x_hr[:, rows, pc * pw:(pc + k) * pw]
+            if self.values is not None:
+                np.subtract(src.reshape(3, ph, k, pw), self.m[:, None, i:i + k, None],
+                            out=self.values.transpose(1, 2, 0, 3)[:, :, i:i + k])
+            if self.out is not None:
+                np.clip(src, 0.0, 1.0, out=self.out[:, rows, pc * pw:(pc + k) * pw])
+
+    def beside(self):
+        """tensor_ops._shared over the rows of patches: done at its exit."""
+        passes = (self.values is not None) + (self.out is not None)
+        nbytes = 2 * passes * len(self.clean) * 3 * self.ph * self.pw * np.dtype(DTYPE).itemsize
+        return _shared(self.unit, range(self.rows), nbytes)
+
+
 def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarray,
-               amap: AttentionMap, m_hr: np.ndarray, composite: bool) -> np.ndarray:
+               amap: AttentionMap, m_hr: np.ndarray, composite: bool,
+               _prepared: _Preparation | None = None) -> np.ndarray:
     """Assemble the final HR result.
 
     `x_lr` is the LR input of `x_hr_masked` as downsample_to_lr returns it.
@@ -127,6 +174,8 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
     `amap.corrupt` lists, in ascending order, the patches that hold a
     corrupted pixel, so the composer does not read the mask for them; its
     grid fixes the LR patch size P, x_lr_refined's height over amap.rows.
+    `_prepared` is run_pipeline's _Preparation of these inputs, whose units
+    are done; without it the composer prepares for itself, before the mix.
 
     The result is within float32 rounding of the up-sample-then-mix form
     (tests/test_upscale.py states the bound), with known pixels bit-exact.
@@ -141,12 +190,15 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
         if composite:
             np.copyto(out, x_hr_masked, where=m_hr == 0)
         return np.clip(out, 0.0, 1.0, out=out)
-    p = h // amap.rows
+    prep = _prepared
+    if prep is None:
+        prep = _Preparation(x_hr_masked, x_lr, amap.clean, (amap.rows, amap.cols), False)
+        with prep.beside():
+            pass
+    p, ph, pw = prep.p, prep.ph, prep.pw
     q = p + 2
-    ph, pw = p * (h_hr // h), p * (w_hr // w)
     b_h, b_w = _patch_upsampler(p, h_hr // h), _patch_upsampler(p, w_hr // w)
     clean, corrupt = amap.clean, amap.corrupt
-    clean_runs = _runs(clean, amap.rows, amap.cols)
 
     def windows(img, patches):
         """The windows L of `patches` in img, edge-padded by one pixel, as
@@ -163,53 +215,38 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
         return np.matmul(d, b_w.T).reshape(3, q, -1)
 
     # (runs of a buffer's patches, their correction, their mixed rows as
-    # [3, patch y, buffer row, patch x], or None where the patch is x itself)
-    writes = [(clean_runs, None if composite else
-               correction(windows(x_lr_refined, clean) - windows(x_lr, clean)), None)]
+    # [3, patch y, buffer row, patch x], or None where the patch is x
+    # itself); with composite the clean runs are x, clipped
+    writes = [] if composite else [
+        (prep.clean_runs, correction(windows(x_lr_refined, clean) - windows(x_lr, clean)), None)]
     if corrupt.size:
-        # values holds x - m at the clean patches, the matmul's value rows, as
-        # one contiguous operand, and mixed the rows of the corrupted ones: a
-        # run of patches is one basic slice of either.  m, each clean patch's
-        # LR mean per channel, comes off its window L too; B maps it to
-        # itself, so it cancels, and the float32 matmul rounds at the
-        # texture's scale, not at x's (on perfbench's hr1024-object inputs,
-        # 5.8e-7 from a float64 reference, and 1.6e-6 mixing x itself)
-        m = x_lr.reshape(3, amap.rows, p, amap.cols, p).mean(axis=(2, 4), dtype=np.float64)
-        m = m.astype(DTYPE).reshape(3, -1)[:, clean]
-        values = np.empty((len(clean), 3, ph, pw), dtype=DTYPE)
-        values_t = values.transpose(1, 2, 0, 3)
-
-        # 1. x - m at the clean patches, by rows of patches
-        def gather(part):
-            for pr in part:
-                for pc, i, k in clean_runs[pr]:
-                    src = x_hr_masked[:, pr * ph:(pr + 1) * ph, pc * pw:(pc + k) * pw]
-                    np.subtract(src.reshape(3, ph, k, pw), m[:, None, i:i + k, None],
-                                out=values_t[:, :, i:i + k])
-
-        _split(gather, range(amap.rows), 2 * values.nbytes)
-
-        # 2. one matmul for the mixed rows, by row blocks of the weights
+        # one matmul for the mixed rows, by row blocks of the weights
         d = 3 * ph * pw
         mixed = np.empty((len(corrupt), 3, ph, pw), dtype=DTYPE)
-        flat_values, flat_mixed = values.reshape(len(clean), d), mixed.reshape(len(corrupt), d)
+        flat_values, flat_mixed = prep.values.reshape(len(clean), d), mixed.reshape(len(corrupt), d)
 
         def mix(part):
             rows = slice(part.start, part.stop)
             np.matmul(amap.weights[rows], flat_values, out=flat_mixed[rows])
 
-        _split(mix, range(len(corrupt)), values.nbytes + mixed.nbytes)
-        del values, values_t, flat_values  # the compose pass reads x itself
-        lr_clean = windows(x_lr, clean) - m.T.repeat(q * q, axis=1)
+        _split(mix, range(len(corrupt)), prep.values.nbytes + mixed.nbytes)
+        prep.values = flat_values = None  # the compose pass reads x itself
+        lr_clean = windows(x_lr, clean) - prep.m.T.repeat(q * q, axis=1)
         lr_diff = windows(x_lr_refined, corrupt) - amap.weights @ lr_clean
         writes.append((_runs(corrupt, amap.rows, amap.cols), correction(lr_diff),
                        mixed.transpose(1, 2, 0, 3)))
 
-    # 3. one row of patches at a time: (mixed or x) + B D and the composite
-    # at its written runs, x at its clean runs with composite, then one clip
-    # of the whole row
-    out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
+    if prep.out is None:
+        # the clean runs of a composition on its own wait for its output,
+        # allocated once the gathered values are freed
+        prep.out = np.empty((3, h_hr, w_hr), dtype=DTYPE)
+        if composite:
+            with prep.beside():
+                pass
+    out = prep.out
 
+    # one row of patches at a time: (mixed or x) + B D, the composite and
+    # the clip at each written run
     def compose(part):
         keep = np.empty((ph, w_hr), dtype=bool)
         for pr in part:
@@ -219,9 +256,6 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
                 for pc, i, k in runs[pr]:
                     cols = slice(pc * pw, (pc + k) * pw)
                     dst, x_run = seg[:, :, cols], xs[:, :, cols]
-                    if corr is None:  # a clean run, with composite
-                        np.copyto(dst, x_run)
-                        continue
                     np.matmul(b_h, corr[:, :, i * pw:(i + k) * pw], out=dst)
                     if mixed_t is None:
                         dst += x_run
@@ -232,7 +266,7 @@ def compose_hr(x_hr_masked: np.ndarray, x_lr: np.ndarray, x_lr_refined: np.ndarr
                         known = keep[:, :k * pw]
                         np.equal(m_hr[0, rows, cols], 0, out=known)
                         np.copyto(dst, x_run, where=known)
-            np.clip(seg, 0.0, 1.0, out=seg)
+                    np.clip(dst, 0.0, 1.0, out=dst)
 
     _split(compose, range(amap.rows), 3 * out.nbytes)
     return out

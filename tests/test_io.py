@@ -446,6 +446,20 @@ class TestPpmPgm:
         with pytest.raises(ImageFormatError, match="0 or 255"):
             read_mask(path)
 
+    def test_mask_bytes_equal_the_comparison_form(self, tmp_path):
+        # read_mask divides by 255 after two counts; its bytes are those of
+        # the comparison with 255, and one stray byte anywhere is rejected
+        arr = np.where(np.random.default_rng(3).random((97, 131)) < 0.4, 255, 0).astype(np.uint8)
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n131 97\n255\n" + arr.tobytes())
+        assert read_mask(path).tobytes() == (arr == 255).astype(F32)[None].tobytes()
+        for byte in (1, 254):
+            bad = arr.copy()
+            bad[60, 77] = byte
+            path.write_bytes(b"P5\n131 97\n255\n" + bad.tobytes())
+            with pytest.raises(ImageFormatError, match="0 or 255"):
+                read_mask(path)
+
     def test_mask_magic_checked(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))

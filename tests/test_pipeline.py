@@ -17,7 +17,7 @@ import pytest
 
 import rethined
 from rethined import bench, cli, pipeline, tensor_ops
-from rethined.attention import AttentionMap, npm_refine
+from rethined.attention import AllPatchesCorruptedError, AttentionMap, npm_refine
 from rethined.bench import (
     attention_flops,
     flop_estimates,
@@ -48,6 +48,9 @@ from rethined.pipeline import (
 )
 
 F32 = np.float32
+
+needs_openblas = pytest.mark.skipif(tensor_ops._openblas() is None,
+                                    reason="numpy's BLAS is not an OpenBLAS")
 
 
 def small_setup(seed=0, lr=64, size=128, d_k=16):
@@ -217,8 +220,11 @@ class TestRunPipeline:
         for out in (o for r in results for o in r):
             assert out.tobytes() == want.tobytes()
 
-    def test_request_starts_no_threads(self, tmp_path, monkeypatch):
-        # the split loops' helper threads are joined before each call returns
+    @needs_openblas
+    def test_first_request_starts_one_peer(self, tmp_path, monkeypatch):
+        # the split loops and the overlap share long-lived peers: at 2 CPUs
+        # the first request starts the one peer, later ones start none, and
+        # the peer is idle whenever a request has returned
         config, model, image, mask = small_setup(11, lr=64, size=512)
         started = []
 
@@ -227,16 +233,51 @@ class TestRunPipeline:
                 started.append(self.name)
                 super().start()
 
+        monkeypatch.setattr(tensor_ops, "_peers", [])
         monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
         monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
         monkeypatch.setattr(tensor_ops.threading, "Thread", Recorded)
-        write_image(run_pipeline(config, model, image, mask), tmp_path / "out.ppm")
-        names = [t.name for t in threading.enumerate()]
-        assert not [n for n in names if n.startswith("rethined")]
-        if tensor_ops._openblas() is not None:
-            assert started and all(n.startswith("rethined-split") for n in started)
-        else:
-            assert not started
+        for want in (["rethined-split-1"], []):
+            started.clear()
+            write_image(run_pipeline(config, model, image, mask), tmp_path / "out.ppm")
+            assert started == want
+            assert [p.claim.locked() for p in tensor_ops._peers] == [False]
+
+    @needs_openblas
+    def test_all_corrupted_and_non_finite_leave_the_peer_idle(self, monkeypatch):
+        config, model, image, mask = small_setup(11, lr=64, size=256)
+        monkeypatch.setattr(tensor_ops, "_peers", [])
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        run_pipeline(config, model, image, mask)
+        assert len(tensor_ops._peers) == 1
+        with pytest.raises(AllPatchesCorruptedError):
+            run_pipeline(config, model, image * 0, np.ones_like(mask))
+        assert not tensor_ops._peers[0].claim.locked()
+        image[0, 5, 5] = np.nan
+        with pytest.raises(NonFiniteInputError):
+            run_pipeline(config, model, image, mask)
+        assert not tensor_ops._peers[0].claim.locked()
+
+    @pytest.mark.parametrize("composite", [True, False])
+    @pytest.mark.parametrize("size", [128, 256, 512], ids=["r2", "r4", "r8"])
+    def test_bytes_equal_the_serial_chain_at_any_split(self, monkeypatch, size, composite):
+        # the composer's preparation runs beside the LR core, on a peer and
+        # then the caller; the stages one after another, inline, give the
+        # same bytes
+        config, model, image, mask = small_setup(15, lr=64, size=size)
+        config = replace(config, composite=composite)
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 1)
+        with tensor_ops._one_blas_thread():
+            x_lr, m_lr = downsample_to_lr(config, image, mask)
+            coarse, features = coarse_forward(model.coarse, x_lr, m_lr)
+            x_hat, amap = npm_refine(coarse, x_lr, features, model.npm, m_lr)
+            want = compose_hr(image, x_lr, x_hat, amap, mask, composite)
+        assert 0 < amap.corrupt.size < amap.count
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: parts)
+            assert run_pipeline(config, model, image, mask).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixel_rejected(self, bad, monkeypatch):
@@ -466,10 +507,6 @@ class TestLrWorkspace:
 def _blas_threads():
     get, _ = tensor_ops._openblas()
     return get()
-
-
-needs_openblas = pytest.mark.skipif(tensor_ops._openblas() is None,
-                                    reason="numpy's BLAS is not an OpenBLAS")
 
 
 @needs_openblas
@@ -736,7 +773,7 @@ class TestCli:
     @pytest.mark.parametrize("case,message", [
         ("missing-image", "No such file or directory"),
         ("lr-not-multiple-of-p", "lr_size must be divisible by patch_size"),
-        ("size-mismatch", "could not be broadcast"),
+        ("size-mismatch", "mask shape (1, 64, 64) does not match image (3, 128, 128)"),
         ("genmask-too-small", "mask extents must be at least 64 pixels"),
     ], ids=["missing-image", "lr-not-multiple-of-p", "size-mismatch", "genmask-too-small"])
     def test_bad_input_ends_in_one_line_error(self, tmp_path, capsys, case, message):

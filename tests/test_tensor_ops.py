@@ -715,7 +715,7 @@ class TestBlasHold:
 
 
 class TestSplit:
-    """_split: contiguous slices, one per CPU, joined before it returns."""
+    """_split: contiguous slices, one per CPU, all done before it returns."""
 
     @needs_openblas
     @pytest.mark.parametrize("cpus,n,want", [(3, 10, [3, 3, 4]), (2, 1, [1]), (4, 3, [1, 1, 1])])
@@ -748,11 +748,17 @@ class TestSplit:
             if part[0] > 0:
                 raise ValueError(f"slice {part[0]}")
 
+        monkeypatch.setattr(tensor_ops, "_peers", [])
         with pytest.raises(ValueError, match="^slice 2$"):
             tensor_ops._split(job, range(6), 1 << 30)
         assert sorted(ran) == [0, 2, 4]
-        assert not [t for t in threading.enumerate() if t.name.startswith("rethined")]
         assert _blas_threads() == before
+        # both peers are idle again, and the next split runs on them
+        peers = tensor_ops._peers
+        assert len(peers) == 2 and not any(p.claim.locked() for p in peers)
+        names = tensor_ops._split(lambda part: threading.current_thread().name, range(6), 1 << 30)
+        assert names == [threading.current_thread().name, "rethined-split-1", "rethined-split-2"]
+        assert len(tensor_ops._peers) == 2 and not any(p.claim.locked() for p in peers)
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_whole_slice_reads_and_checks_keep_their_bytes(self, monkeypatch, parts, tmp_path):
@@ -812,3 +818,106 @@ class TestSplit:
                 bad[where] = value
                 with pytest.raises(ValueError, match="mask values must be binary"):
                     tensor_ops.require_binary(bad)
+
+
+def _split_in_child(parent_names):
+    names = tensor_ops._split(lambda part: threading.current_thread().name, range(4), 1 << 30)
+    alive = {t.name for t in threading.enumerate()}
+    sys.exit(0 if names[1] == "rethined-split-1" and names[1] in alive else 1)
+
+
+@needs_openblas
+class TestPeers:
+    """The long-lived peers that run _split's slices and _shared's units:
+    claimed without waiting, idle at every exit, re-created after a fork."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(tensor_ops, "_peers", [])
+        monkeypatch.setattr(tensor_ops, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(tensor_ops, "_PART_BYTES", 1)
+
+    @staticmethod
+    def _bounded(fn):
+        """fn() on a thread that must finish within 60 s, so a deadlock fails
+        the test instead of hanging it; fn's result."""
+        box = []
+        t = threading.Thread(target=lambda: box.append(fn()), daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive(), "deadlocked"
+        return box[0]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_splits_on_a_peer_of_its_own(self):
+        names = tensor_ops._split(lambda part: threading.current_thread().name, range(4), 1 << 30)
+        assert names[1] == "rethined-split-1"
+        child = multiprocessing.get_context("fork").Process(target=_split_in_child, args=(names,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+    def test_split_nested_in_a_peer_job_runs_inline(self):
+        def outer(part):
+            me = threading.current_thread().name
+            inner = tensor_ops._split(lambda p: threading.current_thread().name, range(4), 1 << 30)
+            return me, inner
+
+        got = self._bounded(lambda: tensor_ops._split(outer, range(4), 1 << 30))
+        assert got[1][0] == "rethined-split-1"
+        # the only peer is busy with the outer slices, so each inner split
+        # runs on the thread of its outer slice
+        assert all(inner == [me, me] for me, inner in got)
+        assert not tensor_ops._peers[0].claim.locked()
+
+    def test_split_during_the_overlap_runs_inline(self):
+        started, release, ran = threading.Event(), threading.Event(), []
+
+        def unit(item):
+            started.set()
+            release.wait(timeout=30)
+            ran.append((item, threading.current_thread().name))
+
+        def overlap():
+            with tensor_ops._shared(unit, range(3), 1 << 30):
+                # only the peer takes units before the block ends
+                assert started.wait(timeout=30)
+                me = threading.current_thread().name
+                inner = tensor_ops._split(lambda p: threading.current_thread().name, range(4), 1 << 30)
+                release.set()
+            return me, inner
+
+        me, inner = self._bounded(overlap)
+        assert inner == [me, me]
+        assert sorted(i for i, _ in ran) == [0, 1, 2] and dict(ran)[0] == "rethined-split-1"
+        assert not tensor_ops._peers[0].claim.locked()
+
+    def test_raise_in_the_overlap_waits_for_the_peer(self):
+        started, ran = threading.Event(), []
+
+        def unit(item):
+            started.set()
+            ran.append(item)
+
+        with pytest.raises(KeyError):
+            with tensor_ops._shared(unit, range(1000), 1 << 30):
+                assert started.wait(timeout=30)
+                raise KeyError("block")
+        # the peer stopped at the first unit it took after the raise; the
+        # rest were dropped, and none ran twice
+        assert not tensor_ops._peers[0].claim.locked()
+        assert len(ran) == len(set(ran)) and set(ran) == set(range(len(ran)))
+
+    def test_unit_error_raised_after_the_peer_finished(self):
+        def unit(item):
+            if item == 3:
+                raise ValueError("unit 3")
+
+        with pytest.raises(ValueError, match="^unit 3$"):
+            with tensor_ops._shared(unit, range(8), 1 << 30):
+                pass
+        assert not tensor_ops._peers[0].claim.locked()
